@@ -16,7 +16,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"svto/pkg/svto"
 )
@@ -30,15 +29,15 @@ var cmp8 string
 func main() {
 	// 1-3. Map, fuse onto complex cells, and optimize sleep state plus
 	// Vt/Tox versions with three refinement passes under a 5% budget.
-	res, err := svto.Optimize(context.Background(), svto.Config{
-		Bench:           strings.NewReader(cmp8),
-		Name:            "cmp8",
-		Fuse:            true,
-		Penalty:         0.05,
-		RefinePasses:    3,
-		BaselineVectors: 5000,
-		Seed:            1,
-	})
+	res, err := svto.Run(context.Background(), svto.Request{
+		Design: svto.DesignSpec{Bench: cmp8, Name: "cmp8", Fuse: true},
+		Search: svto.SearchSpec{
+			Penalty:         0.05,
+			RefinePasses:    3,
+			BaselineVectors: 5000,
+			Seed:            1,
+		},
+	}, svto.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	_ "embed"
 	"fmt"
 	"log"
-	"strings"
 
 	"svto/pkg/svto"
 )
@@ -22,14 +21,15 @@ import (
 var onehot4 string
 
 func main() {
-	res, err := svto.Optimize(context.Background(), svto.Config{
-		Bench:   strings.NewReader(onehot4),
-		Name:    "onehot4",
-		Penalty: 0.10, // 10% delay budget
-		// Reference point: expected leakage with no standby optimization.
-		BaselineVectors: 5000,
-		Seed:            1,
-	})
+	res, err := svto.Run(context.Background(), svto.Request{
+		Design: svto.DesignSpec{Bench: onehot4, Name: "onehot4"},
+		Search: svto.SearchSpec{
+			Penalty: 0.10, // 10% delay budget
+			// Reference point: expected leakage with no standby optimization.
+			BaselineVectors: 5000,
+			Seed:            1,
+		},
+	}, svto.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

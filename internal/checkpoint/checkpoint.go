@@ -31,6 +31,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 )
 
@@ -51,8 +52,7 @@ const (
 	//
 	// History: 2 added BatchSweeps/BatchLanes to Stats.  3 added the
 	// relaxation/portfolio counters and the Lagrangian multiplier cache as
-	// trailing sections; version-2 files remain loadable (the extras decode
-	// to their zero values).
+	// trailing sections.  Only version 3 is read.
 	Version = 3
 
 	// maxCount bounds every length read from a snapshot, so a corrupt
@@ -61,18 +61,89 @@ const (
 	maxCount = 1 << 26
 )
 
-// Stats mirrors the search counters worth carrying across a crash.
+// Stats holds the additive search counters.  It is the single definition
+// of them: the search engine embeds it (core.Counters), snapshots persist
+// it, and cluster shards report it per lease under the JSON names below.
+// Counters add across workers, shards and resume cycles, so every merge is
+// an Add.
 type Stats struct {
-	StateNodes    int64
-	GateTrials    int64
-	Leaves        int64
-	Pruned        int64
-	LeafCacheHits int64
-	BatchSweeps   int64
-	BatchLanes    int64
-	RelaxBounds   int64
-	RelaxPruned   int64
-	PortfolioWins int64
+	StateNodes int64 `json:"state_nodes,omitempty"` // state-tree nodes visited
+	GateTrials int64 `json:"gate_trials,omitempty"` // gate-tree version trials (incl. rejected)
+	Leaves     int64 `json:"leaves,omitempty"`      // complete states evaluated with a gate-tree descent
+	Pruned     int64 `json:"pruned,omitempty"`      // state-tree branches cut by a bound
+	// LeafCacheHits counts leaves answered by the gate-state-vector
+	// memoization instead of a fresh gate-tree descent (a subset of
+	// Leaves; GateTrials excludes the descents such hits skipped).
+	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
+	// BatchSweeps counts batched bound sweeps (one topological pass of the
+	// 64-lane evaluator); BatchLanes the probe lanes those sweeps retired,
+	// so BatchLanes/BatchSweeps is the mean lane occupancy.
+	BatchSweeps int64 `json:"batch_sweeps,omitempty"`
+	BatchLanes  int64 `json:"batch_lanes,omitempty"`
+	// RelaxBounds counts Lagrangian-relaxation bound probes — branches
+	// that survived the cheap bound — and RelaxPruned the subset those
+	// probes cut (included in Pruned).
+	RelaxBounds int64 `json:"relax_bounds,omitempty"`
+	RelaxPruned int64 `json:"relax_pruned,omitempty"`
+	// PortfolioWins counts incumbent installations won by the racing
+	// portfolio explorers rather than the tree-search workers.
+	PortfolioWins int64 `json:"portfolio_wins,omitempty"`
+}
+
+// numStats is the number of counters in Stats.  The first leadStats are
+// written before the failure list; the rest, added in version 3, trail
+// the frontier.
+const (
+	numStats  = 10
+	leadStats = 7
+)
+
+// fields lists the counters in declaration (and snapshot) order.
+func (s *Stats) fields() [numStats]*int64 {
+	return [numStats]*int64{
+		&s.StateNodes, &s.GateTrials, &s.Leaves, &s.Pruned, &s.LeafCacheHits,
+		&s.BatchSweeps, &s.BatchLanes, &s.RelaxBounds, &s.RelaxPruned, &s.PortfolioWins,
+	}
+}
+
+// Add adds every counter of o to s.
+func (s *Stats) Add(o Stats) {
+	dst, src := s.fields(), o.fields()
+	for i, p := range dst {
+		*p += *src[i]
+	}
+}
+
+// Sub returns s - o, counter by counter.
+func (s Stats) Sub(o Stats) Stats {
+	dst, src := s.fields(), o.fields()
+	for i, p := range dst {
+		*p -= *src[i]
+	}
+	return s
+}
+
+// AtomicStats accumulates Stats lock-free, for totals that concurrent
+// workers add to while others read them.
+type AtomicStats [numStats]atomic.Int64
+
+// Add adds d to the totals; zero counters cost nothing.
+func (a *AtomicStats) Add(d Stats) {
+	for i, p := range d.fields() {
+		if *p != 0 {
+			a[i].Add(*p)
+		}
+	}
+}
+
+// Load reads the totals.  Counters are read one at a time, so a Load racing
+// an Add may see part of it.
+func (a *AtomicStats) Load() Stats {
+	var s Stats
+	for i, p := range s.fields() {
+		*p = a[i].Load()
+	}
+	return s
 }
 
 // Multiplier is one cached Lagrangian multiplier of the relaxation bound
@@ -94,13 +165,15 @@ type WorkerFailure struct {
 
 // Incumbent is the best solution found so far, in pointer-free form:
 // Choices[g] = (instance state, index into the cell's per-state choice
-// list) for gate g.
+// list) for gate g.  Snapshots and the cluster wire protocol carry the same
+// encoding (JSON names below); the receiver re-resolves the coordinates
+// against its own library and cross-checks the recorded leakage.
 type Incumbent struct {
-	State   []bool
-	Choices [][2]int32
-	Leak    float64
-	Isub    float64
-	Delay   float64
+	State   []bool     `json:"state"`
+	Choices [][2]int32 `json:"choices"`
+	Leak    float64    `json:"leak_na"`
+	Isub    float64    `json:"isub_na"`
+	Delay   float64    `json:"delay_ps"`
 }
 
 // Snapshot is one consistent point of a search.
@@ -124,9 +197,8 @@ type Snapshot struct {
 	Frontier [][]byte
 	// HasMultipliers reports whether the writing process had a relaxation
 	// engine (so Multipliers is its cache, possibly empty); false means no
-	// cache was recorded — version-2 files, ablated runs, and snapshots
-	// written by a process that never built the engine — and the resuming
-	// process rebuilds cold.
+	// cache was recorded — ablated runs, and snapshots written by a process
+	// that never built the engine — and the resuming process rebuilds cold.
 	HasMultipliers bool
 	// Multipliers is the sparse non-zero multiplier cache, in gate-major
 	// order.
@@ -224,13 +296,10 @@ func (s *Snapshot) marshal() []byte {
 	w.i64(int64(s.Elapsed))
 	w.i64(int64(s.SplitDepth))
 	w.i64(s.LeavesUsed)
-	w.i64(s.Stats.StateNodes)
-	w.i64(s.Stats.GateTrials)
-	w.i64(s.Stats.Leaves)
-	w.i64(s.Stats.Pruned)
-	w.i64(s.Stats.LeafCacheHits)
-	w.i64(s.Stats.BatchSweeps)
-	w.i64(s.Stats.BatchLanes)
+	stats := s.Stats.fields()
+	for _, p := range stats[:leadStats] {
+		w.i64(*p)
+	}
 	w.u32(uint32(len(s.Failures)))
 	for _, f := range s.Failures {
 		w.u32(uint32(f.Worker))
@@ -270,9 +339,9 @@ func (s *Snapshot) marshal() []byte {
 	}
 	// Version-3 trailing sections: relaxation/portfolio counters, then the
 	// multiplier cache.
-	w.i64(s.Stats.RelaxBounds)
-	w.i64(s.Stats.RelaxPruned)
-	w.i64(s.Stats.PortfolioWins)
+	for _, p := range stats[leadStats:] {
+		w.i64(*p)
+	}
 	if s.HasMultipliers {
 		w.u8(1)
 	} else {
@@ -303,7 +372,7 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	}
 	rest := data[len(magic):]
 	version := binary.LittleEndian.Uint32(rest[:4])
-	if version != 2 && version != Version {
+	if version != Version {
 		return nil, fmt.Errorf("%w: got version %d, want %d", ErrVersion, version, Version)
 	}
 	plen := binary.LittleEndian.Uint64(rest[4:12])
@@ -324,14 +393,9 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		SplitDepth:  int(r.i64()),
 		LeavesUsed:  r.i64(),
 	}
-	s.Stats = Stats{
-		StateNodes:    r.i64(),
-		GateTrials:    r.i64(),
-		Leaves:        r.i64(),
-		Pruned:        r.i64(),
-		LeafCacheHits: r.i64(),
-		BatchSweeps:   r.i64(),
-		BatchLanes:    r.i64(),
+	stats := s.Stats.fields()
+	for _, p := range stats[:leadStats] {
+		*p = r.i64()
 	}
 	nf := r.count()
 	for i := 0; i < nf && !r.failed; i++ {
@@ -360,7 +424,10 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	}
 	ntasks := r.count()
 	vecLen := r.count()
-	if !r.failed && uint64(ntasks)*uint64(vecLen) <= maxCount {
+	// Every task must fit in the rest of the payload; a zero-length vector
+	// (a circuit without inputs) allows only the single root task, so no
+	// count makes the loop below outrun the input.
+	if !r.failed && uint64(ntasks)*uint64(vecLen) <= uint64(len(r.b)) && (vecLen > 0 || ntasks <= 1) {
 		s.Frontier = make([][]byte, 0, min(ntasks, 1<<16))
 		for i := 0; i < ntasks && !r.failed; i++ {
 			s.Frontier = append(s.Frontier, r.bytes(vecLen))
@@ -368,34 +435,25 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	} else if ntasks > 0 {
 		r.failed = true
 	}
-	if version >= 3 {
-		s.Stats.RelaxBounds = r.i64()
-		s.Stats.RelaxPruned = r.i64()
-		s.Stats.PortfolioWins = r.i64()
-		s.HasMultipliers = r.u8() != 0
-		nm := r.count()
-		if nm > 0 {
-			s.Multipliers = make([]Multiplier, 0, min(nm, 1<<16))
-		}
-		for i := 0; i < nm && !r.failed; i++ {
-			s.Multipliers = append(s.Multipliers, Multiplier{
-				Gate:   int32(r.u32()),
-				State:  int32(r.u32()),
-				Lambda: r.f64(),
-			})
-		}
+	for _, p := range stats[leadStats:] {
+		*p = r.i64()
+	}
+	s.HasMultipliers = r.u8() != 0
+	nm := r.count()
+	if nm > 0 {
+		s.Multipliers = make([]Multiplier, 0, min(nm, 1<<16))
+	}
+	for i := 0; i < nm && !r.failed; i++ {
+		s.Multipliers = append(s.Multipliers, Multiplier{
+			Gate:   int32(r.u32()),
+			State:  int32(r.u32()),
+			Lambda: r.f64(),
+		})
 	}
 	if r.failed || len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: payload does not decode cleanly", ErrCorrupt)
 	}
 	return s, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // writer appends little-endian fields to a growing buffer.

@@ -122,6 +122,11 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("want ErrVersion, got %v", err)
 		}
+		// Version 2 is no longer read, even with an intact frame.
+		payload := data[len(magic)+12 : len(data)-4]
+		if _, err := Unmarshal(reframe(payload, 2)); !errors.Is(err, ErrVersion) {
+			t.Errorf("version-2 frame: want ErrVersion, got %v", err)
+		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{1, len(magic) + 4, len(data) / 2, len(data) - 1} {
@@ -149,18 +154,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	})
 }
 
-// marshalV2 serializes a snapshot in the exact version-2 layout (no
-// relaxation counters, no multiplier section) so compatibility with files
-// written by older builds stays pinned by a test instead of by memory.
-func marshalV2(s *Snapshot) []byte {
-	full := s.marshal()
-	payload := full[len(magic)+12 : len(full)-4]
-	// The v3 trailing sections are the last 3*8 (counters) + 1 (flag) +
-	// 4 (count) + 16*len(Multipliers) bytes of the payload.
-	cut := len(payload) - (24 + 1 + 4 + 16*len(s.Multipliers))
-	return reframe(payload[:cut], 2)
-}
-
 // reframe wraps an arbitrary payload in a valid frame (magic, version,
 // length, CRC), so tests can exercise payload-level decode validation
 // separately from the frame checks.
@@ -172,37 +165,10 @@ func reframe(payload []byte, version uint32) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// A version-2 snapshot (written before the relaxation engine existed) must
-// still load: the new counters decode to zero and no multiplier cache is
-// reported, which tells the resuming search to rebuild the engine cold.
-func TestLoadVersion2Compat(t *testing.T) {
-	want := sampleSnapshot()
-	got, err := Unmarshal(marshalV2(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.HasMultipliers || got.Multipliers != nil {
-		t.Errorf("v2 decode invented a multiplier cache: %+v", got.Multipliers)
-	}
-	if got.Stats.RelaxBounds != 0 || got.Stats.RelaxPruned != 0 || got.Stats.PortfolioWins != 0 {
-		t.Errorf("v2 decode invented relaxation counters: %+v", got.Stats)
-	}
-	// Everything that exists in both versions must round-trip unchanged.
-	want.HasMultipliers = false
-	want.Multipliers = nil
-	want.Stats.RelaxBounds = 0
-	want.Stats.RelaxPruned = 0
-	want.Stats.PortfolioWins = 0
-	if !snapEqual(got, want) {
-		t.Errorf("v2 decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // The version-3 trailing sections must be validated like everything before
 // them: a payload cut anywhere inside them — even with a recomputed, valid
 // CRC — must fail, as must a multiplier count that promises more entries
-// than the payload holds, and v2 files carrying trailing bytes where the
-// v3 sections would start.
+// than the payload holds.
 func TestRejectsCorruptMultiplierSection(t *testing.T) {
 	full := sampleSnapshot().marshal()
 	payload := full[len(magic)+12 : len(full)-4]
@@ -220,11 +186,6 @@ func TestRejectsCorruptMultiplierSection(t *testing.T) {
 		countOff := len(bad) - 4 - 16*len(sampleSnapshot().Multipliers)
 		binary.LittleEndian.PutUint32(bad[countOff:], 1<<20)
 		if _, err := Unmarshal(reframe(bad, Version)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
-		}
-	})
-	t.Run("v2 frame with trailing bytes", func(t *testing.T) {
-		if _, err := Unmarshal(reframe(payload, 2)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("want ErrCorrupt, got %v", err)
 		}
 	})

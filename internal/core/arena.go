@@ -89,7 +89,7 @@ func (p *Problem) gateStatesInto(a *leafArena, state []bool) error {
 // allocation-free core of evalState and of the workers' greedyLeaf; the
 // final delay is a full from-scratch re-analysis (bit-for-bit the value
 // Timer.Analyze reports), run on the arena's scratch timing state.
-func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, stats *SearchStats) (leak, isub, delay float64, err error) {
+func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, stats *Counters) (leak, isub, delay float64, err error) {
 	if err = p.assignGatesArena(st, a, budget, stats); err != nil {
 		return 0, 0, 0, err
 	}
@@ -108,7 +108,7 @@ func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, st
 // assignment; it is consumed by the descent.  Candidate ranking and gate
 // ordering come from the problem's precomputed tables; the result is
 // written to a.choices.
-func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, stats *SearchStats) error {
+func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, stats *Counters) error {
 	p.rankGates(a)
 
 	// Shadow assignment for the full-STA ablation.

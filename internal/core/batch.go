@@ -40,12 +40,12 @@ type batchProber struct {
 	p     *Problem
 	bat   *sim.Batch3
 	pi    []sim.Value // the search's live partial assignment (aliased)
-	stats *SearchStats
+	stats *Counters
 	segs  []*batchSeg
 	top   int // live segment count; segs[top:] are retired, reusable
 }
 
-func newBatchProber(p *Problem, bat *sim.Batch3, pi []sim.Value, stats *SearchStats) *batchProber {
+func newBatchProber(p *Problem, bat *sim.Batch3, pi []sim.Value, stats *Counters) *batchProber {
 	return &batchProber{p: p, bat: bat, pi: pi, stats: stats}
 }
 

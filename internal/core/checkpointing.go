@@ -124,98 +124,80 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	return h.Sum64()
 }
 
-// loadResume reads and validates the snapshot named by opt.Checkpoint.  A
-// missing file returns (nil, nil): there is nothing to resume and the run
-// starts fresh, which is what makes "-resume" safe to pass unconditionally.
-func (p *Problem) loadResume(opt Options) (*checkpoint.Snapshot, error) {
-	snap, err := checkpoint.Load(opt.Checkpoint.fs(), opt.Checkpoint.Path)
+// ResumedSearch is the durable state of a tree search in search terms:
+// what a snapshot records, with the incumbent re-resolved against this
+// process's library.  LoadSearch returns it to every resuming caller — a
+// local Solve and the cluster coordinator alike — and BuildSnapshot turns
+// the same shape back into a snapshot.
+type ResumedSearch struct {
+	// Seed is the incumbent.
+	Seed *Solution
+	// Tasks is the unexplored frontier: in-flight tasks count as
+	// unexplored, since the incumbent is monotone and re-exploring them can
+	// only re-derive or improve the result, never regress it.
+	Tasks [][]sim.Value
+	// SplitDepth is the depth the frontier was expanded at.
+	SplitDepth int
+	// Elapsed and LeavesUsed are the wall clock and leaf-budget tickets
+	// spent so far, so budgets continue rather than reset.
+	Elapsed    time.Duration
+	LeavesUsed int64
+	// Stats are the aggregated counters (partial in-flight task work
+	// already rolled back).
+	Stats Counters
+	// Failures carries over recorded worker deaths.
+	Failures []WorkerFailure
+	// warm is the snapshot's Lagrangian multiplier cache (nil when it
+	// carried none), used to warm-start the relaxation engine rebuild.
+	warm *relax.Warm
+}
+
+// LoadSearch reads the snapshot at path and validates it against the
+// search (p, opt): fingerprint, incumbent, split depth, frontier tasks and
+// multiplier cache.  A missing file returns (nil, nil): there is nothing to
+// resume and the run starts fresh, which is what makes "-resume" safe to
+// pass unconditionally.  Any disagreement fails with ErrCheckpointMismatch.
+func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*ResumedSearch, error) {
+	snap, err := checkpoint.Load(fs, path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if want := p.fingerprint(opt); snap.Fingerprint != want {
-		return nil, fmt.Errorf("%w: snapshot fingerprint %016x, problem fingerprint %016x (different circuit, library or options)",
-			ErrCheckpointMismatch, snap.Fingerprint, want)
-	}
-	return snap, nil
-}
-
-// resumeState is a validated snapshot translated back into search terms.
-type resumeState struct {
-	seed       *Solution
-	elapsed    time.Duration
-	leavesUsed int64
-	splitDepth int
-	stats      checkpoint.Stats
-	failures   []WorkerFailure
-	tasks      [][]sim.Value
-	// mult is the snapshot's Lagrangian multiplier cache (nil when the
-	// snapshot carried none — format v2, or a run whose engine was off),
-	// used to warm-start the relaxation engine rebuild.
-	mult *relax.Warm
-}
-
-// restoreSnapshot converts a fingerprint-validated snapshot into the
-// incumbent solution and frontier tasks of a resumed search, re-resolving
-// the incumbent's (state, index) choice coordinates into this process's
-// choice pointers and cross-checking the recorded leakage against the
-// re-resolved choices as an end-to-end integrity check.
-func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, error) {
 	mismatch := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrCheckpointMismatch, fmt.Sprintf(format, args...))
 	}
-	inc := snap.Incumbent
-	if inc == nil {
-		return nil, mismatch("snapshot has no incumbent")
+	if want := p.fingerprint(opt); snap.Fingerprint != want {
+		return nil, mismatch("snapshot fingerprint %016x, problem fingerprint %016x (different circuit, library or options)",
+			snap.Fingerprint, want)
 	}
-	if len(inc.State) != len(p.CC.PI) {
-		return nil, mismatch("incumbent has %d input values, circuit has %d inputs", len(inc.State), len(p.CC.PI))
-	}
-	choices, err := p.Timer.ChoicesAt(inc.Choices)
+	seed, err := p.ResolveIncumbent(snap.Incumbent)
 	if err != nil {
 		return nil, mismatch("%v", err)
 	}
-	leak, isub := leakOf(choices)
-	if math.Abs(leak-inc.Leak) > 1e-6 || math.Abs(isub-inc.Isub) > 1e-6 {
-		return nil, mismatch("incumbent leakage %.9g/%.9g disagrees with re-resolved choices %.9g/%.9g",
-			inc.Leak, inc.Isub, leak, isub)
+	rs := &ResumedSearch{
+		Seed:       seed,
+		SplitDepth: snap.SplitDepth,
+		Elapsed:    snap.Elapsed,
+		LeavesUsed: snap.LeavesUsed,
+		Stats:      snap.Stats,
 	}
-	rs := &resumeState{
-		seed: &Solution{
-			State:   append([]bool(nil), inc.State...),
-			Choices: choices,
-			Leak:    inc.Leak,
-			Isub:    inc.Isub,
-			Delay:   inc.Delay,
-		},
-		elapsed:    snap.Elapsed,
-		leavesUsed: snap.LeavesUsed,
-		splitDepth: snap.SplitDepth,
-		stats:      snap.Stats,
-	}
-	if rs.splitDepth < 0 || rs.splitDepth > len(p.piOrder) {
-		return nil, mismatch("split depth %d out of range (%d inputs)", rs.splitDepth, len(p.piOrder))
+	if rs.SplitDepth < 0 || rs.SplitDepth > len(p.piOrder) {
+		return nil, mismatch("split depth %d out of range (%d inputs)", rs.SplitDepth, len(p.piOrder))
 	}
 	for _, f := range snap.Failures {
-		rs.failures = append(rs.failures, WorkerFailure{Worker: int(f.Worker), Err: f.Err, Stack: f.Stack})
+		rs.Failures = append(rs.Failures, WorkerFailure{Worker: int(f.Worker), Err: f.Err, Stack: f.Stack})
 	}
 	for ti, vec := range snap.Frontier {
-		if len(vec) != len(p.CC.PI) {
-			return nil, mismatch("frontier task %d has %d values, circuit has %d inputs", ti, len(vec), len(p.CC.PI))
+		task, err := p.TaskFromBytes(vec, rs.SplitDepth)
+		if err != nil {
+			return nil, mismatch("frontier task %d: %v", ti, err)
 		}
-		task := make([]sim.Value, len(vec))
-		for i, b := range vec {
-			if b > uint8(sim.X) {
-				return nil, mismatch("frontier task %d holds invalid value %d", ti, b)
-			}
-			task[i] = sim.Value(b)
-		}
-		rs.tasks = append(rs.tasks, task)
+		rs.Tasks = append(rs.Tasks, task)
 	}
 	if snap.HasMultipliers {
-		rs.mult = relax.NewWarm()
+		rs.warm = relax.NewWarm()
 		for mi, m := range snap.Multipliers {
 			if m.Gate < 0 || int(m.Gate) >= len(p.Timer.Cells) {
 				return nil, mismatch("multiplier %d names gate %d, circuit has %d gates", mi, m.Gate, len(p.Timer.Cells))
@@ -226,87 +208,145 @@ func (p *Problem) restoreSnapshot(snap *checkpoint.Snapshot) (*resumeState, erro
 			if math.IsNaN(m.Lambda) || math.IsInf(m.Lambda, 0) || m.Lambda < 0 {
 				return nil, mismatch("multiplier %d holds invalid lambda %v", mi, m.Lambda)
 			}
-			rs.mult.Set(int(m.Gate), int(m.State), m.Lambda)
+			rs.warm.Set(int(m.Gate), int(m.State), m.Lambda)
 		}
 	}
 	return rs, nil
 }
 
-// buildSnapshot captures one consistent point of the running search: the
-// frontier is whatever the pool has not finished (in-flight tasks count as
-// unexplored — the incumbent is monotone, so re-exploring them on resume
-// can only re-derive or improve the result, never regress it).
-func (sh *sharedSearch) buildSnapshot(tp *taskPool) (*checkpoint.Snapshot, error) {
-	sh.mu.Lock()
-	best := sh.best
-	sh.mu.Unlock()
-	coords, err := sh.p.Timer.ChoiceCoords(best.Choices)
+// BuildSnapshot encodes st as the snapshot of the search fingerprinted
+// fprint (see SearchFingerprint).  eng, when non-nil, contributes its
+// multiplier cache so a resume can warm-start the relaxation engine
+// rebuild; nil records "no cache" — the coordinator never builds the
+// engine (its shards do) — and the resuming process rebuilds cold.
+func (p *Problem) BuildSnapshot(fprint uint64, st *ResumedSearch, eng *relax.Engine) (*checkpoint.Snapshot, error) {
+	inc, err := p.EncodeIncumbent(st.Seed)
 	if err != nil {
 		return nil, err
 	}
-	tasks := tp.remaining()
-	frontier := make([][]byte, len(tasks))
-	for ti, task := range tasks {
-		vec := make([]byte, len(task))
-		for i, v := range task {
-			vec[i] = byte(v)
-		}
-		frontier[ti] = vec
+	snap := &checkpoint.Snapshot{
+		Fingerprint:    fprint,
+		Elapsed:        st.Elapsed,
+		SplitDepth:     st.SplitDepth,
+		LeavesUsed:     st.LeavesUsed,
+		Stats:          st.Stats,
+		Incumbent:      inc,
+		HasMultipliers: eng != nil,
 	}
-	sh.failMu.Lock()
-	failures := make([]checkpoint.WorkerFailure, len(sh.failures))
-	for i, f := range sh.failures {
-		failures[i] = checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack}
+	for _, f := range st.Failures {
+		snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack})
 	}
-	sh.failMu.Unlock()
-	// The multiplier cache rides along so a resume can warm-start the
-	// relaxation engine rebuild.  HasMultipliers distinguishes "engine was
-	// on, these are its non-zero multipliers (possibly none)" from "no cache
-	// recorded" — a coordinator-written snapshot says the latter and the
-	// resuming process rebuilds cold.
-	var mult []checkpoint.Multiplier
-	if sh.relax != nil {
-		for _, m := range sh.relax.Multipliers() {
-			mult = append(mult, checkpoint.Multiplier{Gate: m.Gate, State: m.State, Lambda: m.Lambda})
+	for _, t := range st.Tasks {
+		snap.Frontier = append(snap.Frontier, TaskBytes(t))
+	}
+	if eng != nil {
+		for _, m := range eng.Multipliers() {
+			snap.Multipliers = append(snap.Multipliers, checkpoint.Multiplier{Gate: m.Gate, State: m.State, Lambda: m.Lambda})
 		}
 	}
-	return &checkpoint.Snapshot{
-		Fingerprint: sh.fprint,
-		Elapsed:     sh.priorElapsed + time.Since(sh.start),
-		SplitDepth:  sh.splitDepth,
-		LeavesUsed:  sh.leafTickets.Load(),
-		Stats: checkpoint.Stats{
-			StateNodes:    sh.stateNodes.Load(),
-			GateTrials:    sh.gateTrials.Load(),
-			Leaves:        sh.leaves.Load(),
-			Pruned:        sh.pruned.Load(),
-			LeafCacheHits: sh.leafCacheHits.Load(),
-			BatchSweeps:   sh.batchSweeps.Load(),
-			BatchLanes:    sh.batchLanes.Load(),
-			RelaxBounds:   sh.relaxBounds.Load(),
-			RelaxPruned:   sh.relaxPruned.Load(),
-			PortfolioWins: sh.portfolioWins.Load(),
-		},
-		Failures:       failures,
-		HasMultipliers: sh.relax != nil,
-		Multipliers:    mult,
-		Incumbent: &checkpoint.Incumbent{
-			State:   best.State,
-			Choices: coords,
-			Leak:    best.Leak,
-			Isub:    best.Isub,
-			Delay:   best.Delay,
-		},
-		Frontier: frontier,
+	return snap, nil
+}
+
+// EncodeIncumbent serializes a solution into the pointer-free form
+// snapshots and the cluster wire protocol carry: the sleep state plus
+// (state, index) choice coordinates instead of pointers.
+func (p *Problem) EncodeIncumbent(sol *Solution) (*checkpoint.Incumbent, error) {
+	coords, err := p.Timer.ChoiceCoords(sol.Choices)
+	if err != nil {
+		return nil, err
+	}
+	return &checkpoint.Incumbent{
+		State:   append([]bool(nil), sol.State...),
+		Choices: coords,
+		Leak:    sol.Leak,
+		Isub:    sol.Isub,
+		Delay:   sol.Delay,
 	}, nil
 }
 
-// writeCheckpoint serializes and atomically writes one snapshot.  Failures
-// are recorded in the stats but never abort the search: losing a snapshot
-// costs redo work after a crash, aborting would cost the whole run now.
+// ResolveIncumbent is the inverse of EncodeIncumbent: it re-resolves the
+// coordinates into this process's choice pointers and cross-checks the
+// recorded leakage against the re-resolved choices as an end-to-end
+// integrity check, rejecting an incumbent that does not describe this
+// problem.
+func (p *Problem) ResolveIncumbent(inc *checkpoint.Incumbent) (*Solution, error) {
+	if inc == nil {
+		return nil, fmt.Errorf("core: no incumbent")
+	}
+	if len(inc.State) != len(p.CC.PI) {
+		return nil, fmt.Errorf("core: incumbent has %d input values, circuit has %d inputs", len(inc.State), len(p.CC.PI))
+	}
+	choices, err := p.Timer.ChoicesAt(inc.Choices)
+	if err != nil {
+		return nil, err
+	}
+	leak, isub := leakOf(choices)
+	// Negated comparisons so a NaN in the recorded values is rejected too.
+	if !(math.Abs(leak-inc.Leak) <= 1e-6) || !(math.Abs(isub-inc.Isub) <= 1e-6) {
+		return nil, fmt.Errorf("core: incumbent leakage %.9g/%.9g disagrees with re-resolved choices %.9g/%.9g",
+			inc.Leak, inc.Isub, leak, isub)
+	}
+	return &Solution{
+		State:   append([]bool(nil), inc.State...),
+		Choices: choices,
+		Leak:    inc.Leak,
+		Isub:    inc.Isub,
+		Delay:   inc.Delay,
+	}, nil
+}
+
+// TaskBytes encodes a subtree task in the snapshot and wire form: one byte
+// per primary input, 0 = forced false, 1 = forced true, 2 = unassigned.
+func TaskBytes(t []sim.Value) []byte {
+	b := make([]byte, len(t))
+	for i, v := range t {
+		b[i] = byte(v)
+	}
+	return b
+}
+
+// TaskFromBytes is the inverse of TaskBytes for a task expanded at split
+// depth depth, validated like every task the search accepts (checkTask).
+func (p *Problem) TaskFromBytes(b []byte, depth int) ([]sim.Value, error) {
+	t := make([]sim.Value, len(b))
+	for i, v := range b {
+		t[i] = sim.Value(v)
+	}
+	return t, p.checkTask(t, depth)
+}
+
+// checkTask validates a subtree task expanded at split depth depth: one
+// value per primary input, the first depth inputs of the search order
+// forced to 0 or 1 and every other input unassigned.  Anything else is not
+// a subtree the frontier expansion produces, and searching it would
+// silently skip or repeat part of the tree.
+func (p *Problem) checkTask(t []sim.Value, depth int) error {
+	if len(t) != len(p.CC.PI) {
+		return fmt.Errorf("task has %d values, circuit has %d inputs", len(t), len(p.CC.PI))
+	}
+	for d, i := range p.piOrder {
+		if v := t[i]; (d < depth) != (v == sim.False || v == sim.True) || v > sim.X {
+			return fmt.Errorf("input %d holds %d at search depth %d of a depth-%d task", i, v, d, depth)
+		}
+	}
+	return nil
+}
+
+// writeCheckpoint serializes and atomically writes one snapshot of the
+// running search.  Failures are recorded in the stats but never abort the
+// search: losing a snapshot costs redo work after a crash, aborting would
+// cost the whole run now.
 func (sh *sharedSearch) writeCheckpoint(tp *taskPool) {
 	sh.ckWrites.Add(1)
-	snap, err := sh.buildSnapshot(tp)
+	snap, err := sh.p.BuildSnapshot(sh.fprint, &ResumedSearch{
+		Seed:       sh.inc.Best(),
+		Tasks:      tp.remaining(),
+		SplitDepth: sh.splitDepth,
+		Elapsed:    sh.priorElapsed + time.Since(sh.start),
+		LeavesUsed: sh.leafTickets.Load(),
+		Stats:      sh.counters.Load(),
+		Failures:   sh.failuresCopy(),
+	}, sh.relax)
 	if err == nil {
 		err = checkpoint.Save(sh.ck.fs(), sh.ck.Path, snap)
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"svto/internal/checkpoint"
+	"svto/internal/library"
 	"svto/internal/sim"
 )
 
@@ -19,19 +21,27 @@ import (
 // task vector the checkpoint format persists — a coordinator expands the
 // root frontier once (ExpandFrontier), hands task batches to shards, and
 // each shard drains its batch with the ordinary pool engine (SolveTasks).
-// The in-process atomic incumbent generalizes to a SharedIncumbent that a
-// network pump can publish into and subscribe from; monotonicity makes
-// late, duplicate or crossing broadcasts harmless.
+// Every search's incumbent is a SharedIncumbent, which a network pump can
+// also publish into and subscribe from; monotonicity makes late, duplicate
+// or crossing broadcasts harmless.
 
-// SharedIncumbent is a monotone best-solution cell shared by concurrent
-// searches (and, through a network pump, by searches in other processes).
-// Offers install strictly better solutions only — same objective-then-leak
-// ordering the in-process incumbent uses — so replayed or out-of-order
-// broadcasts cannot regress it.  Subscribers are notified outside the lock
-// on every installation, except the subscriber the offer originated from
-// (which already knows), breaking notification cycles.
+// SharedIncumbent is the incumbent cell of a tree search: a monotone
+// best-solution cell that every worker of the search, and any searches
+// coupled to it through Options.Share (and, through a network pump,
+// searches in other processes), offer into.  Offers install strictly better
+// solutions only — objective first, total leakage as the tie-break — so
+// replayed or out-of-order broadcasts cannot regress it.  The objective of
+// the incumbent is also kept as float64 bits, so the pruning test reads it
+// in one atomic load.  Subscribers are notified outside the lock on every
+// installation, except the subscriber the offer originated from (which
+// already knows), breaking notification cycles.
 type SharedIncumbent struct {
-	p      *Problem
+	p *Problem
+	// bits holds math.Float64bits of the incumbent's objective value (total
+	// leakage for ObjTotal, subthreshold leakage for ObjIsubOnly), +Inf
+	// while the cell is empty.  It is lowered before the solution swap, so
+	// other workers prune against a new bound immediately.
+	bits   atomic.Uint64
 	mu     sync.Mutex
 	best   *Solution
 	epoch  int64
@@ -41,7 +51,9 @@ type SharedIncumbent struct {
 
 // NewSharedIncumbent creates an empty incumbent cell for p's objective.
 func NewSharedIncumbent(p *Problem) *SharedIncumbent {
-	return &SharedIncumbent{p: p, subs: make(map[int]func(*Solution))}
+	s := &SharedIncumbent{p: p, subs: make(map[int]func(*Solution))}
+	s.bits.Store(math.Float64bits(math.Inf(1)))
+	return s
 }
 
 // Subscribe registers fn to run on every installation (from any goroutine,
@@ -62,6 +74,10 @@ func (s *SharedIncumbent) Unsubscribe(id int) {
 	delete(s.subs, id)
 	s.mu.Unlock()
 }
+
+// Obj returns the incumbent's objective value without locking (+Inf before
+// the first offer).
+func (s *SharedIncumbent) Obj() float64 { return math.Float64frombits(s.bits.Load()) }
 
 // Best returns the current incumbent (nil before the first offer).  The
 // returned Solution is shared: callers must not mutate it.
@@ -90,11 +106,82 @@ func (s *SharedIncumbent) OfferFrom(origin int, sol *Solution) bool {
 	if sol == nil {
 		return false
 	}
+	obj := s.p.objValue(sol)
+	if !s.lower(obj) {
+		return false
+	}
 	s.mu.Lock()
-	if !s.improves(sol) {
+	if !s.improves(obj, sol.Leak) {
 		s.mu.Unlock()
 		return false
 	}
+	s.install(origin, sol)
+	return true
+}
+
+// OfferLeaf is Offer for the allocation-free leaf paths: the caller hands
+// in reused state and choices buffers plus the computed values, and a
+// Solution (with its own copies of the buffers) is only materialized if
+// the incumbent actually moves — losing leaves allocate nothing.  Returns
+// the installed solution, or nil when the incumbent was not replaced.
+func (s *SharedIncumbent) OfferLeaf(state []bool, choices []*library.Choice, leak, isub, delay float64) *Solution {
+	obj := leak
+	if s.p.Obj == ObjIsubOnly {
+		obj = isub
+	}
+	if !s.lower(obj) {
+		return nil
+	}
+	s.mu.Lock()
+	if !s.improves(obj, leak) {
+		s.mu.Unlock()
+		return nil
+	}
+	sol := &Solution{
+		State:   append([]bool(nil), state...),
+		Choices: append([]*library.Choice(nil), choices...),
+		Leak:    leak,
+		Isub:    isub,
+		Delay:   delay,
+	}
+	s.install(-1, sol)
+	return sol
+}
+
+// lower is the lock-free half of an offer: it publishes obj as the new
+// pruning bound when it beats the current one, and reports whether the
+// offer may still install — strictly better, or an objective tie the leak
+// tie-break resolves under the lock.
+func (s *SharedIncumbent) lower(obj float64) bool {
+	for {
+		cur := s.bits.Load()
+		curObj := math.Float64frombits(cur)
+		if obj > curObj {
+			return false
+		}
+		if obj == curObj || s.bits.CompareAndSwap(cur, math.Float64bits(obj)) {
+			return true
+		}
+	}
+}
+
+// improves reports whether (obj, leak) is strictly better than the current
+// best under the objective-then-leak order; callers hold s.mu.  Strictness
+// is what terminates broadcast echo: a solution round-tripped through
+// another process compares equal and is dropped.
+func (s *SharedIncumbent) improves(obj, leak float64) bool {
+	if s.best == nil {
+		return true
+	}
+	cur := s.p.objValue(s.best)
+	return obj < cur || (obj == cur && leak < s.best.Leak)
+}
+
+// install swaps sol in, releases s.mu (held by the caller) and notifies
+// the subscribers other than origin.  Notification happens outside the
+// lock: a callback taking another search's locks under ours would order
+// locks inconsistently across searches.
+func (s *SharedIncumbent) install(origin int, sol *Solution) {
 	s.best = sol
 	s.epoch++
 	fns := make([]func(*Solution), 0, len(s.subs))
@@ -106,44 +193,6 @@ func (s *SharedIncumbent) OfferFrom(origin int, sol *Solution) bool {
 	s.mu.Unlock()
 	for _, fn := range fns {
 		fn(sol)
-	}
-	return true
-}
-
-// improves reports whether sol is strictly better than the current best
-// under the objective-then-leak order.  Strictness is what terminates
-// broadcast echo: a solution round-tripped through another process compares
-// equal and is dropped.
-func (s *SharedIncumbent) improves(sol *Solution) bool {
-	if s.best == nil {
-		return true
-	}
-	a, b := s.p.objValue(sol), s.p.objValue(s.best)
-	return a < b || (a == b && sol.Leak < s.best.Leak)
-}
-
-// attachShare couples a running search to an external incumbent: external
-// improvements install into the search's atomic bound (tightening pruning
-// mid-descent), and the search's own improvements publish outward.  The
-// current best is exchanged both ways at attach time so neither side starts
-// behind the other.
-func (sh *sharedSearch) attachShare(s *SharedIncumbent) {
-	sh.share = s
-	sh.shareID = s.Subscribe(func(sol *Solution) { sh.installExternal(sol) })
-	if ext := s.Best(); ext != nil {
-		sh.installExternal(ext)
-	}
-	sh.mu.Lock()
-	cur := sh.best
-	sh.mu.Unlock()
-	if cur != nil {
-		s.OfferFrom(sh.shareID, cur)
-	}
-}
-
-func (sh *sharedSearch) detachShare() {
-	if sh.share != nil {
-		sh.share.Unsubscribe(sh.shareID)
 	}
 }
 
@@ -193,9 +242,11 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 		depth = len(p.piOrder)
 	}
 	// A zero-stats copy keeps the returned counters a pure delta: the
-	// caller owns the seed's own counters and merges them once.
+	// caller owns the seed's own counters and merges them once.  The
+	// expansion prunes against seed alone, never against opt.Share.
 	zero := *seed
 	zero.Stats = SearchStats{}
+	opt.Share = nil
 	sh := newSharedSearch(p, opt, p.Budget(opt.Penalty), &zero)
 	sh.splitDepth = depth
 	tasks, err := sh.frontier(depth)
@@ -206,13 +257,7 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 		rng := rand.New(rand.NewSource(opt.Seed))
 		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
 	}
-	stats := SearchStats{
-		StateNodes:  sh.stateNodes.Load(),
-		Pruned:      sh.pruned.Load(),
-		BatchSweeps: sh.batchSweeps.Load(),
-		BatchLanes:  sh.batchLanes.Load(),
-	}
-	return tasks, stats, nil
+	return tasks, SearchStats{Counters: sh.counters.Load()}, nil
 }
 
 // TaskResult is the outcome of one SolveTasks batch.
@@ -259,8 +304,8 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 		return nil, fmt.Errorf("%w: split depth %d out of range (%d inputs)", ErrInvalidOptions, opt.SplitDepth, len(p.piOrder))
 	}
 	for ti, t := range tasks {
-		if len(t) != len(p.CC.PI) {
-			return nil, fmt.Errorf("%w: task %d has %d values, circuit has %d inputs", ErrInvalidOptions, ti, len(t), len(p.CC.PI))
+		if err := p.checkTask(t, opt.SplitDepth); err != nil {
+			return nil, fmt.Errorf("%w: task %d: %v", ErrInvalidOptions, ti, err)
 		}
 	}
 	if opt.Workers <= 0 {
@@ -279,10 +324,6 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 	if err != nil {
 		return nil, err
 	}
-	if opt.Share != nil {
-		sh.attachShare(opt.Share)
-		defer sh.detachShare()
-	}
 	if ctx.Err() != nil {
 		sh.markInterrupted()
 		return &TaskResult{Best: sh.finish(start), Remaining: cloneTasks(tasks)}, nil
@@ -300,7 +341,7 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 		}
 	}()
 
-	searchErr := sh.runPool(opt, &resumeState{tasks: tasks, splitDepth: opt.SplitDepth})
+	searchErr := sh.runPool(opt, &ResumedSearch{Tasks: tasks, SplitDepth: opt.SplitDepth})
 	stopWatcher()
 
 	var remaining [][]sim.Value
@@ -323,80 +364,4 @@ func cloneTasks(tasks [][]sim.Value) [][]sim.Value {
 		out[i] = append([]sim.Value(nil), t...)
 	}
 	return out
-}
-
-// ResumedSearch is a fingerprint-validated snapshot translated back into
-// search terms, for callers (the cluster coordinator) that drive the
-// frontier themselves instead of letting Solve resume internally.
-type ResumedSearch struct {
-	// Seed is the snapshot's incumbent with its choice coordinates
-	// re-resolved against this process's library.
-	Seed *Solution
-	// Tasks is the unexplored frontier.
-	Tasks [][]sim.Value
-	// SplitDepth is the depth the frontier was expanded at.
-	SplitDepth int
-	// Elapsed and LeavesUsed are the budgets the crashed run spent.
-	Elapsed    time.Duration
-	LeavesUsed int64
-	// Stats are the crashed run's aggregated counters (partial in-flight
-	// task work already rolled back).
-	Stats checkpoint.Stats
-	// Failures carries over recorded worker deaths.
-	Failures []WorkerFailure
-}
-
-// RestoreSearch validates and translates a loaded snapshot (see
-// checkpoint.Load); the caller has already matched SearchFingerprint
-// against snap.Fingerprint.
-func (p *Problem) RestoreSearch(snap *checkpoint.Snapshot) (*ResumedSearch, error) {
-	rs, err := p.restoreSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	return &ResumedSearch{
-		Seed:       rs.seed,
-		Tasks:      rs.tasks,
-		SplitDepth: rs.splitDepth,
-		Elapsed:    rs.elapsed,
-		LeavesUsed: rs.leavesUsed,
-		Stats:      rs.stats,
-		Failures:   rs.failures,
-	}, nil
-}
-
-// IncumbentCoords serializes a solution's gate choices as the (state,
-// index) coordinates the checkpoint format and the cluster wire protocol
-// carry instead of pointers.
-func (p *Problem) IncumbentCoords(sol *Solution) ([][2]int32, error) {
-	return p.Timer.ChoiceCoords(sol.Choices)
-}
-
-// ResolveIncumbent is the inverse of IncumbentCoords: it re-resolves wire
-// coordinates into choice pointers and cross-checks the sender's recorded
-// leakage against the re-resolved choices, rejecting a solution that does
-// not describe this problem (the same end-to-end integrity check snapshot
-// restore performs).
-func (p *Problem) ResolveIncumbent(state []bool, coords [][2]int32, leak, isub, delay float64) (*Solution, error) {
-	if len(state) != len(p.CC.PI) {
-		return nil, fmt.Errorf("core: incumbent has %d input values, circuit has %d inputs", len(state), len(p.CC.PI))
-	}
-	choices, err := p.Timer.ChoicesAt(coords)
-	if err != nil {
-		return nil, err
-	}
-	gotLeak, gotIsub := leakOf(choices)
-	if diff := gotLeak - leak; diff > 1e-6 || diff < -1e-6 {
-		return nil, fmt.Errorf("core: incumbent leakage %.9g disagrees with re-resolved choices %.9g", leak, gotLeak)
-	}
-	if diff := gotIsub - isub; diff > 1e-6 || diff < -1e-6 {
-		return nil, fmt.Errorf("core: incumbent Isub %.9g disagrees with re-resolved choices %.9g", isub, gotIsub)
-	}
-	return &Solution{
-		State:   append([]bool(nil), state...),
-		Choices: choices,
-		Leak:    leak,
-		Isub:    isub,
-		Delay:   delay,
-	}, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +48,37 @@ func TestSharedIncumbentMonotone(t *testing.T) {
 	}
 	if got, epoch := s.BestEpoch(); got != seed || epoch != 2 {
 		t.Fatalf("best %p epoch %d, want %p epoch 2", got, epoch, seed)
+	}
+}
+
+// TestSharedIncumbentConcurrentOffers races leaf offers from several
+// goroutines: the lock-free objective bound and the installed solution
+// must both end at the minimum offered, whatever the interleaving.
+func TestSharedIncumbentConcurrentOffers(t *testing.T) {
+	p := midCircuit(t)
+	s := NewSharedIncumbent(p)
+	if !math.IsInf(s.Obj(), 1) {
+		t.Fatalf("empty cell bound = %v, want +Inf", s.Obj())
+	}
+	seed, err := p.SeedSolution(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, offers = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < offers; i++ {
+				leak := seed.Leak + float64((i*goroutines+g*7919)%(goroutines*offers))
+				s.OfferLeaf(seed.State, seed.Choices, leak, seed.Isub, seed.Delay)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if best := s.Best(); s.Obj() != seed.Leak || best.Leak != seed.Leak {
+		t.Errorf("bound %v, best %v after racing offers; want both %v", s.Obj(), best.Leak, seed.Leak)
 	}
 }
 
@@ -133,7 +166,7 @@ func TestSolveTasksMatchesSolve(t *testing.T) {
 			t.Fatalf("sleep vectors differ at input %d", i)
 		}
 	}
-	sum := SearchStats{
+	sum := Counters{
 		StateNodes: seed.Stats.StateNodes + expStats.StateNodes + tr.Best.Stats.StateNodes,
 		Leaves:     seed.Stats.Leaves + tr.Best.Stats.Leaves,
 		Pruned:     seed.Stats.Pruned + expStats.Pruned + tr.Best.Stats.Pruned,
@@ -215,11 +248,19 @@ func TestSolveTasksValidation(t *testing.T) {
 	if _, err := p.SolveTasks(ctx, base, seed, [][]sim.Value{task[:1]}); err == nil {
 		t.Error("short task vector accepted")
 	}
+	// An all-X task is the right length but not a depth-6 subtree: searched
+	// as one, it would cover a fraction of the tree and still report a
+	// complete drain.
+	if _, err := p.SolveTasks(ctx, base, seed, [][]sim.Value{task}); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("task with an unassigned prefix: want ErrInvalidOptions, got %v", err)
+	}
 
 	// A pre-canceled context returns the seed and the whole batch untouched.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	tr, err := p.SolveTasks(canceled, base, seed, [][]sim.Value{task})
+	root := base
+	root.SplitDepth = 0
+	tr, err := p.SolveTasks(canceled, root, seed, [][]sim.Value{task})
 	if err != nil {
 		t.Fatal(err)
 	}

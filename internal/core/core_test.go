@@ -473,7 +473,7 @@ func TestRefineImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h1r.Leak > h1.Leak+1e-9 {
-		t.Error("Heuristic1Refined worse than Heuristic1")
+		t.Error("Heuristic 1 with refinement worse than Heuristic 1")
 	}
 }
 

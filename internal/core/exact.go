@@ -1,26 +1,7 @@
 package core
 
-import "context"
-
 // MaxExactInputs bounds the state-tree width the exact solver accepts; the
 // search space is 2^(n+2m), so this is for validation on small circuits
 // only (paper: "the exponential nature of the problem makes it impossible
 // to obtain an exact solution for substantial circuits").
 const MaxExactInputs = 16
-
-// Exact runs the full two-tree branch-and-bound of section 5: a state tree
-// over the primary inputs, and at each complete state a gate tree over the
-// version choices, both pruned with admissible leakage bounds and the
-// incremental delay lower bound (unassigned gates at their fastest version).
-//
-// Deprecated: Exact is a thin wrapper kept for existing callers.  New code
-// should use [Problem.Solve] with Options{Algorithm: AlgExact, Penalty:
-// penalty}, which adds context cancellation, parallel workers and progress
-// reporting over the same search.
-func (p *Problem) Exact(penalty float64) (*Solution, error) {
-	return p.Solve(context.Background(), Options{
-		Algorithm: AlgExact,
-		Penalty:   penalty,
-		Workers:   1,
-	})
-}

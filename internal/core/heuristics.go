@@ -1,34 +1,14 @@
 package core
 
 import (
-	"context"
-	"time"
-
 	"svto/internal/library"
 	"svto/internal/sim"
 )
 
-// Heuristic1 is the paper's first heuristic: a single greedy downward
-// traversal of the state tree (each input takes the branch with the lower
-// partial-state leakage bound), followed by a single pre-sorted descent of
-// the gate tree under the delay budget.
-//
-// Deprecated: Heuristic1 is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgHeuristic1,
-// Penalty: penalty}, which adds context cancellation, progress reporting
-// and refinement in the same call.
-func (p *Problem) Heuristic1(penalty float64) (*Solution, error) {
-	return p.Solve(context.Background(), Options{
-		Algorithm: AlgHeuristic1,
-		Penalty:   penalty,
-		Workers:   1,
-	})
-}
-
 // heuristic1 is the implementation behind AlgHeuristic1 and the incumbent
 // seeding of the tree searches.  Stats.Runtime is stamped by Solve.
 func (p *Problem) heuristic1(budget float64) (*Solution, error) {
-	var stats SearchStats
+	var stats Counters
 	// Coarse seed engines, not the searches' pattern-min ones: greedy
 	// guidance and pruning want different bounds (see seedBoundEngine).
 	bat, err := p.seedBatchEngine()
@@ -47,7 +27,7 @@ func (p *Problem) heuristic1(budget float64) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol.Stats = stats
+	sol.Stats.Counters = stats
 	return sol, nil
 }
 
@@ -59,7 +39,7 @@ func (p *Problem) heuristic1(budget float64) (*Solution, error) {
 // bit-identical either way.  Both engines nil means bounds are disabled:
 // every input defaults to the 0 branch, matching the all-zero-bound
 // behavior of the NoStateBounds ablation.
-func (p *Problem) greedyState(stats *SearchStats, eng *sim.Inc3, bat *sim.Batch3) []bool {
+func (p *Problem) greedyState(stats *Counters, eng *sim.Inc3, bat *sim.Batch3) []bool {
 	pi := make([]sim.Value, len(p.CC.PI))
 	for i := range pi {
 		pi[i] = sim.X
@@ -109,48 +89,9 @@ func (p *Problem) greedyState(stats *SearchStats, eng *sim.Inc3, bat *sim.Batch3
 	return out
 }
 
-// Heuristic2 is the paper's second heuristic: Heuristic1's descent followed
-// by a bounded depth-first search of the state tree until the time budget
-// expires, evaluating each reached leaf with the greedy gate-tree descent.
-//
-// Deprecated: Heuristic2 is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgHeuristic2,
-// Penalty: penalty, TimeLimit: limit} — or a context deadline — which adds
-// cancellation, parallel workers and progress reporting.
-func (p *Problem) Heuristic2(penalty float64, limit time.Duration) (*Solution, error) {
-	ctx := context.Background()
-	if limit <= 0 {
-		// The legacy semantics of a non-positive budget: the seeding
-		// descent runs, the tree search does not.
-		c, cancel := context.WithCancel(ctx)
-		cancel()
-		ctx = c
-		limit = 0
-	}
-	return p.Solve(ctx, Options{
-		Algorithm: AlgHeuristic2,
-		Penalty:   penalty,
-		TimeLimit: limit,
-		Workers:   1,
-	})
-}
-
-// StateOnly models the traditional sleep-vector technique: search the state
-// tree only, with every gate fixed at its fastest version (no Vt or Tox
-// assignment).  The paper reports this achieves only ~6% reduction.
-//
-// Deprecated: StateOnly is a thin wrapper kept for existing callers.  New
-// code should use [Problem.Solve] with Options{Algorithm: AlgStateOnly}.
-func (p *Problem) StateOnly() (*Solution, error) {
-	return p.Solve(context.Background(), Options{
-		Algorithm: AlgStateOnly,
-		Workers:   1,
-	})
-}
-
 // stateOnly is the implementation behind AlgStateOnly.
 func (p *Problem) stateOnly() (*Solution, error) {
-	var stats SearchStats
+	var stats Counters
 	// Same engines, different contribution table: the bound uses the
 	// fast-version leakage instead of the best choice, since no Vt or Tox
 	// assignment is available to this baseline.
@@ -186,6 +127,6 @@ func (p *Problem) stateOnly() (*Solution, error) {
 		Leak:    leak,
 		Isub:    isub,
 		Delay:   delay,
-		Stats:   stats,
+		Stats:   SearchStats{Counters: stats},
 	}, nil
 }

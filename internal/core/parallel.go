@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime/debug"
@@ -20,21 +19,17 @@ import (
 )
 
 // sharedSearch is the state shared by every worker of one tree search: the
-// incumbent upper bound (read lock-free on the hot pruning path, tightened
-// globally whenever any worker improves it), the stop flag, the optional
-// leaf budget, and the aggregated counters behind Progress snapshots.
+// incumbent cell (read lock-free on the hot pruning path, tightened globally
+// whenever any worker improves it), the stop flag, the optional leaf
+// budget, and the aggregated counters behind Progress snapshots.
 type sharedSearch struct {
 	p      *Problem
 	alg    Algorithm
 	budget float64
 
-	// bestBits holds math.Float64bits of the incumbent's *objective* value
-	// (total leakage for ObjTotal, subthreshold leakage for ObjIsubOnly) so
-	// the pruning comparison is a single atomic load in the same units as
-	// the state-tree bounds and gate-tree suffix sums.
-	bestBits atomic.Uint64
-	mu       sync.Mutex
-	best     *Solution
+	// inc is the incumbent: Options.Share when the search is coupled to an
+	// external cell (cluster mode), a private cell otherwise.
+	inc *SharedIncumbent
 
 	stop        atomic.Bool
 	interrupted atomic.Bool
@@ -44,16 +39,9 @@ type sharedSearch struct {
 
 	splitDepth int
 
-	stateNodes    atomic.Int64
-	gateTrials    atomic.Int64
-	leaves        atomic.Int64
-	pruned        atomic.Int64
-	leafCacheHits atomic.Int64
-	batchSweeps   atomic.Int64
-	batchLanes    atomic.Int64
-	relaxBounds   atomic.Int64
-	relaxPruned   atomic.Int64
-	portfolioWins atomic.Int64
+	// counters are the exactly-once totals: workers add their deltas at
+	// leaf granularity and withdraw them when a task rolls back.
+	counters checkpoint.AtomicStats
 
 	// relax is the Lagrangian bound engine of the cascade (nil when ablated
 	// or when relaxation cannot improve on the cheap bound at this budget).
@@ -90,42 +78,32 @@ type sharedSearch struct {
 	baselineOnce sync.Once
 	baselineErr  error
 
-	// share couples this search to an external incumbent (cluster mode):
-	// local improvements publish outward after installing, and external
-	// improvements install through installExternal without re-publishing.
-	// shareID is this search's subscriber id, excluded from its own
-	// publications so a broadcast never loops back.
-	share   *SharedIncumbent
-	shareID int
-
 	// pool is the task pool of the most recent runPool call, kept so
 	// SolveTasks can report the unexplored remainder after an interrupt.
 	pool *taskPool
 }
 
-// newSharedSearch seeds the incumbent with Heuristic 1's solution (the
-// paper's "good bound during the first downward traversal") and folds its
-// counters into the shared totals.  The seed descent is free: its leaf does
-// not count against the MaxLeaves budget, so MaxLeaves == n explores up to
-// n tree leaves beyond the seed.
+// newSharedSearch seeds the incumbent with seed — Heuristic 1's solution
+// (the paper's "good bound during the first downward traversal") or a
+// resumed incumbent — and folds its counters into the shared totals.  The
+// seed descent is free: its leaf does not count against the MaxLeaves
+// budget, so MaxLeaves == n explores up to n tree leaves beyond the seed.
+// With Options.Share set the search uses that cell directly, so external
+// improvements tighten its pruning bound and its own publish outward.
 func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *sharedSearch {
+	inc := opt.Share
+	if inc == nil {
+		inc = NewSharedIncumbent(p)
+	}
 	sh := &sharedSearch{
 		p:         p,
 		alg:       opt.Algorithm,
 		budget:    budget,
+		inc:       inc,
 		maxLeaves: opt.MaxLeaves,
 	}
-	sh.bestBits.Store(math.Float64bits(p.objValue(seed)))
-	sh.best = seed
-	sh.stateNodes.Store(seed.Stats.StateNodes)
-	sh.gateTrials.Store(seed.Stats.GateTrials)
-	sh.leaves.Store(seed.Stats.Leaves)
-	sh.pruned.Store(seed.Stats.Pruned)
-	sh.batchSweeps.Store(seed.Stats.BatchSweeps)
-	sh.batchLanes.Store(seed.Stats.BatchLanes)
-	sh.relaxBounds.Store(seed.Stats.RelaxBounds)
-	sh.relaxPruned.Store(seed.Stats.RelaxPruned)
-	sh.portfolioWins.Store(seed.Stats.PortfolioWins)
+	inc.Offer(seed)
+	sh.counters.Add(seed.Stats.Counters)
 	if !p.Ablate.NoLeafCache {
 		sh.cache = newLeafCache(len(p.CC.Gates))
 	}
@@ -134,109 +112,7 @@ func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *s
 
 // bestObj returns the incumbent's objective value — the units every bound
 // comparison and pruning decision uses.
-func (sh *sharedSearch) bestObj() float64 {
-	return math.Float64frombits(sh.bestBits.Load())
-}
-
-// incumbentLeak reads the incumbent's total leakage for Progress snapshots
-// (equal to bestObj for ObjTotal; under ObjIsubOnly the reported leakage is
-// the total of the minimum-Isub incumbent).
-func (sh *sharedSearch) incumbentLeak() float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.best.Leak
-}
-
-// offer installs sol as the incumbent if it improves the objective bound;
-// the fast CAS loop publishes the new bound before the slower solution swap
-// so other workers prune against it immediately.  Equal-objective solutions
-// tie-break on total leakage so reported numbers stay deterministic under
-// ObjIsubOnly (where many choices can share an Isub value).
-func (sh *sharedSearch) offer(sol *Solution) { sh.install(sol, true) }
-
-// installExternal is offer for solutions arriving from the shared external
-// incumbent: identical installation, but no re-publication (the share
-// already knows — re-offering would bounce the broadcast back).
-func (sh *sharedSearch) installExternal(sol *Solution) { sh.install(sol, false) }
-
-func (sh *sharedSearch) install(sol *Solution, publish bool) {
-	obj := sh.p.objValue(sol)
-	for {
-		cur := sh.bestBits.Load()
-		curObj := math.Float64frombits(cur)
-		if obj > curObj {
-			return
-		}
-		if obj == curObj {
-			// Possible tie-break improvement: resolved under the lock.
-			break
-		}
-		if sh.bestBits.CompareAndSwap(cur, math.Float64bits(obj)) {
-			break
-		}
-	}
-	sh.mu.Lock()
-	installed := false
-	if best := sh.best; best == nil || obj < sh.p.objValue(best) ||
-		(obj == sh.p.objValue(best) && sol.Leak < best.Leak) {
-		sh.best = sol
-		installed = true
-	}
-	sh.mu.Unlock()
-	// Publish outside sh.mu: the share runs subscriber callbacks, and a
-	// callback taking another search's locks under ours would order locks
-	// inconsistently across searches.
-	if installed && publish && sh.share != nil {
-		sh.share.OfferFrom(sh.shareID, sol)
-	}
-}
-
-// offerLeaf is offer for the allocation-free leaf paths: the caller hands
-// in the arena's reused state and choices buffers plus the computed values,
-// and a Solution (with its own copies of the buffers) is only materialized
-// if the incumbent actually moves — losing leaves allocate nothing.  The
-// CAS loop and the equal-objective leak tie-break are identical to offer's.
-// Returns the installed solution, or nil when the incumbent was not
-// replaced.
-func (sh *sharedSearch) offerLeaf(state []bool, choices []*library.Choice, leak, isub, delay float64) *Solution {
-	obj := leak
-	if sh.p.Obj == ObjIsubOnly {
-		obj = isub
-	}
-	for {
-		cur := sh.bestBits.Load()
-		curObj := math.Float64frombits(cur)
-		if obj > curObj {
-			return nil
-		}
-		if obj == curObj {
-			// Possible tie-break improvement: resolved under the lock.
-			break
-		}
-		if sh.bestBits.CompareAndSwap(cur, math.Float64bits(obj)) {
-			break
-		}
-	}
-	var sol *Solution
-	sh.mu.Lock()
-	if best := sh.best; best == nil || obj < sh.p.objValue(best) ||
-		(obj == sh.p.objValue(best) && leak < best.Leak) {
-		sol = &Solution{
-			State:   append([]bool(nil), state...),
-			Choices: append([]*library.Choice(nil), choices...),
-			Leak:    leak,
-			Isub:    isub,
-			Delay:   delay,
-		}
-		sh.best = sol
-	}
-	sh.mu.Unlock()
-	// See install: publication must happen outside sh.mu.
-	if sol != nil && sh.share != nil {
-		sh.share.OfferFrom(sh.shareID, sol)
-	}
-	return sol
-}
+func (sh *sharedSearch) bestObj() float64 { return sh.inc.Obj() }
 
 func (sh *sharedSearch) markInterrupted() {
 	sh.interrupted.Store(true)
@@ -259,44 +135,25 @@ func (sh *sharedSearch) takeLeafTicket() bool {
 // snapshot reads the shared counters for a Progress callback.
 func (sh *sharedSearch) snapshot(start time.Time) Progress {
 	return Progress{
-		StateNodes:    sh.stateNodes.Load(),
-		GateTrials:    sh.gateTrials.Load(),
-		Leaves:        sh.leaves.Load(),
-		Pruned:        sh.pruned.Load(),
-		LeafCacheHits: sh.leafCacheHits.Load(),
-		BatchSweeps:   sh.batchSweeps.Load(),
-		BatchLanes:    sh.batchLanes.Load(),
-		RelaxBounds:   sh.relaxBounds.Load(),
-		RelaxPruned:   sh.relaxPruned.Load(),
-		PortfolioWins: sh.portfolioWins.Load(),
-		BestLeak:      sh.incumbentLeak(),
-		Elapsed:       sh.priorElapsed + time.Since(start),
+		Counters: sh.counters.Load(),
+		BestLeak: sh.inc.Best().Leak,
+		Elapsed:  sh.priorElapsed + time.Since(start),
 	}
 }
 
-// finish packages the incumbent with the aggregated stats.
+// finish packages the incumbent with the aggregated stats, as a fresh
+// Solution: the cell's own may be shared with other searches.
 func (sh *sharedSearch) finish(start time.Time) *Solution {
-	sh.mu.Lock()
-	best := sh.best
-	sh.mu.Unlock()
-	best.Stats = SearchStats{
-		StateNodes:       sh.stateNodes.Load(),
-		GateTrials:       sh.gateTrials.Load(),
-		Leaves:           sh.leaves.Load(),
-		Pruned:           sh.pruned.Load(),
-		LeafCacheHits:    sh.leafCacheHits.Load(),
-		BatchSweeps:      sh.batchSweeps.Load(),
-		BatchLanes:       sh.batchLanes.Load(),
-		RelaxBounds:      sh.relaxBounds.Load(),
-		RelaxPruned:      sh.relaxPruned.Load(),
-		PortfolioWins:    sh.portfolioWins.Load(),
+	sol := *sh.inc.Best()
+	sol.Stats = SearchStats{
+		Counters:         sh.counters.Load(),
 		Runtime:          sh.priorElapsed + time.Since(start),
 		Interrupted:      sh.interrupted.Load(),
 		WorkerFailures:   sh.failuresCopy(),
 		CheckpointWrites: sh.ckWrites.Load(),
 		CheckpointErrors: sh.ckErrors.Load(),
 	}
-	return best
+	return &sol
 }
 
 // recordFailure logs one worker death for SearchStats, snapshots, and the
@@ -381,11 +238,11 @@ type worker struct {
 	// engine over the Lagrangian contribution tables, probed only on
 	// branches the cheap bound could not cut.  Nil when sh.relax is nil.
 	rx      *sim.Inc3
-	stats   SearchStats
-	flushed SearchStats
+	stats   Counters
+	flushed Counters
 	// taskMark snapshots stats at the start of the current pool task, so a
 	// requeued task's partial deltas can be withdrawn (see rollbackTask).
-	taskMark SearchStats
+	taskMark Counters
 	base     *sta.State // all-fast reference timing
 	scratch  *sta.State // per-leaf working state
 	arena    *leafArena // reusable leaf-evaluation buffers
@@ -471,15 +328,7 @@ func (w *worker) leavePrefix(n int) {
 
 // flush publishes the worker's counter deltas to the shared totals.
 func (w *worker) flush() {
-	w.sh.stateNodes.Add(w.stats.StateNodes - w.flushed.StateNodes)
-	w.sh.gateTrials.Add(w.stats.GateTrials - w.flushed.GateTrials)
-	w.sh.leaves.Add(w.stats.Leaves - w.flushed.Leaves)
-	w.sh.pruned.Add(w.stats.Pruned - w.flushed.Pruned)
-	w.sh.leafCacheHits.Add(w.stats.LeafCacheHits - w.flushed.LeafCacheHits)
-	w.sh.batchSweeps.Add(w.stats.BatchSweeps - w.flushed.BatchSweeps)
-	w.sh.batchLanes.Add(w.stats.BatchLanes - w.flushed.BatchLanes)
-	w.sh.relaxBounds.Add(w.stats.RelaxBounds - w.flushed.RelaxBounds)
-	w.sh.relaxPruned.Add(w.stats.RelaxPruned - w.flushed.RelaxPruned)
+	w.sh.counters.Add(w.stats.Sub(w.flushed))
 	w.flushed = w.stats
 }
 
@@ -502,15 +351,7 @@ func (w *worker) markTask() {
 // deliberately not returned: MaxLeaves is a work budget and the evaluation
 // work behind the rolled-back leaves was genuinely spent.
 func (w *worker) rollbackTask() {
-	w.sh.stateNodes.Add(w.taskMark.StateNodes - w.flushed.StateNodes)
-	w.sh.gateTrials.Add(w.taskMark.GateTrials - w.flushed.GateTrials)
-	w.sh.leaves.Add(w.taskMark.Leaves - w.flushed.Leaves)
-	w.sh.pruned.Add(w.taskMark.Pruned - w.flushed.Pruned)
-	w.sh.leafCacheHits.Add(w.taskMark.LeafCacheHits - w.flushed.LeafCacheHits)
-	w.sh.batchSweeps.Add(w.taskMark.BatchSweeps - w.flushed.BatchSweeps)
-	w.sh.batchLanes.Add(w.taskMark.BatchLanes - w.flushed.BatchLanes)
-	w.sh.relaxBounds.Add(w.taskMark.RelaxBounds - w.flushed.RelaxBounds)
-	w.sh.relaxPruned.Add(w.taskMark.RelaxPruned - w.flushed.RelaxPruned)
+	w.sh.counters.Add(w.taskMark.Sub(w.flushed))
 	w.stats = w.taskMark
 	w.flushed = w.taskMark
 }
@@ -655,7 +496,7 @@ func (w *worker) greedyLeaf(state []bool) error {
 		if e, ok := sh.cache.get(a.gateSt, leafGreedy); ok {
 			w.stats.Leaves++
 			w.stats.LeafCacheHits++
-			sh.offer(e.sol)
+			sh.inc.Offer(e.sol)
 			return nil
 		}
 	}
@@ -664,7 +505,7 @@ func (w *worker) greedyLeaf(state []bool) error {
 	if err != nil {
 		return err
 	}
-	sol := sh.offerLeaf(state, a.choices, leak, isub, delay)
+	sol := sh.inc.OfferLeaf(state, a.choices, leak, isub, delay)
 	if sh.cache != nil {
 		if sol == nil {
 			sol = &Solution{
@@ -696,7 +537,7 @@ func (w *worker) exactLeaf(state []bool) error {
 		if e, ok := sh.cache.get(a.gateSt, leafExact); ok {
 			w.stats.LeafCacheHits++
 			if e.sol != nil {
-				sh.offer(e.sol)
+				sh.inc.Offer(e.sol)
 			}
 			return nil
 		}
@@ -741,7 +582,7 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 		if delay > sh.budget+DelayEps {
 			return nil
 		}
-		if sol := sh.offerLeaf(state, a.choices, leak, isub, delay); sol != nil {
+		if sol := sh.inc.OfferLeaf(state, a.choices, leak, isub, delay); sol != nil {
 			w.exactBest = sol
 		}
 		return nil
@@ -885,10 +726,10 @@ func (sh *sharedSearch) runSequential() error {
 // its task to the pool and dies, while survivors keep draining.  Only when
 // every worker has died does the search fail, and even then the caller
 // still gets the incumbent alongside the error.
-func (sh *sharedSearch) runPool(opt Options, rs *resumeState) error {
+func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 	var tasks [][]sim.Value
 	if rs != nil {
-		tasks = rs.tasks
+		tasks = rs.Tasks
 	} else {
 		depth := opt.SplitDepth
 		if depth <= 0 {
@@ -1061,9 +902,9 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 	}
 	var bp *batchProber
 	var eng *sim.Inc3
-	var bpStats SearchStats
+	var stats Counters
 	if bat != nil {
-		bp = newBatchProber(p, bat, cur, &bpStats)
+		bp = newBatchProber(p, bat, cur, &stats)
 	} else {
 		eng, err = p.newBoundEngine()
 		if err != nil {
@@ -1081,7 +922,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 			return
 		}
 		idx := p.piOrder[d]
-		sh.stateNodes.Add(1)
+		stats.StateNodes++
 		var branches [2]struct {
 			v     sim.Value
 			bound float64
@@ -1103,7 +944,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 		for _, br := range branches {
 			if br.bound >= sh.bestObj()-LeakEps {
-				sh.pruned.Add(1)
+				stats.Pruned++
 				continue
 			}
 			cur[idx] = br.v
@@ -1121,7 +962,6 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 	}
 	expand(0)
-	sh.batchSweeps.Add(bpStats.BatchSweeps)
-	sh.batchLanes.Add(bpStats.BatchLanes)
+	sh.counters.Add(stats)
 	return tasks, nil
 }

@@ -78,7 +78,7 @@ func (sh *sharedSearch) explore(slot int, seed int64, quit <-chan struct{}) {
 	a := p.newLeafArena(base)
 	scratch := base.Clone()
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(slot) + 1))
-	var stats SearchStats // uncharged: never flushed to the shared totals
+	var stats Counters // uncharged: never flushed to the shared totals
 	state := a.state
 	for {
 		select {
@@ -111,8 +111,8 @@ func (sh *sharedSearch) explore(slot int, seed int64, quit <-chan struct{}) {
 			sh.recordExplorerFailure(id, err)
 			return
 		}
-		if sol := sh.offerLeaf(state, a.choices, leak, isub, delay); sol != nil {
-			sh.portfolioWins.Add(1)
+		if sol := sh.inc.OfferLeaf(state, a.choices, leak, isub, delay); sol != nil {
+			sh.counters.Add(Counters{PortfolioWins: 1})
 		}
 	}
 }
@@ -120,11 +120,10 @@ func (sh *sharedSearch) explore(slot int, seed int64, quit <-chan struct{}) {
 // copyBestState copies the incumbent's input state into dst, reporting
 // whether an incumbent of matching width existed.
 func (sh *sharedSearch) copyBestState(dst []bool) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.best == nil || len(sh.best.State) != len(dst) {
+	best := sh.inc.Best()
+	if best == nil || len(best.State) != len(dst) {
 		return false
 	}
-	copy(dst, sh.best.State)
+	copy(dst, best.State)
 	return true
 }

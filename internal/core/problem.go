@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/library"
 	"svto/internal/netlist"
 	"svto/internal/relax"
@@ -258,36 +259,16 @@ func (p *Problem) Budget(penalty float64) float64 {
 	return sta.Constraint(p.Dmin, p.Dmax, penalty)
 }
 
-// SearchStats instruments a search (paper figure 4's two-tree structure).
+// Counters are the additive search counters, declared once as
+// checkpoint.Stats so snapshots and the cluster wire carry the very struct
+// the search fills.
+type Counters = checkpoint.Stats
+
+// SearchStats instruments a search (paper figure 4's two-tree structure):
+// the additive Counters plus the per-run outcome.
 type SearchStats struct {
-	StateNodes int64 // state-tree nodes visited
-	GateTrials int64 // gate-tree version trials (incl. rejected)
-	Leaves     int64 // complete states evaluated with a gate-tree descent
-	Pruned     int64 // state-tree branches cut by the leakage bound
-	// LeafCacheHits counts leaves answered by the gate-state-vector
-	// memoization instead of a fresh gate-tree descent (a subset of
-	// Leaves; GateTrials excludes the descents such hits skipped).
-	LeafCacheHits int64
-	// BatchSweeps counts batched bound sweeps (one topological pass of the
-	// 64-lane sim.Batch3 evaluator); BatchLanes the probe lanes those
-	// sweeps retired, so BatchLanes/BatchSweeps is the mean lane occupancy
-	// — each lane replaces one incremental bound probe.  Both are zero
-	// under Ablate.NoBatchEval or NoStateBounds.
-	BatchSweeps int64
-	BatchLanes  int64
-	// RelaxBounds counts Lagrangian-relaxation bound probes — branches
-	// that survived the cheap bound and paid for a relaxation probe —
-	// and RelaxPruned the subset those probes cut (included in Pruned).
-	// Both are zero under Ablate.NoRelaxBound/NoStateBounds, or when the
-	// delay budget is loose enough that relaxation cannot tighten the
-	// cheap bound.
-	RelaxBounds int64
-	RelaxPruned int64
-	// PortfolioWins counts incumbent installations won by the racing
-	// portfolio explorers (Options.Portfolio) rather than the tree-search
-	// workers.
-	PortfolioWins int64
-	Runtime       time.Duration
+	Counters
+	Runtime time.Duration
 	// Interrupted reports that the search was cut short — by context
 	// cancellation, an expired time limit or an exhausted leaf budget —
 	// so the solution is the best found rather than the search's fixpoint.
@@ -399,7 +380,7 @@ func (p *Problem) AllSlowLeak(state []bool) (float64, error) {
 // and packages the result.  One-shot callers (Heuristic 1, the tree-search
 // seed) pay a fresh timing analysis and arena here; the search workers use
 // the same arena machinery with per-worker reused buffers instead.
-func (p *Problem) evalState(state []bool, budget float64, stats *SearchStats) (*Solution, error) {
+func (p *Problem) evalState(state []bool, budget float64, stats *Counters) (*Solution, error) {
 	st, err := p.Timer.NewState(p.Timer.FastChoices())
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -90,20 +89,4 @@ func (p *Problem) Refine(sol *Solution, penalty float64, maxPasses int) (*Soluti
 		Delay:   delay,
 		Stats:   stats,
 	}, nil
-}
-
-// Heuristic1Refined runs heuristic 1 followed by refinement passes.
-//
-// Deprecated: use [Problem.Solve] with Options{Algorithm: AlgHeuristic1,
-// Penalty: penalty, RefinePasses: maxPasses} instead.
-func (p *Problem) Heuristic1Refined(penalty float64, maxPasses int) (*Solution, error) {
-	if maxPasses < 1 {
-		return nil, fmt.Errorf("core: Refine needs at least one pass")
-	}
-	return p.Solve(context.Background(), Options{
-		Algorithm:    AlgHeuristic1,
-		Penalty:      penalty,
-		Workers:      1,
-		RefinePasses: maxPasses,
-	})
 }

@@ -92,7 +92,7 @@ func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 				}
 				bound := rx.Bound()
 
-				var stats SearchStats
+				var stats Counters
 				minLeaf := math.Inf(1)
 				for sv := 0; sv < 1<<free; sv++ {
 					for k, pi := range perm[:free] {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"svto/internal/checkpoint"
 	"svto/internal/relax"
 )
 
@@ -84,28 +83,9 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // Progress is a point-in-time snapshot of a running search, delivered to
 // Options.Progress.  BestLeak is the incumbent total leakage (nA).
 type Progress struct {
-	StateNodes int64
-	GateTrials int64
-	Leaves     int64
-	Pruned     int64
-	// LeafCacheHits counts leaves answered from the gate-state-vector
-	// memoization instead of a fresh gate-tree descent.
-	LeafCacheHits int64
-	// BatchSweeps / BatchLanes instrument the 64-lane batched bound
-	// evaluator: sweeps performed and probe lanes retired (their ratio is
-	// the mean lane occupancy).
-	BatchSweeps int64
-	BatchLanes  int64
-	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade:
-	// relaxation probes paid (branches the cheap bound could not cut) and
-	// the subset those probes pruned.
-	RelaxBounds int64
-	RelaxPruned int64
-	// PortfolioWins counts incumbent installations won by the racing
-	// portfolio explorers.
-	PortfolioWins int64
-	BestLeak      float64
-	Elapsed       time.Duration
+	Counters
+	BestLeak float64
+	Elapsed  time.Duration
 }
 
 // Options configures a Solve call.  The zero value runs Heuristic 1 at a 0%
@@ -163,12 +143,12 @@ type Options struct {
 	// Checkpoint enables crash-safe snapshotting and resume for the tree
 	// searches; see CheckpointOptions.
 	Checkpoint CheckpointOptions
-	// Share, when non-nil, couples the tree searches to an external
-	// incumbent: improvements found here publish into it, and improvements
-	// arriving from elsewhere (other searches, other processes) tighten
-	// this search's pruning bound mid-descent.  The coupling is monotone
-	// both ways, so it never changes which solution is optimal — only how
-	// fast bad subtrees are cut.
+	// Share, when non-nil, is the tree search's incumbent cell (it must be
+	// created for this Problem): improvements found here install into it,
+	// and improvements arriving from elsewhere (other searches, other
+	// processes) tighten this search's pruning bound mid-descent.  The
+	// cell is monotone, so sharing it never changes which solution is
+	// optimal — only how fast bad subtrees are cut.
 	Share *SharedIncumbent
 }
 
@@ -202,17 +182,17 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 	}
 	// Load any resume snapshot before arming the time limit: the remaining
 	// budget must account for the wall clock the crashed run already spent.
-	var snap *checkpoint.Snapshot
+	var rs *ResumedSearch
 	if opt.Checkpoint.Resume {
 		var err error
-		snap, err = p.loadResume(opt)
+		rs, err = p.LoadSearch(opt.Checkpoint.fs(), opt.Checkpoint.Path, opt)
 		if err != nil {
 			return nil, err
 		}
 	}
 	var prior time.Duration
-	if snap != nil {
-		prior = snap.Elapsed
+	if rs != nil {
+		prior = rs.Elapsed
 	}
 	if opt.TimeLimit > 0 {
 		// A non-positive remainder yields an already-expired context, so a
@@ -232,7 +212,7 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 	case AlgStateOnly:
 		sol, err = p.stateOnly()
 	case AlgHeuristic2, AlgExact:
-		sol, err = p.treeSearch(ctx, opt, start, snap)
+		sol, err = p.treeSearch(ctx, opt, start, rs)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
 	}
@@ -243,7 +223,7 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 		// Degraded completion (all workers died): skip refinement, stamp
 		// what we have, and hand the incumbent back with the error.
 		sol.Stats.Runtime = prior + time.Since(start)
-		sol.Stats.Resumed = snap != nil
+		sol.Stats.Resumed = rs != nil
 		sol.Stats.PriorRuntime = prior
 		emitFinalProgress(opt, sol)
 		return sol, err
@@ -258,7 +238,7 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 	// mid-search snapshots could leave Solution.Stats disagreeing with the
 	// final counters.
 	sol.Stats.Runtime = prior + time.Since(start)
-	sol.Stats.Resumed = snap != nil
+	sol.Stats.Resumed = rs != nil
 	sol.Stats.PriorRuntime = prior
 	emitFinalProgress(opt, sol)
 	return sol, nil
@@ -274,20 +254,7 @@ func emitFinalProgress(opt Options, sol *Solution) {
 	if opt.Progress == nil {
 		return
 	}
-	opt.Progress(Progress{
-		StateNodes:    sol.Stats.StateNodes,
-		GateTrials:    sol.Stats.GateTrials,
-		Leaves:        sol.Stats.Leaves,
-		Pruned:        sol.Stats.Pruned,
-		LeafCacheHits: sol.Stats.LeafCacheHits,
-		BatchSweeps:   sol.Stats.BatchSweeps,
-		BatchLanes:    sol.Stats.BatchLanes,
-		RelaxBounds:   sol.Stats.RelaxBounds,
-		RelaxPruned:   sol.Stats.RelaxPruned,
-		PortfolioWins: sol.Stats.PortfolioWins,
-		BestLeak:      sol.Leak,
-		Elapsed:       sol.Stats.Runtime,
-	})
+	opt.Progress(Progress{Counters: sol.Stats.Counters, BestLeak: sol.Leak, Elapsed: sol.Stats.Runtime})
 }
 
 // treeSearch runs the bounded state-tree search (Heuristic 2 or Exact):
@@ -295,22 +262,17 @@ func emitFinalProgress(opt Options, sol *Solution) {
 // incumbent re-seeds it), then the tree is explored sequentially
 // (Workers == 1 without checkpointing) or by a pool of isolated workers
 // over subtree tasks.
-func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, snap *checkpoint.Snapshot) (*Solution, error) {
+func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, rs *ResumedSearch) (*Solution, error) {
 	budget := p.Budget(opt.Penalty)
 	var (
 		seed *Solution
-		rs   *resumeState
-		err  error
+		warm *relax.Warm
 	)
-	if snap != nil {
-		rs, err = p.restoreSnapshot(snap)
-		if err != nil {
-			return nil, err
-		}
-		seed = rs.seed
+	if rs != nil {
+		seed, warm = rs.Seed, rs.warm
 	} else {
-		seed, err = p.heuristic1(budget)
-		if err != nil {
+		var err error
+		if seed, err = p.heuristic1(budget); err != nil {
 			return nil, err
 		}
 	}
@@ -325,10 +287,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	// checkpoint ticker) starts, so every snapshot carries the real
 	// multiplier cache.  A resume snapshot's cache warm-starts the build;
 	// the resulting tables are identical to a cold build either way.
-	var warm *relax.Warm
-	if rs != nil {
-		warm = rs.mult
-	}
+	var err error
 	sh.relax, err = p.relaxEngine(ctx, budget, warm)
 	if err != nil {
 		return nil, err
@@ -336,28 +295,15 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	if rs != nil {
 		// Continue, don't reset: counters, budgets and recorded failures
 		// all carry over from the crashed run.
-		sh.priorElapsed = rs.elapsed
-		sh.leafTickets.Store(rs.leavesUsed)
-		sh.stateNodes.Store(rs.stats.StateNodes)
-		sh.gateTrials.Store(rs.stats.GateTrials)
-		sh.leaves.Store(rs.stats.Leaves)
-		sh.pruned.Store(rs.stats.Pruned)
-		sh.leafCacheHits.Store(rs.stats.LeafCacheHits)
-		sh.batchSweeps.Store(rs.stats.BatchSweeps)
-		sh.batchLanes.Store(rs.stats.BatchLanes)
-		sh.relaxBounds.Store(rs.stats.RelaxBounds)
-		sh.relaxPruned.Store(rs.stats.RelaxPruned)
-		sh.portfolioWins.Store(rs.stats.PortfolioWins)
-		sh.failures = rs.failures
-		sh.splitDepth = rs.splitDepth
-		if sh.maxLeaves > 0 && rs.leavesUsed >= sh.maxLeaves {
+		sh.priorElapsed = rs.Elapsed
+		sh.leafTickets.Store(rs.LeavesUsed)
+		sh.counters.Add(rs.Stats)
+		sh.failures = rs.Failures
+		sh.splitDepth = rs.SplitDepth
+		if sh.maxLeaves > 0 && rs.LeavesUsed >= sh.maxLeaves {
 			// The leaf budget was exhausted before the crash.
 			sh.markInterrupted()
 		}
-	}
-	if opt.Share != nil {
-		sh.attachShare(opt.Share)
-		defer sh.detachShare()
 	}
 	if sh.cache != nil && opt.Algorithm == AlgHeuristic2 && rs == nil {
 		// The DFS re-reaches the seed's input state; memoize its greedy

@@ -345,66 +345,6 @@ func TestSolveRefinePasses(t *testing.T) {
 	checkSolution(t, p, viaSolve, p.Budget(penalty))
 }
 
-// The deprecated wrappers must behave exactly like their Solve spellings.
-func TestDeprecatedWrappersMatchSolve(t *testing.T) {
-	p := newProblem(t, tinyCircuit(), library.DefaultOptions(), ObjTotal)
-	const penalty = 0.10
-	h1w, err := p.Heuristic1(penalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1s, err := p.Solve(context.Background(), Options{Algorithm: AlgHeuristic1, Penalty: penalty, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1w.Leak != h1s.Leak {
-		t.Errorf("Heuristic1 wrapper %.6f != Solve %.6f", h1w.Leak, h1s.Leak)
-	}
-	ex, err := p.Exact(penalty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exs, err := p.Solve(context.Background(), Options{Algorithm: AlgExact, Penalty: penalty, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Leak != exs.Leak {
-		t.Errorf("Exact wrapper %.6f != Solve %.6f", ex.Leak, exs.Leak)
-	}
-	so, err := p.StateOnly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sos, err := p.Solve(context.Background(), Options{Algorithm: AlgStateOnly, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so.Leak != sos.Leak {
-		t.Errorf("StateOnly wrapper %.6f != Solve %.6f", so.Leak, sos.Leak)
-	}
-	// Heuristic2 with a zero budget degenerates to the Heuristic1 seed.
-	h2, err := p.Heuristic2(penalty, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Leak > h1w.Leak+1e-9 {
-		t.Errorf("zero-budget Heuristic2 %.6f worse than Heuristic1 %.6f", h2.Leak, h1w.Leak)
-	}
-	h1r, err := p.Heuristic1Refined(penalty, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1rs, err := p.Solve(context.Background(), Options{
-		Algorithm: AlgHeuristic1, Penalty: penalty, Workers: 1, RefinePasses: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1r.Leak != h1rs.Leak {
-		t.Errorf("Heuristic1Refined wrapper %.6f != Solve %.6f", h1r.Leak, h1rs.Leak)
-	}
-}
-
 // Heuristic2 stats must be assigned once at the end: the returned counters
 // reflect the whole search, not a mid-search snapshot.
 func TestHeuristic2StatsConsistent(t *testing.T) {

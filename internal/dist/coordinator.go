@@ -16,7 +16,7 @@ import (
 
 	"svto/internal/checkpoint"
 	"svto/internal/core"
-	"svto/internal/library"
+	"svto/internal/sim"
 	"svto/pkg/svto"
 )
 
@@ -258,8 +258,8 @@ type run struct {
 	inc *core.SharedIncumbent
 
 	mu         sync.Mutex
-	tasks      [][]byte // wire encoding per task id (index = id)
-	pending    []int64  // grant queue, frontier order
+	tasks      [][]sim.Value // frontier vector per task id (index = id)
+	pending    []int64       // grant queue, frontier order
 	pendingSet map[int64]bool
 	done       map[int64]bool
 	leases     map[int64]*lease
@@ -347,39 +347,20 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 	}
 
 	var seed *core.Solution
-	resumed := false
-
 	var rs *core.ResumedSearch
 	if r.ckPath != "" && opts.Checkpoint.Resume {
-		snap, lerr := checkpoint.Load(c.fs(), r.ckPath)
-		switch {
-		case lerr == nil:
-			if snap.Fingerprint != fprint {
-				return nil, fmt.Errorf("%w: snapshot fingerprint %016x, problem fingerprint %016x",
-					core.ErrCheckpointMismatch, snap.Fingerprint, fprint)
-			}
-			if rs, lerr = comp.Prob.RestoreSearch(snap); lerr != nil {
-				return nil, lerr
-			}
-		case errors.Is(lerr, os.ErrNotExist):
-			// Nothing to resume; start fresh.
-		default:
-			return nil, lerr
+		if rs, err = comp.Prob.LoadSearch(c.fs(), r.ckPath, coreOpt); err != nil {
+			return nil, err
 		}
 	}
 	if rs != nil {
-		resumed = true
 		seed = rs.Seed
 		r.splitDepth = rs.SplitDepth
 		r.prior = rs.Elapsed
 		r.stats = rs.Stats
 		r.leavesUsed = rs.LeavesUsed
 		r.failures = rs.Failures
-		for id, t := range rs.Tasks {
-			r.tasks = append(r.tasks, encodeTask(t))
-			r.pending = append(r.pending, int64(id))
-			r.pendingSet[int64(id)] = true
-		}
+		r.tasks = rs.Tasks
 	} else {
 		if seed, err = comp.Prob.SeedSolution(coreOpt.Penalty); err != nil {
 			return nil, err
@@ -395,23 +376,13 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		if ferr != nil {
 			return nil, ferr
 		}
-		r.stats = checkpoint.Stats{
-			StateNodes:    seed.Stats.StateNodes + expStats.StateNodes,
-			GateTrials:    seed.Stats.GateTrials,
-			Leaves:        seed.Stats.Leaves,
-			Pruned:        seed.Stats.Pruned + expStats.Pruned,
-			LeafCacheHits: seed.Stats.LeafCacheHits,
-			BatchSweeps:   seed.Stats.BatchSweeps + expStats.BatchSweeps,
-			BatchLanes:    seed.Stats.BatchLanes + expStats.BatchLanes,
-			RelaxBounds:   seed.Stats.RelaxBounds,
-			RelaxPruned:   seed.Stats.RelaxPruned,
-			PortfolioWins: seed.Stats.PortfolioWins,
-		}
-		for id, t := range frontier {
-			r.tasks = append(r.tasks, encodeTask(t))
-			r.pending = append(r.pending, int64(id))
-			r.pendingSet[int64(id)] = true
-		}
+		r.stats = seed.Stats.Counters
+		r.stats.Add(expStats.Counters)
+		r.tasks = frontier
+	}
+	for id := range r.tasks {
+		r.pending = append(r.pending, int64(id))
+		r.pendingSet[int64(id)] = true
 	}
 	r.inc.Offer(seed)
 
@@ -474,26 +445,11 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		}
 	}
 
-	best := r.inc.Best()
-	final := &core.Solution{
-		State:   append([]bool(nil), best.State...),
-		Choices: append([]*library.Choice(nil), best.Choices...),
-		Leak:    best.Leak,
-		Isub:    best.Isub,
-		Delay:   best.Delay,
-	}
+	final := new(core.Solution)
+	*final = *r.inc.Best()
 	r.mu.Lock()
 	final.Stats = core.SearchStats{
-		StateNodes:       r.stats.StateNodes,
-		GateTrials:       r.stats.GateTrials,
-		Leaves:           r.stats.Leaves,
-		Pruned:           r.stats.Pruned,
-		LeafCacheHits:    r.stats.LeafCacheHits,
-		BatchSweeps:      r.stats.BatchSweeps,
-		BatchLanes:       r.stats.BatchLanes,
-		RelaxBounds:      r.stats.RelaxBounds,
-		RelaxPruned:      r.stats.RelaxPruned,
-		PortfolioWins:    r.stats.PortfolioWins,
+		Counters:         r.stats,
 		Interrupted:      r.interrupted,
 		WorkerFailures:   append([]core.WorkerFailure(nil), r.failures...),
 		CheckpointWrites: r.ckWrites,
@@ -507,7 +463,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		}
 	}
 	final.Stats.Runtime = r.prior + time.Since(start)
-	final.Stats.Resumed = resumed
+	final.Stats.Resumed = rs != nil
 	final.Stats.PriorRuntime = r.prior
 
 	res, err := comp.BuildResult(req, final)
@@ -515,7 +471,9 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		return nil, err
 	}
 	if opts.Progress != nil {
-		opts.Progress(progressFromStats(final.Stats, final.Leak))
+		opts.Progress(svto.ProgressOf(core.Progress{
+			Counters: final.Stats.Counters, BestLeak: final.Leak, Elapsed: final.Stats.Runtime,
+		}))
 	}
 	return res, nil
 }
@@ -590,21 +548,9 @@ func (r *run) maintain(stop <-chan struct{}, progress func(svto.Progress)) {
 		if progress != nil {
 			best := r.inc.Best()
 			r.mu.Lock()
-			stats := core.SearchStats{
-				StateNodes:    r.stats.StateNodes,
-				GateTrials:    r.stats.GateTrials,
-				Leaves:        r.stats.Leaves,
-				Pruned:        r.stats.Pruned,
-				LeafCacheHits: r.stats.LeafCacheHits,
-				BatchSweeps:   r.stats.BatchSweeps,
-				BatchLanes:    r.stats.BatchLanes,
-				RelaxBounds:   r.stats.RelaxBounds,
-				RelaxPruned:   r.stats.RelaxPruned,
-				PortfolioWins: r.stats.PortfolioWins,
-				Runtime:       r.prior + time.Since(r.start),
-			}
+			pr := core.Progress{Counters: r.stats, BestLeak: best.Leak, Elapsed: r.prior + time.Since(r.start)}
 			r.mu.Unlock()
-			progress(progressFromStats(stats, best.Leak))
+			progress(svto.ProgressOf(pr))
 		}
 	}
 }
@@ -647,45 +593,28 @@ func (r *run) expireLeases() {
 // incumbent, and every not-yet-done task (leased tasks count as unexplored,
 // exactly like the in-process pool's in-flight tasks).
 func (r *run) writeSnapshot() {
-	best := r.inc.Best()
-	coords, err := r.comp.Prob.IncumbentCoords(best)
-	if err != nil {
-		r.c.logf("dist: job %s: snapshot incumbent: %v", r.jobID, err)
-		return
-	}
 	r.mu.Lock()
-	var frontier [][]byte
-	for id := range r.tasks {
+	st := &core.ResumedSearch{
+		Seed:       r.inc.Best(),
+		SplitDepth: r.splitDepth,
+		Elapsed:    r.prior + time.Since(r.start),
+		LeavesUsed: r.leavesUsed,
+		Stats:      r.stats,
+		Failures:   append([]core.WorkerFailure(nil), r.failures...),
+	}
+	for id, t := range r.tasks {
 		if !r.done[int64(id)] {
-			frontier = append(frontier, r.tasks[id])
+			st.Tasks = append(st.Tasks, t)
 		}
-	}
-	// HasMultipliers stays false: the coordinator never builds the
-	// relaxation engine (shards do), so it has no multiplier cache to
-	// record and a resuming process rebuilds cold.
-	snap := &checkpoint.Snapshot{
-		Fingerprint: r.fprint,
-		Elapsed:     r.prior + time.Since(r.start),
-		SplitDepth:  r.splitDepth,
-		LeavesUsed:  r.leavesUsed,
-		Stats:       r.stats,
-		Incumbent: &checkpoint.Incumbent{
-			State:   append([]bool(nil), best.State...),
-			Choices: coords,
-			Leak:    best.Leak,
-			Isub:    best.Isub,
-			Delay:   best.Delay,
-		},
-		Frontier: frontier,
-	}
-	for _, f := range r.failures {
-		snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{
-			Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack,
-		})
 	}
 	r.lastCk = time.Now()
 	r.mu.Unlock()
 
+	snap, err := r.comp.Prob.BuildSnapshot(r.fprint, st, nil)
+	if err != nil {
+		r.c.logf("dist: job %s: snapshot incumbent: %v", r.jobID, err)
+		return
+	}
 	werr := checkpoint.Save(r.c.fs(), r.ckPath, snap)
 	r.mu.Lock()
 	r.ckWrites++
@@ -769,7 +698,7 @@ func (r *run) lease(req LeaseRequest) LeaseReply {
 		Epoch:     r.bestEpoch(),
 	}
 	for _, id := range ids {
-		reply.Tasks = append(reply.Tasks, r.tasks[id])
+		reply.Tasks = append(reply.Tasks, core.TaskBytes(r.tasks[id]))
 	}
 	return reply
 }
@@ -859,7 +788,7 @@ func (r *run) complete(req CompleteRequest) {
 		credited = true
 	}
 	if credited {
-		req.Stats.addTo(&r.stats)
+		r.stats.Add(req.Stats)
 	}
 	// Budget tickets are charged for every live-lease completion, credited
 	// or not: an interrupted batch rolls its unfinished work out of the
@@ -892,8 +821,8 @@ func (r *run) complete(req CompleteRequest) {
 }
 
 // offerWire resolves and merges an incumbent arriving off the wire.
-func (r *run) offerWire(w *WireIncumbent) {
-	sol, err := w.resolve(r.comp.Prob)
+func (r *run) offerWire(w *checkpoint.Incumbent) {
+	sol, err := r.comp.Prob.ResolveIncumbent(w)
 	if err != nil {
 		r.c.logf("dist: job %s: rejecting wire incumbent: %v", r.jobID, err)
 		return
@@ -903,8 +832,8 @@ func (r *run) offerWire(w *WireIncumbent) {
 
 // wireBest encodes the current incumbent (never nil: the seed is offered
 // before the run is registered).
-func (r *run) wireBest() *WireIncumbent {
-	w, err := wireIncumbent(r.comp.Prob, r.inc.Best())
+func (r *run) wireBest() *checkpoint.Incumbent {
+	w, err := r.comp.Prob.EncodeIncumbent(r.inc.Best())
 	if err != nil {
 		r.c.logf("dist: job %s: encoding incumbent: %v", r.jobID, err)
 		return nil
@@ -926,7 +855,7 @@ func (r *run) sync(req SyncRequest) SyncReply {
 	sol, epoch := r.inc.BestEpoch()
 	reply := SyncReply{Epoch: epoch}
 	if epoch > req.Epoch && sol != nil {
-		if w, err := wireIncumbent(r.comp.Prob, sol); err == nil {
+		if w, err := r.comp.Prob.EncodeIncumbent(sol); err == nil {
 			reply.Incumbent = w
 		}
 	}
@@ -934,25 +863,6 @@ func (r *run) sync(req SyncRequest) SyncReply {
 	reply.Done = r.finished
 	r.mu.Unlock()
 	return reply
-}
-
-// progressFromStats converts merged counters to the public progress shape.
-func progressFromStats(s core.SearchStats, bestLeak float64) svto.Progress {
-	return svto.Progress{
-		StateNodes:     s.StateNodes,
-		GateTrials:     s.GateTrials,
-		Leaves:         s.Leaves,
-		Pruned:         s.Pruned,
-		LeafCacheHits:  s.LeafCacheHits,
-		BatchSweeps:    s.BatchSweeps,
-		BatchLanes:     s.BatchLanes,
-		BatchOccupancy: svto.BatchOccupancy(s.BatchSweeps, s.BatchLanes),
-		RelaxBounds:    s.RelaxBounds,
-		RelaxPruned:    s.RelaxPruned,
-		PortfolioWins:  s.PortfolioWins,
-		BestLeakNA:     bestLeak,
-		Elapsed:        s.Runtime,
-	}
 }
 
 // Handler serves the shard-facing wire protocol under APIPrefix.  Every

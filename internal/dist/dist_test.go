@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"svto/internal/core"
 	"svto/internal/gen"
 	"svto/internal/netlist"
 	"svto/pkg/svto"
@@ -379,7 +380,7 @@ func TestDuplicateCompletionsCreditOnce(t *testing.T) {
 				Shard:   "manual",
 				JobID:   info.JobID,
 				LeaseID: lr.LeaseID,
-				Stats: StatsDelta{
+				Stats: core.Counters{
 					Leaves:     int64(len(lr.TaskIDs)),
 					GateTrials: 10 * int64(len(lr.TaskIDs)),
 				},
@@ -556,25 +557,36 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(comp.Prob.CC.PI)
+	p := comp.Prob
+	n := len(p.CC.PI)
 
-	if _, err := decodeTask(make([]byte, n-1), n); err == nil {
+	if _, err := p.TaskFromBytes(make([]byte, n-1), n); err == nil {
 		t.Error("short task accepted")
 	}
 	bad := make([]byte, n)
 	bad[0] = 7
-	if _, err := decodeTask(bad, n); err == nil {
+	if _, err := p.TaskFromBytes(bad, n); err == nil {
 		t.Error("out-of-range task value accepted")
+	}
+	root := bytes.Repeat([]byte{2}, n)
+	if _, err := p.TaskFromBytes(root, 0); err != nil {
+		t.Errorf("root task rejected: %v", err)
+	}
+	if _, err := p.TaskFromBytes(root, n); err == nil {
+		t.Error("task with an unassigned prefix accepted")
 	}
 	v := make([]byte, n)
 	for i := range v {
-		v[i] = byte(i % 3)
+		v[i] = byte(i % 2)
 	}
-	task, err := decodeTask(v, n)
+	if _, err := p.TaskFromBytes(v, 0); err == nil {
+		t.Error("task assigning inputs below its split depth accepted")
+	}
+	task, err := p.TaskFromBytes(v, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := encodeTask(task); !bytes.Equal(got, v) {
+	if got := core.TaskBytes(task); !bytes.Equal(got, v) {
 		t.Errorf("round trip %v != %v", got, v)
 	}
 }

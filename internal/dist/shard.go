@@ -277,7 +277,7 @@ func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
 			return pump.restarted.Load()
 		}
 		if lr.Incumbent != nil {
-			if sol, rerr := lr.Incumbent.resolve(comp.Prob); rerr == nil {
+			if sol, rerr := comp.Prob.ResolveIncumbent(lr.Incumbent); rerr == nil {
 				share.Offer(sol)
 			} else {
 				s.logf("dist: shard %s: job %s: lease incumbent: %v", s.cfg.Name, info.JobID, rerr)
@@ -300,11 +300,10 @@ func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
 // reports a coordinator restart detected while completing.
 func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.Options,
 	workers int, share *core.SharedIncumbent, info JobInfo, lr LeaseReply) (restarted bool) {
-	nPI := len(comp.Prob.CC.PI)
 	tasks := make([][]sim.Value, 0, len(lr.Tasks))
 	taskID := make(map[string]int64, len(lr.Tasks))
 	for i, b := range lr.Tasks {
-		t, err := decodeTask(b, nPI)
+		t, err := comp.Prob.TaskFromBytes(b, info.SplitDepth)
 		if err != nil || i >= len(lr.TaskIDs) {
 			// A malformed task (torn reply, version skew) poisons the whole
 			// lease: hand every task straight back so the coordinator
@@ -354,10 +353,10 @@ func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.
 		// Infrastructure failure before any work: everything remains.
 		creq.Remaining = lr.TaskIDs
 	} else {
-		creq.Stats = deltaFromStats(tr.Best.Stats)
+		creq.Stats = tr.Best.Stats.Counters
 		creq.LeavesUsed = tr.LeavesUsed
 		for _, t := range tr.Remaining {
-			id, ok := taskID[string(encodeTask(t))]
+			id, ok := taskID[string(core.TaskBytes(t))]
 			if !ok {
 				s.logf("dist: shard %s: job %s: unknown remaining task in lease %d", s.cfg.Name, info.JobID, lr.LeaseID)
 				continue
@@ -366,7 +365,7 @@ func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.
 		}
 	}
 	if best := share.Best(); best != nil {
-		if w, werr := wireIncumbent(comp.Prob, best); werr == nil {
+		if w, werr := comp.Prob.EncodeIncumbent(best); werr == nil {
 			creq.Incumbent = w
 		}
 	}
@@ -458,7 +457,7 @@ func (s *shard) startPump(ctx context.Context, cancel context.CancelFunc,
 			req := SyncRequest{Shard: s.cfg.Name, JobID: jobID, Epoch: remote,
 				Health: s.cl.counters.snapshot()}
 			if localEpoch > pushed && local != nil {
-				if w, err := wireIncumbent(prob, local); err == nil {
+				if w, err := prob.EncodeIncumbent(local); err == nil {
 					req.Incumbent = w
 					pushed = localEpoch
 				}
@@ -479,7 +478,7 @@ func (s *shard) startPump(ctx context.Context, cancel context.CancelFunc,
 			}
 			p.observe(reply.Epoch)
 			if reply.Incumbent != nil {
-				if sol, rerr := reply.Incumbent.resolve(prob); rerr == nil {
+				if sol, rerr := prob.ResolveIncumbent(reply.Incumbent); rerr == nil {
 					// Attribute the install to this subscriber so the pump
 					// is not re-woken by its own merge.
 					share.OfferFrom(subID, sol)

@@ -12,8 +12,14 @@
 //     exactly the state internal/core's taskPool plus sharedSearch own
 //     locally;
 //   - each shard owns nothing durable: it drains leased batches with
-//     core.SolveTasks and reports a stats delta plus its unfinished
+//     core.SolveTasks and reports the batch's counters plus its unfinished
 //     remainder, so a shard dying mid-batch costs only a lease re-queue.
+//
+// The durable search state has one definition, shared with the local pool
+// and the checkpoint file: counters are core.Counters (checkpoint.Stats),
+// incumbents travel as checkpoint.Incumbent, task vectors use
+// core.TaskBytes / Problem.TaskFromBytes, and snapshots are built by
+// Problem.BuildSnapshot and read back by Problem.LoadSearch.
 //
 // Determinism contract: with one shard and Workers=1 the grant order is the
 // frontier order, every batch continues from the previous batch's
@@ -23,11 +29,8 @@
 package dist
 
 import (
-	"fmt"
-
 	"svto/internal/checkpoint"
 	"svto/internal/core"
-	"svto/internal/sim"
 	"svto/pkg/svto"
 )
 
@@ -71,17 +74,17 @@ type LeaseRequest struct {
 }
 
 // LeaseReply grants a batch (or tells the shard to wait / stop).  Tasks are
-// frontier vectors in checkpoint byte encoding: one byte per primary input,
-// 0 = forced false, 1 = forced true, 2 = unassigned.
+// frontier vectors in checkpoint byte encoding (core.TaskBytes): one byte
+// per primary input, 0 = forced false, 1 = forced true, 2 = unassigned.
 type LeaseReply struct {
 	LeaseID int64    `json:"lease_id,omitempty"`
 	TaskIDs []int64  `json:"task_ids,omitempty"`
 	Tasks   [][]byte `json:"tasks,omitempty"`
 	// MaxLeaves is the remaining leaf budget the batch must respect
 	// (0 = unlimited).
-	MaxLeaves int64          `json:"max_leaves,omitempty"`
-	Incumbent *WireIncumbent `json:"incumbent,omitempty"`
-	Epoch     int64          `json:"epoch,omitempty"`
+	MaxLeaves int64                 `json:"max_leaves,omitempty"`
+	Incumbent *checkpoint.Incumbent `json:"incumbent,omitempty"`
+	Epoch     int64                 `json:"epoch,omitempty"`
 	// Wait reports nothing to lease right now (all tasks leased elsewhere
 	// and nothing stealable): poll again shortly.
 	Wait bool `json:"wait,omitempty"`
@@ -89,68 +92,26 @@ type LeaseReply struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// StatsDelta carries one batch's search-counter increments.  Deltas follow
-// the engine's mark/rollback rule — a task's counters are included only if
-// the task finished — so the coordinator can sum deltas from completed
-// batches without double counting re-queued work.
-type StatsDelta struct {
-	StateNodes    int64 `json:"state_nodes,omitempty"`
-	GateTrials    int64 `json:"gate_trials,omitempty"`
-	Leaves        int64 `json:"leaves,omitempty"`
-	Pruned        int64 `json:"pruned,omitempty"`
-	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
-	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
-	BatchLanes    int64 `json:"batch_lanes,omitempty"`
-	RelaxBounds   int64 `json:"relax_bounds,omitempty"`
-	RelaxPruned   int64 `json:"relax_pruned,omitempty"`
-	PortfolioWins int64 `json:"portfolio_wins,omitempty"`
-}
-
-func deltaFromStats(s core.SearchStats) StatsDelta {
-	return StatsDelta{
-		StateNodes:    s.StateNodes,
-		GateTrials:    s.GateTrials,
-		Leaves:        s.Leaves,
-		Pruned:        s.Pruned,
-		LeafCacheHits: s.LeafCacheHits,
-		BatchSweeps:   s.BatchSweeps,
-		BatchLanes:    s.BatchLanes,
-		RelaxBounds:   s.RelaxBounds,
-		RelaxPruned:   s.RelaxPruned,
-		PortfolioWins: s.PortfolioWins,
-	}
-}
-
-func (d StatsDelta) addTo(s *checkpoint.Stats) {
-	s.StateNodes += d.StateNodes
-	s.GateTrials += d.GateTrials
-	s.Leaves += d.Leaves
-	s.Pruned += d.Pruned
-	s.LeafCacheHits += d.LeafCacheHits
-	s.BatchSweeps += d.BatchSweeps
-	s.BatchLanes += d.BatchLanes
-	s.RelaxBounds += d.RelaxBounds
-	s.RelaxPruned += d.RelaxPruned
-	s.PortfolioWins += d.PortfolioWins
-}
-
 // CompleteRequest reports a drained (or interrupted) lease.  Remaining
 // lists the task ids the shard did not finish — the coordinator re-queues
-// them — and Stats covers exactly the finished ones.  A completion for an
+// them — and Stats covers exactly the finished ones: the engine's
+// mark/rollback rule drops an unfinished task's counters, so the
+// coordinator can sum completed batches without double counting re-queued
+// work.  A completion for an
 // already-expired lease is accepted but credited nothing except its
 // incumbent: monotonicity makes the late merge harmless.
 type CompleteRequest struct {
-	Shard     string     `json:"shard"`
-	JobID     string     `json:"job_id"`
-	LeaseID   int64      `json:"lease_id"`
-	Remaining []int64    `json:"remaining,omitempty"`
-	Stats     StatsDelta `json:"stats"`
+	Shard     string        `json:"shard"`
+	JobID     string        `json:"job_id"`
+	LeaseID   int64         `json:"lease_id"`
+	Remaining []int64       `json:"remaining,omitempty"`
+	Stats     core.Counters `json:"stats"`
 	// LeavesUsed is the batch's leaf-budget tickets (core.TaskResult
 	// .LeavesUsed): unlike Stats.Leaves it includes rolled-back work, and
 	// the coordinator charges the leaf budget with it so interrupted
 	// batches still make budget progress.
-	LeavesUsed int64          `json:"leaves_used,omitempty"`
-	Incumbent  *WireIncumbent `json:"incumbent,omitempty"`
+	LeavesUsed int64                 `json:"leaves_used,omitempty"`
+	Incumbent  *checkpoint.Incumbent `json:"incumbent,omitempty"`
 	// Failure carries a shard-side infrastructure error (e.g. all local
 	// workers died); the coordinator records it as a worker failure.
 	Failure string `json:"failure,omitempty"`
@@ -161,10 +122,10 @@ type CompleteRequest struct {
 // shard's incumbent when it improved and tells the coordinator the last
 // epoch the shard has seen.
 type SyncRequest struct {
-	Shard     string         `json:"shard"`
-	JobID     string         `json:"job_id"`
-	Epoch     int64          `json:"epoch"`
-	Incumbent *WireIncumbent `json:"incumbent,omitempty"`
+	Shard     string                `json:"shard"`
+	JobID     string                `json:"job_id"`
+	Epoch     int64                 `json:"epoch"`
+	Incumbent *checkpoint.Incumbent `json:"incumbent,omitempty"`
 	// Health piggybacks the shard's transport-degradation counters on the
 	// heartbeat, keeping /v1/stats current without a separate scrape.
 	Health *ShardHealth `json:"health,omitempty"`
@@ -173,71 +134,7 @@ type SyncRequest struct {
 // SyncReply returns the coordinator's incumbent iff it is newer than the
 // epoch the shard reported, so steady-state heartbeats carry no payload.
 type SyncReply struct {
-	Epoch     int64          `json:"epoch"`
-	Incumbent *WireIncumbent `json:"incumbent,omitempty"`
-	Done      bool           `json:"done,omitempty"`
-}
-
-// WireIncumbent is a solution in pointer-free form: the sleep state plus
-// (instance state, index) choice coordinates, exactly the checkpoint
-// incumbent encoding.  The receiver re-resolves the coordinates against its
-// own library and cross-checks the recorded leakage, so a corrupted or
-// mismatched broadcast is rejected instead of installed.
-type WireIncumbent struct {
-	State   []bool     `json:"state"`
-	Choices [][2]int32 `json:"choices"`
-	LeakNA  float64    `json:"leak_na"`
-	IsubNA  float64    `json:"isub_na"`
-	DelayPS float64    `json:"delay_ps"`
-}
-
-// wireIncumbent serializes sol for the wire.
-func wireIncumbent(p *core.Problem, sol *core.Solution) (*WireIncumbent, error) {
-	if sol == nil {
-		return nil, nil
-	}
-	coords, err := p.IncumbentCoords(sol)
-	if err != nil {
-		return nil, err
-	}
-	return &WireIncumbent{
-		State:   append([]bool(nil), sol.State...),
-		Choices: coords,
-		LeakNA:  sol.Leak,
-		IsubNA:  sol.Isub,
-		DelayPS: sol.Delay,
-	}, nil
-}
-
-// resolve validates and re-materializes the incumbent against p.
-func (w *WireIncumbent) resolve(p *core.Problem) (*core.Solution, error) {
-	if w == nil {
-		return nil, nil
-	}
-	return p.ResolveIncumbent(w.State, w.Choices, w.LeakNA, w.IsubNA, w.DelayPS)
-}
-
-// encodeTask converts a task vector to the wire/checkpoint byte encoding.
-func encodeTask(t []sim.Value) []byte {
-	b := make([]byte, len(t))
-	for i, v := range t {
-		b[i] = byte(v)
-	}
-	return b
-}
-
-// decodeTask is the inverse; n is the expected vector length (the number of
-// primary inputs).
-func decodeTask(b []byte, n int) ([]sim.Value, error) {
-	if len(b) != n {
-		return nil, fmt.Errorf("dist: task has %d values, circuit has %d inputs", len(b), n)
-	}
-	t := make([]sim.Value, len(b))
-	for i, v := range b {
-		if v > byte(sim.X) {
-			return nil, fmt.Errorf("dist: task holds invalid value %d", v)
-		}
-		t[i] = sim.Value(v)
-	}
-	return t, nil
+	Epoch     int64                 `json:"epoch"`
+	Incumbent *checkpoint.Incumbent `json:"incumbent,omitempty"`
+	Done      bool                  `json:"done,omitempty"`
 }

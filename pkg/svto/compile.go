@@ -145,8 +145,10 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 	return res, nil
 }
 
-// coreProgress converts a core progress snapshot to the public shape.
-func coreProgress(p core.Progress) Progress {
+// ProgressOf converts a core progress snapshot to the public shape — the
+// one conversion every execution path (local Run, distributed coordinator)
+// reports progress through.
+func ProgressOf(p core.Progress) Progress {
 	return Progress{
 		StateNodes:     p.StateNodes,
 		GateTrials:     p.GateTrials,

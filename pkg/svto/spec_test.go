@@ -47,23 +47,6 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOptimizeShimMatchesRun is the compatibility gate for the deprecated
-// flat Config: it must produce the same result as the composed Request.
-func TestOptimizeShimMatchesRun(t *testing.T) {
-	viaShim := optimizeTiny(t, svto.Config{Penalty: 0.10, BaselineVectors: 200, Seed: 7})
-	viaRun, err := svto.Run(context.Background(), svto.Request{
-		Design: svto.DesignSpec{Bench: tinyBench, Name: "tiny"},
-		Search: svto.SearchSpec{Penalty: 0.10, BaselineVectors: 200, Seed: 7},
-	}, svto.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaShim.LeakNA != viaRun.LeakNA || viaShim.DelayPS != viaRun.DelayPS ||
-		viaShim.BaselineNA != viaRun.BaselineNA {
-		t.Errorf("shim %+v != Run %+v", viaShim, viaRun)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := svto.Request{Design: svto.DesignSpec{Bench: tinyBench}}
 	if err := svto.Validate(good); err != nil {

@@ -19,15 +19,11 @@
 // set SearchSpec.TimeLimitSec) to stop a long search early with the best
 // solution found so far; set SearchSpec.Workers to spread the search over
 // multiple CPUs.
-//
-// The flat [Config] plus [Optimize] remain as a deprecated shim over
-// Request/Run for one release.
 package svto
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"svto/internal/core"
@@ -258,7 +254,7 @@ func Run(ctx context.Context, req Request, opts RunOptions) (*Result, error) {
 		}
 	}
 	if opts.Progress != nil {
-		coreOpts.Progress = func(p core.Progress) { opts.Progress(coreProgress(p)) }
+		coreOpts.Progress = func(p core.Progress) { opts.Progress(ProgressOf(p)) }
 	}
 	sol, solveErr := comp.Prob.Solve(ctx, coreOpts)
 	if sol == nil {
@@ -269,113 +265,6 @@ func Run(ctx context.Context, req Request, opts RunOptions) (*Result, error) {
 		return nil, err
 	}
 	return res, solveErr
-}
-
-// Config describes one optimization run as a single flat struct.
-//
-// Deprecated: Config is the pre-daemon shape of the API, kept as a shim for
-// one release.  New code should compose a [Request] (with DesignSpec,
-// LibrarySpec, SearchSpec) plus [RunOptions] and call [Run]; the sub-structs
-// are the same types the leakoptd wire format uses.
-type Config struct {
-	// Benchmark names a built-in benchmark profile (c432..c7552, alu64).
-	Benchmark string
-	// Bench reads an ISCAS-85 .bench netlist.
-	Bench io.Reader
-	// Verilog reads a gate-level structural Verilog netlist.
-	Verilog io.Reader
-	// Name labels the design when read from Bench or Verilog.
-	Name string
-
-	// Fuse runs the AOI/OAI peephole fusion pass before optimizing.
-	Fuse bool
-
-	// Algorithm defaults to Heuristic1.
-	Algorithm Algorithm
-	// Penalty is the delay-penalty fraction (0.05 = 5%).
-	Penalty float64
-	// TimeLimit bounds the search wall clock.
-	TimeLimit time.Duration
-	// Workers is the parallel search width; 0 uses all CPUs.
-	Workers int
-	// RefinePasses > 0 adds iterated gate-refinement passes to the result.
-	RefinePasses int
-	// Library defaults to Lib4Option.
-	Library Library
-
-	// MaxLeaves bounds the number of complete states the tree searches
-	// evaluate; 0 means unlimited.
-	MaxLeaves int64
-	// Checkpoint enables crash-safe execution for the tree searches.
-	Checkpoint Checkpoint
-
-	// BaselineVectors, when > 0, estimates the unoptimized average leakage
-	// over that many random vectors.
-	BaselineVectors int
-	// Seed drives the baseline vectors and parallel task shuffling.
-	Seed int64
-
-	// Progress, when non-nil, receives periodic search snapshots.
-	Progress func(Progress)
-}
-
-// request converts the flat Config into the composable Request plus the
-// execution-side RunOptions, reading any io.Reader sources into the
-// self-contained inline form.
-func (cfg Config) request() (Request, RunOptions, error) {
-	req := Request{
-		Design: DesignSpec{
-			Benchmark: cfg.Benchmark,
-			Name:      cfg.Name,
-			Fuse:      cfg.Fuse,
-		},
-		Library: LibrarySpec{Policy: cfg.Library},
-		Search: SearchSpec{
-			Algorithm:       cfg.Algorithm,
-			Penalty:         cfg.Penalty,
-			TimeLimitSec:    cfg.TimeLimit.Seconds(),
-			Workers:         cfg.Workers,
-			RefinePasses:    cfg.RefinePasses,
-			MaxLeaves:       cfg.MaxLeaves,
-			Seed:            cfg.Seed,
-			BaselineVectors: cfg.BaselineVectors,
-		},
-	}
-	read := func(r io.Reader, dst *string) error {
-		if r == nil {
-			return nil
-		}
-		b, err := io.ReadAll(r)
-		if err != nil {
-			return fmt.Errorf("svto: reading design source: %w", err)
-		}
-		// An empty source must still count as "set" for the
-		// exactly-one-source validation, even though it cannot parse.
-		*dst = string(b)
-		if len(b) == 0 {
-			*dst = "\n"
-		}
-		return nil
-	}
-	if err := read(cfg.Bench, &req.Design.Bench); err != nil {
-		return Request{}, RunOptions{}, err
-	}
-	if err := read(cfg.Verilog, &req.Design.Verilog); err != nil {
-		return Request{}, RunOptions{}, err
-	}
-	return req, RunOptions{Progress: cfg.Progress, Checkpoint: cfg.Checkpoint}, nil
-}
-
-// Optimize runs the flat Config through [Run].
-//
-// Deprecated: use [Run] with a composed [Request]; Optimize remains as a
-// one-release compatibility shim over it.
-func Optimize(ctx context.Context, cfg Config) (*Result, error) {
-	req, opts, err := cfg.request()
-	if err != nil {
-		return nil, err
-	}
-	return Run(ctx, req, opts)
 }
 
 // isMapped reports whether every gate is directly library-backed.

@@ -23,19 +23,18 @@ n3 = NOT(n1)
 y = NAND(n3, n2)
 `
 
-func optimizeTiny(t *testing.T, cfg svto.Config) *svto.Result {
+func optimizeTiny(t *testing.T, search svto.SearchSpec, opts svto.RunOptions) *svto.Result {
 	t.Helper()
-	cfg.Bench = strings.NewReader(tinyBench)
-	cfg.Name = "tiny"
-	res, err := svto.Optimize(context.Background(), cfg)
+	req := svto.Request{Design: svto.DesignSpec{Bench: tinyBench, Name: "tiny"}, Search: search}
+	res, err := svto.Run(context.Background(), req, opts)
 	if err != nil {
-		t.Fatalf("Optimize: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	return res
 }
 
 func TestOptimizeBench(t *testing.T) {
-	res := optimizeTiny(t, svto.Config{Penalty: 0.10, BaselineVectors: 500, Seed: 7})
+	res := optimizeTiny(t, svto.SearchSpec{Penalty: 0.10, BaselineVectors: 500, Seed: 7}, svto.RunOptions{})
 	if res.Design != "tiny" {
 		t.Errorf("Design = %q, want tiny", res.Design)
 	}
@@ -69,9 +68,9 @@ func TestOptimizeBench(t *testing.T) {
 }
 
 func TestOptimizeAlgorithms(t *testing.T) {
-	h1 := optimizeTiny(t, svto.Config{Penalty: 0.10})
+	h1 := optimizeTiny(t, svto.SearchSpec{Penalty: 0.10}, svto.RunOptions{})
 	for _, alg := range []svto.Algorithm{svto.Heuristic2, svto.Exact, svto.StateOnly} {
-		res := optimizeTiny(t, svto.Config{Algorithm: alg, Penalty: 0.10, TimeLimit: 0})
+		res := optimizeTiny(t, svto.SearchSpec{Algorithm: alg, Penalty: 0.10}, svto.RunOptions{})
 		if res.LeakNA <= 0 {
 			t.Errorf("%s: LeakNA = %g", alg, res.LeakNA)
 		}
@@ -82,12 +81,12 @@ func TestOptimizeAlgorithms(t *testing.T) {
 }
 
 func TestOptimizeBenchmarkName(t *testing.T) {
-	res, err := svto.Optimize(context.Background(), svto.Config{
-		Benchmark: "c432",
-		Penalty:   0.05,
-	})
+	res, err := svto.Run(context.Background(), svto.Request{
+		Design: svto.DesignSpec{Benchmark: "c432"},
+		Search: svto.SearchSpec{Penalty: 0.05},
+	}, svto.RunOptions{})
 	if err != nil {
-		t.Fatalf("Optimize(c432): %v", err)
+		t.Fatalf("Run(c432): %v", err)
 	}
 	if res.Design != "c432" || len(res.Inputs) != 36 {
 		t.Errorf("got design %q with %d inputs", res.Design, len(res.Inputs))
@@ -97,9 +96,7 @@ func TestOptimizeBenchmarkName(t *testing.T) {
 func TestOptimizeProgress(t *testing.T) {
 	var calls int
 	var last svto.Progress
-	res := optimizeTiny(t, svto.Config{
-		Algorithm: svto.Heuristic2,
-		Penalty:   0.10,
+	res := optimizeTiny(t, svto.SearchSpec{Algorithm: svto.Heuristic2, Penalty: 0.10}, svto.RunOptions{
 		Progress: func(p svto.Progress) {
 			calls++
 			last = p
@@ -118,29 +115,28 @@ func TestOptimizeProgress(t *testing.T) {
 
 func TestOptimizeValidation(t *testing.T) {
 	ctx := context.Background()
+	tiny := svto.DesignSpec{Bench: tinyBench}
 	cases := []struct {
 		name string
-		cfg  svto.Config
+		req  svto.Request
+		opts svto.RunOptions
 	}{
-		{"no source", svto.Config{}},
-		{"two sources", svto.Config{Benchmark: "c432", Bench: strings.NewReader(tinyBench)}},
-		{"bad algorithm", svto.Config{Bench: strings.NewReader(tinyBench), Algorithm: "simulated-annealing"}},
-		{"bad library", svto.Config{Bench: strings.NewReader(tinyBench), Library: "8opt"}},
-		{"bad benchmark", svto.Config{Benchmark: "c99999"}},
-		{"negative workers", svto.Config{Bench: strings.NewReader(tinyBench), Workers: -2}},
-		{"negative max leaves", svto.Config{Bench: strings.NewReader(tinyBench), MaxLeaves: -1}},
-		{"resume without path", svto.Config{
-			Bench:      strings.NewReader(tinyBench),
-			Algorithm:  svto.Heuristic2,
-			Checkpoint: svto.Checkpoint{Resume: true},
-		}},
-		{"checkpoint with non-tree algorithm", svto.Config{
-			Bench:      strings.NewReader(tinyBench),
-			Checkpoint: svto.Checkpoint{Path: "x.ckpt"},
-		}},
+		{"no source", svto.Request{}, svto.RunOptions{}},
+		{"two sources", svto.Request{Design: svto.DesignSpec{Benchmark: "c432", Bench: tinyBench}}, svto.RunOptions{}},
+		{"bad algorithm", svto.Request{Design: tiny, Search: svto.SearchSpec{Algorithm: "simulated-annealing"}}, svto.RunOptions{}},
+		{"bad library", svto.Request{Design: tiny, Library: svto.LibrarySpec{Policy: "8opt"}}, svto.RunOptions{}},
+		{"bad benchmark", svto.Request{Design: svto.DesignSpec{Benchmark: "c99999"}}, svto.RunOptions{}},
+		{"negative workers", svto.Request{Design: tiny, Search: svto.SearchSpec{Workers: -2}}, svto.RunOptions{}},
+		{"negative max leaves", svto.Request{Design: tiny, Search: svto.SearchSpec{MaxLeaves: -1}}, svto.RunOptions{}},
+		{"resume without path",
+			svto.Request{Design: tiny, Search: svto.SearchSpec{Algorithm: svto.Heuristic2}},
+			svto.RunOptions{Checkpoint: svto.Checkpoint{Resume: true}}},
+		{"checkpoint with non-tree algorithm",
+			svto.Request{Design: tiny},
+			svto.RunOptions{Checkpoint: svto.Checkpoint{Path: "x.ckpt"}}},
 	}
 	for _, tc := range cases {
-		if _, err := svto.Optimize(ctx, tc.cfg); err == nil {
+		if _, err := svto.Run(ctx, tc.req, tc.opts); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -148,15 +144,11 @@ func TestOptimizeValidation(t *testing.T) {
 
 func TestOptimizeCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tiny.ckpt")
-	full := optimizeTiny(t, svto.Config{Algorithm: svto.Heuristic2, Penalty: 0.10})
+	full := optimizeTiny(t, svto.SearchSpec{Algorithm: svto.Heuristic2, Penalty: 0.10}, svto.RunOptions{})
 
-	cut := optimizeTiny(t, svto.Config{
-		Algorithm:  svto.Heuristic2,
-		Penalty:    0.10,
-		Workers:    1,
-		MaxLeaves:  1,
-		Checkpoint: svto.Checkpoint{Path: path},
-	})
+	cut := optimizeTiny(t,
+		svto.SearchSpec{Algorithm: svto.Heuristic2, Penalty: 0.10, Workers: 1, MaxLeaves: 1},
+		svto.RunOptions{Checkpoint: svto.Checkpoint{Path: path}})
 	if !cut.Stats.Interrupted {
 		t.Fatal("leaf budget did not interrupt the run")
 	}
@@ -167,12 +159,9 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 		t.Fatalf("no snapshot on disk: %v", err)
 	}
 
-	res := optimizeTiny(t, svto.Config{
-		Algorithm:  svto.Heuristic2,
-		Penalty:    0.10,
-		Workers:    1,
-		Checkpoint: svto.Checkpoint{Path: path, Resume: true},
-	})
+	res := optimizeTiny(t,
+		svto.SearchSpec{Algorithm: svto.Heuristic2, Penalty: 0.10, Workers: 1},
+		svto.RunOptions{Checkpoint: svto.Checkpoint{Path: path, Resume: true}})
 	if res.Stats.Interrupted {
 		t.Error("resumed run did not finish")
 	}
@@ -185,7 +174,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 }
 
 func TestResultExports(t *testing.T) {
-	res := optimizeTiny(t, svto.Config{Penalty: 0.10})
+	res := optimizeTiny(t, svto.SearchSpec{Penalty: 0.10}, svto.RunOptions{})
 
 	report, err := res.Report(3)
 	if err != nil {
