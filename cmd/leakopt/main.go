@@ -286,12 +286,8 @@ func main() {
 		fmt.Printf("%-12s leak=%8.2f µA  (%.1fX)  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
 			label, sol.Leak/1000, avg/sol.Leak, sol.Isub/1000, sol.Delay, sol.Stats.Runtime.Round(time.Millisecond), note)
 		if *showStats {
-			fmt.Printf("             state nodes %d, gate trials %d, leaves %d (cache hits %d), pruned %d\n",
-				sol.Stats.StateNodes, sol.Stats.GateTrials, sol.Stats.Leaves, sol.Stats.LeafCacheHits, sol.Stats.Pruned)
-			if sol.Stats.BatchSweeps > 0 {
-				fmt.Printf("             batch occupancy %.1f lanes/sweep\n",
-					float64(sol.Stats.BatchLanes)/float64(sol.Stats.BatchSweeps))
-			}
+			fmt.Printf("             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
+				sol.Stats.StateNodes, sol.Stats.GateTrials, sol.Stats.Leaves, sol.Stats.Pruned)
 			if sol.Stats.RelaxBounds > 0 {
 				fmt.Printf("             relax probes %d (pruned %d)\n",
 					sol.Stats.RelaxBounds, sol.Stats.RelaxPruned)

@@ -164,13 +164,8 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 		// Same shape the local -stats print uses, fed from the daemon's
 		// result document — which in cluster mode carries the counters
 		// merged across every shard.
-		fmt.Printf("             state nodes %d, gate trials %d, leaves %d (cache hits %d), pruned %d\n",
-			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves,
-			res.Stats.LeafCacheHits, res.Stats.Pruned)
-		if res.Stats.BatchSweeps > 0 {
-			fmt.Printf("             batch occupancy %.1f lanes/sweep\n",
-				float64(res.Stats.BatchLanes)/float64(res.Stats.BatchSweeps))
-		}
+		fmt.Printf("             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
+			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves, res.Stats.Pruned)
 		if res.Stats.RelaxBounds > 0 {
 			fmt.Printf("             relax probes %d (pruned %d)\n",
 				res.Stats.RelaxBounds, res.Stats.RelaxPruned)

@@ -71,15 +71,13 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials,omitempty"` // gate-tree version trials (incl. rejected)
 	Leaves     int64 `json:"leaves,omitempty"`      // complete states evaluated with a gate-tree descent
 	Pruned     int64 `json:"pruned,omitempty"`      // state-tree branches cut by a bound
-	// LeafCacheHits counts leaves answered by the gate-state-vector
-	// memoization instead of a fresh gate-tree descent (a subset of
-	// Leaves; GateTrials excludes the descents such hits skipped).
+	// LeafCacheHits, BatchSweeps and BatchLanes are retired: they counted
+	// a leaf memo and a 64-lane bound evaluator the search no longer has,
+	// and are always zero.  They stay because the version 3 layout stores
+	// them.
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
-	// BatchSweeps counts batched bound sweeps (one topological pass of the
-	// 64-lane evaluator); BatchLanes the probe lanes those sweeps retired,
-	// so BatchLanes/BatchSweeps is the mean lane occupancy.
-	BatchSweeps int64 `json:"batch_sweeps,omitempty"`
-	BatchLanes  int64 `json:"batch_lanes,omitempty"`
+	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
+	BatchLanes    int64 `json:"batch_lanes,omitempty"`
 	// RelaxBounds counts Lagrangian-relaxation bound probes — branches
 	// that survived the cheap bound — and RelaxPruned the subset those
 	// probes cut (included in Pruned).

@@ -108,12 +108,8 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	if p.Ablate.NoSortedVersions {
 		ab |= 4
 	}
-	if p.Ablate.NoLeafCache {
-		ab |= 8
-	}
-	if p.Ablate.NoBatchEval {
-		ab |= 16
-	}
+	// Bits 8 and 16 belonged to retired ablations; the live bits keep
+	// their values so existing snapshots still resume.
 	if p.Ablate.NoRelaxBound {
 		ab |= 32
 	}

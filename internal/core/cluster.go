@@ -227,7 +227,7 @@ func DefaultSplitDepth(parallelism, inputs int) int {
 
 // ExpandFrontier expands the state tree to depth under seed's bound and
 // returns the surviving subtree tasks plus the counters the expansion
-// spent (state nodes, pruned branches, batch sweeps).  The task set is
+// spent (state nodes, pruned branches).  The task set is
 // exactly the one a local pool run at the same split depth would build —
 // the expansion evaluates no leaves, so the incumbent cannot move during
 // it — and opt.Seed applies the same optional shuffle runPool would.

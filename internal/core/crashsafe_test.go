@@ -393,20 +393,12 @@ func TestCheckpointResumeStatsEquivalence(t *testing.T) {
 		}{
 			{"Leaves", final.Leaves, ref.Stats.Leaves},
 			{"StateNodes", final.StateNodes, ref.Stats.StateNodes},
+			{"GateTrials", final.GateTrials, ref.Stats.GateTrials},
 			{"Pruned", final.Pruned, ref.Stats.Pruned},
 		} {
 			if c.a != c.b {
 				t.Errorf("final %s %d != uninterrupted %d", c.name, c.a, c.b)
 			}
-		}
-		// The leaf cache dies with each process, so the chain can only lose
-		// hits — and every lost hit is a re-descended gate tree.
-		if final.LeafCacheHits > ref.Stats.LeafCacheHits {
-			t.Errorf("chain LeafCacheHits %d > uninterrupted %d (cache does not survive a crash)",
-				final.LeafCacheHits, ref.Stats.LeafCacheHits)
-		}
-		if final.GateTrials < ref.Stats.GateTrials {
-			t.Errorf("chain GateTrials %d < uninterrupted %d", final.GateTrials, ref.Stats.GateTrials)
 		}
 	})
 

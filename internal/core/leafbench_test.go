@@ -57,14 +57,12 @@ func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *sharedSearc
 // descent the search performs at every explored state-tree leaf.  The
 // greedy variant is Heuristic 2's per-leaf cost on full ISCAS-scale
 // circuits; the exact variant (the gate-tree branch-and-bound, exponential
-// in gate count) runs on a small random-logic block.  Both disable the leaf
-// cache so the descent itself is measured, and both must allocate nothing
-// after warm-up.
+// in gate count) runs on a small random-logic block.  Both must allocate
+// nothing after warm-up.
 func BenchmarkLeafEval(b *testing.B) {
 	for _, circuit := range []string{"c432", "c880"} {
 		b.Run(circuit+"/greedy", func(b *testing.B) {
 			p := benchProblem(b, circuit)
-			p.Ablate.NoLeafCache = true
 			w, _, state := benchWorker(b, p, AlgHeuristic2)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -77,7 +75,6 @@ func BenchmarkLeafEval(b *testing.B) {
 	}
 	b.Run("rand10x14/exact", func(b *testing.B) {
 		p := benchRandomProblem(b, "leafbench", 11, 10, 14)
-		p.Ablate.NoLeafCache = true
 		w, _, state := benchWorker(b, p, AlgExact)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -89,11 +86,10 @@ func BenchmarkLeafEval(b *testing.B) {
 	})
 }
 
-// TestLeafEvalAllocFree is the 0-alloc contract of the tentpole: after
-// warm-up, the greedy and exact leaf paths — and leaf-cache hits — perform
-// no heap allocation.  (Allocation sites remain only where results are
-// materialized: a first-visit cache insert or an incumbent improvement,
-// neither of which recurs for a repeated, non-improving leaf.)
+// TestLeafEvalAllocFree is the 0-alloc contract of the leaf paths: after
+// warm-up, the greedy and exact leaf descents perform no heap allocation.
+// (Allocation remains only where a result is materialized: an incumbent
+// improvement, which does not recur for a repeated, non-improving leaf.)
 func TestLeafEvalAllocFree(t *testing.T) {
 	lib, err := library.Cached(tech.Default(), library.DefaultOptions())
 	if err != nil {
@@ -103,12 +99,11 @@ func TestLeafEvalAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(alg Algorithm, noCache bool) (*worker, []bool) {
+	build := func(alg Algorithm) (*worker, []bool) {
 		p, err := NewProblem(circ, lib, sta.DefaultConfig(), ObjTotal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Ablate.NoLeafCache = noCache
 		budget := p.Budget(0.05)
 		seed, err := p.heuristic1(budget)
 		if err != nil {
@@ -126,18 +121,15 @@ func TestLeafEvalAllocFree(t *testing.T) {
 	}
 
 	cases := []struct {
-		name    string
-		alg     Algorithm
-		noCache bool
+		name string
+		alg  Algorithm
 	}{
-		{"greedy/eval", AlgHeuristic2, true},
-		{"greedy/cache-hit", AlgHeuristic2, false},
-		{"exact/eval", AlgExact, true},
-		{"exact/cache-hit", AlgExact, false},
+		{"greedy/eval", AlgHeuristic2},
+		{"exact/eval", AlgExact},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, state := build(tc.alg, tc.noCache)
+			w, state := build(tc.alg)
 			run := func() {
 				var err error
 				if tc.alg == AlgExact {
@@ -149,7 +141,7 @@ func TestLeafEvalAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // warm up: first visit may install and memoize
+			run() // warm up: the first visit may install an incumbent
 			if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
 				t.Errorf("%s: %v allocs per leaf, want 0", tc.name, allocs)
 			}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"svto/internal/checkpoint"
-	"svto/internal/library"
 	"svto/internal/relax"
 	"svto/internal/sim"
 	"svto/internal/sta"
@@ -68,10 +67,6 @@ type sharedSearch struct {
 	ckWrites     atomic.Int64
 	ckErrors     atomic.Int64
 
-	// cache memoizes leaf evaluations by gate-state vector (nil when the
-	// NoLeafCache ablation disables it).
-	cache *leafCache
-
 	// baseline is the all-fast timing state workers clone instead of
 	// re-running a full analysis per worker.
 	baseline     *sta.State
@@ -104,9 +99,6 @@ func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *s
 	}
 	inc.Offer(seed)
 	sh.counters.Add(seed.Stats.Counters)
-	if !p.Ablate.NoLeafCache {
-		sh.cache = newLeafCache(len(p.CC.Gates))
-	}
 	return sh
 }
 
@@ -229,10 +221,7 @@ func (sh *sharedSearch) sharedBaseline() (*sta.State, error) {
 type worker struct {
 	sh *sharedSearch
 	pi []sim.Value
-	// Exactly one of bp/inc is non-nil when state bounds are on: bp is the
-	// 64-lane batched prober (the default), inc the incremental fallback
-	// under Ablate.NoBatchEval.  Both nil means bounds are ablated.
-	bp  *batchProber
+	// inc is the incremental bound engine (nil when bounds are ablated).
 	inc *sim.Inc3
 	// rx is the relaxation half of the bound cascade: a second incremental
 	// engine over the Lagrangian contribution tables, probed only on
@@ -246,9 +235,6 @@ type worker struct {
 	base     *sta.State // all-fast reference timing
 	scratch  *sta.State // per-leaf working state
 	arena    *leafArena // reusable leaf-evaluation buffers
-	// exactBest tracks the best solution the current exact leaf descent
-	// installed, for the leaf cache.
-	exactBest *Solution
 }
 
 func (sh *sharedSearch) newWorker() (*worker, error) {
@@ -256,16 +242,9 @@ func (sh *sharedSearch) newWorker() (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	bat, err := sh.p.newBatchEngine()
+	inc, err := sh.p.newBoundEngine()
 	if err != nil {
 		return nil, err
-	}
-	var inc *sim.Inc3
-	if bat == nil {
-		inc, err = sh.p.newBoundEngine()
-		if err != nil {
-			return nil, err
-		}
 	}
 	var rx *sim.Inc3
 	if sh.relax != nil {
@@ -283,9 +262,6 @@ func (sh *sharedSearch) newWorker() (*worker, error) {
 		scratch: base.Clone(),
 		arena:   sh.p.newLeafArena(base),
 	}
-	if bat != nil {
-		w.bp = newBatchProber(sh.p, bat, w.pi, &w.stats)
-	}
 	for i := range w.pi {
 		w.pi[i] = sim.X
 	}
@@ -296,9 +272,6 @@ func (sh *sharedSearch) newWorker() (*worker, error) {
 // must already hold it) and returns the number of Assigns to undo when the
 // subtree is done.
 func (w *worker) enterPrefix() int {
-	if w.inc == nil && w.rx == nil {
-		return 0
-	}
 	n := 0
 	for i, v := range w.pi {
 		if v != sim.X {
@@ -356,13 +329,10 @@ func (w *worker) rollbackTask() {
 	w.flushed = w.taskMark
 }
 
-// dfs is the bound-guided state-tree descent: at each level the two branch
-// bounds come from the batched prober (one lane pair of a segment sweep
-// shared with up to 62 sibling probes) or, under NoBatchEval, from the
-// incremental engine (an Assign/Undo pair per branch, touching only the
-// input's fanout cone).  The bounds are bit-identical either way, so branch
-// ordering — tighter branch first — and incumbent pruning are too.  The hot
-// path allocates nothing after a segment's first visit.
+// dfs is the bound-guided state-tree descent: at each level probeBranches
+// bounds both branches on the incremental engine and orders them tighter
+// branch first, and branches the incumbent already beats are pruned.  The
+// hot path allocates nothing.
 //
 // Branches that survive the cheap bound pay the second stage of the bound
 // cascade: one incremental probe of the Lagrangian engine (w.rx), whose
@@ -372,9 +342,8 @@ func (w *worker) rollbackTask() {
 // Assign/Bound/Undo per surviving branch, nothing on branches the cheap
 // bound already cut.
 //
-// On an error return the engines may hold unpaired Assigns (and the prober
-// unpopped segments); errors abort the whole search, so no caller reuses
-// the worker afterwards.
+// On an error return the engines may hold unpaired Assigns; errors abort
+// the whole search, so no caller reuses the worker afterwards.
 func (w *worker) dfs(depth int) error {
 	sh := w.sh
 	if sh.stop.Load() {
@@ -386,26 +355,7 @@ func (w *worker) dfs(depth int) error {
 	}
 	idx := p.piOrder[depth]
 	w.stats.StateNodes++
-	var branches [2]struct {
-		v     sim.Value
-		bound float64
-	}
-	branches[0].v, branches[1].v = sim.False, sim.True
-	var pushed bool
-	if w.bp != nil {
-		pushed = w.bp.push(depth)
-		branches[0].bound, branches[1].bound = w.bp.bounds(depth)
-	} else if w.inc != nil {
-		for k := range branches {
-			w.inc.Assign(idx, branches[k].v)
-			branches[k].bound = w.inc.Bound()
-			w.inc.Undo()
-		}
-	}
-	if branches[1].bound < branches[0].bound {
-		branches[0], branches[1] = branches[1], branches[0]
-	}
-	for _, br := range branches {
+	for _, br := range probeBranches(w.inc, idx) {
 		if br.bound >= sh.bestObj()-LeakEps {
 			w.stats.Pruned++
 			continue
@@ -436,17 +386,14 @@ func (w *worker) dfs(depth int) error {
 		}
 	}
 	w.pi[idx] = sim.X
-	if pushed {
-		w.bp.pop()
-	}
 	return nil
 }
 
 // leaf evaluates one complete input state, either with the greedy gate-tree
 // descent (Heuristic 2) or the exact gate-tree branch-and-bound.  The state
 // vector lives in the worker's arena, so the leaf paths allocate nothing
-// after warm-up (incumbent installs and first-visit cache inserts are the
-// only allocation sites, and both are amortized over the search).
+// after warm-up (incumbent installs are the only allocation site, amortized
+// over the search).
 func (w *worker) leaf() error {
 	if ab := &w.sh.p.Ablate; ab.FailLeafEvery > 0 || ab.PanicWorkerAfter > 0 || ab.CancelAfterLeaves > 0 {
 		// Deterministic fault injection: the hooks key off one shared
@@ -482,9 +429,7 @@ func (w *worker) leaf() error {
 }
 
 // greedyLeaf runs the greedy single descent of the gate tree on the reused
-// scratch timing state and offers the result to the shared incumbent.  The
-// descent depends on the circuit only through the gate-state vector, so a
-// leaf-cache hit replays the memoized solution instead of re-descending.
+// scratch timing state and offers the result to the shared incumbent.
 func (w *worker) greedyLeaf(state []bool) error {
 	sh := w.sh
 	p := sh.p
@@ -492,39 +437,18 @@ func (w *worker) greedyLeaf(state []bool) error {
 	if err := p.gateStatesInto(a, state); err != nil {
 		return err
 	}
-	if sh.cache != nil {
-		if e, ok := sh.cache.get(a.gateSt, leafGreedy); ok {
-			w.stats.Leaves++
-			w.stats.LeafCacheHits++
-			sh.inc.Offer(e.sol)
-			return nil
-		}
-	}
 	w.scratch.CopyFrom(w.base)
 	leak, isub, delay, err := p.evalStateArena(w.scratch, a, sh.budget, &w.stats)
 	if err != nil {
 		return err
 	}
-	sol := sh.inc.OfferLeaf(state, a.choices, leak, isub, delay)
-	if sh.cache != nil {
-		if sol == nil {
-			sol = &Solution{
-				State:   append([]bool(nil), state...),
-				Choices: append([]*library.Choice(nil), a.choices...),
-				Leak:    leak,
-				Isub:    isub,
-				Delay:   delay,
-			}
-		}
-		sh.cache.put(a.gateSt, leafGreedy, sol)
-	}
+	sh.inc.OfferLeaf(state, a.choices, leak, isub, delay)
 	return nil
 }
 
 // exactLeaf runs the exact gate-tree branch-and-bound for one state: gates
 // in gain order, remaining-gates leakage suffix bounds, and the incremental
-// delay lower bound (unassigned gates at their fastest version).  Completed
-// descents are memoized by gate-state vector; interrupted ones are not.
+// delay lower bound (unassigned gates at their fastest version).
 func (w *worker) exactLeaf(state []bool) error {
 	sh := w.sh
 	p := sh.p
@@ -533,16 +457,6 @@ func (w *worker) exactLeaf(state []bool) error {
 		return err
 	}
 	w.stats.Leaves++
-	if sh.cache != nil {
-		if e, ok := sh.cache.get(a.gateSt, leafExact); ok {
-			w.stats.LeafCacheHits++
-			if e.sol != nil {
-				sh.inc.Offer(e.sol)
-			}
-			return nil
-		}
-	}
-
 	p.rankGates(a)
 	for i := len(a.order) - 1; i >= 0; i-- {
 		gi := a.order[i]
@@ -550,14 +464,7 @@ func (w *worker) exactLeaf(state []bool) error {
 	}
 
 	w.scratch.CopyFrom(w.base)
-	w.exactBest = nil
-	if err := w.gateDFS(state, 0, 0); err != nil {
-		return err
-	}
-	if sh.cache != nil && !sh.stop.Load() {
-		sh.cache.put(a.gateSt, leafExact, w.exactBest)
-	}
-	return nil
+	return w.gateDFS(state, 0, 0)
 }
 
 // gateDFS is the recursive step of the exact gate-tree branch-and-bound,
@@ -582,9 +489,7 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 		if delay > sh.budget+DelayEps {
 			return nil
 		}
-		if sol := sh.inc.OfferLeaf(state, a.choices, leak, isub, delay); sol != nil {
-			w.exactBest = sol
-		}
+		sh.inc.OfferLeaf(state, a.choices, leak, isub, delay)
 		return nil
 	}
 	gi := int(a.order[pos])
@@ -896,21 +801,11 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 	if depth == 0 {
 		return [][]sim.Value{cur}, nil
 	}
-	bat, err := p.newBatchEngine()
+	eng, err := p.newBoundEngine()
 	if err != nil {
 		return nil, err
 	}
-	var bp *batchProber
-	var eng *sim.Inc3
 	var stats Counters
-	if bat != nil {
-		bp = newBatchProber(p, bat, cur, &stats)
-	} else {
-		eng, err = p.newBoundEngine()
-		if err != nil {
-			return nil, err
-		}
-	}
 	var tasks [][]sim.Value
 	var expand func(d int)
 	expand = func(d int) {
@@ -923,26 +818,7 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 		}
 		idx := p.piOrder[d]
 		stats.StateNodes++
-		var branches [2]struct {
-			v     sim.Value
-			bound float64
-		}
-		branches[0].v, branches[1].v = sim.False, sim.True
-		var pushed bool
-		if bp != nil {
-			pushed = bp.push(d)
-			branches[0].bound, branches[1].bound = bp.bounds(d)
-		} else if eng != nil {
-			for k := range branches {
-				eng.Assign(idx, branches[k].v)
-				branches[k].bound = eng.Bound()
-				eng.Undo()
-			}
-		}
-		if branches[1].bound < branches[0].bound {
-			branches[0], branches[1] = branches[1], branches[0]
-		}
-		for _, br := range branches {
+		for _, br := range probeBranches(eng, idx) {
 			if br.bound >= sh.bestObj()-LeakEps {
 				stats.Pruned++
 				continue
@@ -956,9 +832,6 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 				eng.Undo()
 			}
 			cur[idx] = sim.X
-		}
-		if pushed {
-			bp.pop()
 		}
 	}
 	expand(0)

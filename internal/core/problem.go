@@ -49,17 +49,6 @@ type Ablation struct {
 	// edges: every choice must be tried instead of stopping at the first
 	// feasible one.
 	NoSortedVersions bool
-	// NoLeafCache disables the gate-state-vector leaf memoization: every
-	// reached leaf re-runs its gate-tree descent even when an identical
-	// vector was already evaluated.
-	NoLeafCache bool
-	// NoBatchEval disables the 64-lane batched bound evaluator: branch
-	// bounds fall back to one incremental (sim.Inc3) probe per sibling
-	// instead of one sim.Batch3 sweep per frontier fan-out.  Results are
-	// bit-identical either way (the batch path reproduces the incremental
-	// bounds exactly); only throughput and the BatchSweeps/BatchLanes
-	// counters change.
-	NoBatchEval bool
 	// NoRelaxBound disables the Lagrangian-relaxation bound cascade: branch
 	// pruning falls back to the delay-oblivious minChoice/minAny bound
 	// alone.  The final objective is identical either way (both bounds are
@@ -415,14 +404,41 @@ func (p *Problem) newBoundEngine() (*sim.Inc3, error) {
 	return sim.NewInc3(p.CC, p.minChoice, p.minAny)
 }
 
+// branch is one child of a state-tree node: the value its input takes and
+// the admissible bound of the extended partial assignment.
+type branch struct {
+	v     sim.Value
+	bound float64
+}
+
+// probeBranches is the one bound probe of every state-tree descent: both
+// children of the node that assigns input idx, bounded by an
+// Assign/Bound/Undo pair each on eng (touching only the input's fanout
+// cone) and returned tighter bound first, False on a tie.  A nil engine
+// (NoStateBounds) bounds both children at 0, so False goes first.
+func probeBranches(eng *sim.Inc3, idx int) [2]branch {
+	bs := [2]branch{{v: sim.False}, {v: sim.True}}
+	if eng != nil {
+		for k := range bs {
+			eng.Assign(idx, bs[k].v)
+			bs[k].bound = eng.Bound()
+			eng.Undo()
+		}
+	}
+	if bs[1].bound < bs[0].bound {
+		bs[0], bs[1] = bs[1], bs[0]
+	}
+	return bs
+}
+
 // seedBoundEngine is newBoundEngine in coarse mode, for heuristic-1's
 // greedy state descent.  A tighter bound is strictly better for pruning but
 // not for greedy guidance — the bound is a proxy for the completion's cost,
 // and the pattern minimum's extra sharpness empirically misleads the
 // one-step lookahead (on c432 it lands the descent on a ~16% worse vector).
 // The descent therefore keeps the classic coarse bound the paper's
-// heuristic was built on, while the tree searches' pruning engines
-// (newBoundEngine/newBatchEngine) use the pattern minimum.
+// heuristic was built on, while the tree searches' pruning engine
+// (newBoundEngine) uses the pattern minimum.
 func (p *Problem) seedBoundEngine() (*sim.Inc3, error) {
 	if p.Ablate.NoStateBounds {
 		return nil, nil

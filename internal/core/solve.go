@@ -305,18 +305,6 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 			sh.markInterrupted()
 		}
 	}
-	if sh.cache != nil && opt.Algorithm == AlgHeuristic2 && rs == nil {
-		// The DFS re-reaches the seed's input state; memoize its greedy
-		// result so that leaf is answered from the cache.  (Not for
-		// AlgExact: its leaves run the exact descent, which a greedy
-		// result must never answer.  Not on resume: the restored incumbent
-		// need not equal the greedy result at its own state.)
-		states, err := p.gateStates(seed.State)
-		if err != nil {
-			return nil, err
-		}
-		sh.cache.put(states, leafGreedy, seed)
-	}
 	if ctx.Err() != nil {
 		// Already canceled: the incumbent is the answer (the legacy
 		// Heuristic2 behaved this way for a zero time budget).  Any

@@ -162,9 +162,7 @@ func runCluster(t *testing.T, coord *Coordinator, jobID string, req svto.Request
 // TestClusterOneShardMatchesLocal is the determinism contract of DESIGN.md
 // §5.8: one shard with one worker replays the local pool schedule, so the
 // run must produce byte-identical CSV and Verilog artifacts and identical
-// StateNodes/Leaves/Pruned counters.  (GateTrials and LeafCacheHits are
-// exempt: each lease drains with a fresh leaf cache, so cross-batch cache
-// hits become re-evaluations — same values, different counters.)
+// StateNodes/GateTrials/Leaves/Pruned counters.
 func TestClusterOneShardMatchesLocal(t *testing.T) {
 	req := treeRequest(t, "oneshard", 5, 10, 60)
 	ref := localRun(t, req)
@@ -184,11 +182,12 @@ func TestClusterOneShardMatchesLocal(t *testing.T) {
 			res.LeakNA, res.IsubNA, res.DelayPS, ref.LeakNA, ref.IsubNA, ref.DelayPS)
 	}
 	if res.Stats.StateNodes != ref.Stats.StateNodes ||
+		res.Stats.GateTrials != ref.Stats.GateTrials ||
 		res.Stats.Leaves != ref.Stats.Leaves ||
 		res.Stats.Pruned != ref.Stats.Pruned {
-		t.Errorf("counters differ: cluster (%d nodes, %d leaves, %d pruned) vs local (%d, %d, %d)",
-			res.Stats.StateNodes, res.Stats.Leaves, res.Stats.Pruned,
-			ref.Stats.StateNodes, ref.Stats.Leaves, ref.Stats.Pruned)
+		t.Errorf("counters differ: cluster (%d nodes, %d trials, %d leaves, %d pruned) vs local (%d, %d, %d, %d)",
+			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves, res.Stats.Pruned,
+			ref.Stats.StateNodes, ref.Stats.GateTrials, ref.Stats.Leaves, ref.Stats.Pruned)
 	}
 	gotCSV, gotVlog := renderArtifacts(t, res)
 	if !bytes.Equal(gotCSV, refCSV) {

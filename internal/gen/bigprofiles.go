@@ -1,9 +1,8 @@
 package gen
 
 // 100k-gate-class profiles.  The paper's evaluation tops out at a few
-// thousand gates (c7552, alu64); the batched bound evaluator exists
-// precisely so the search scales past that, so the generator needs a
-// circuit two orders of magnitude larger to measure against.  A scaled
+// thousand gates (c7552, alu64); measuring how the search's engines scale
+// past that needs a circuit two orders of magnitude larger.  A scaled
 // RandomLogic would do for throughput numbers, but its shape is wrong for a
 // datapath: real big blocks are wide, shallow and extremely repetitive.
 // CacheDatapath builds the classic shape — a W-way set-associative tag

@@ -24,8 +24,8 @@ type ClusterStats struct {
 
 // StatsView is the daemon-wide operational snapshot served by GET
 // /v1/stats: queue pressure, per-status job counts, every running job's
-// live search counters (leaves, cache hits, mean batch-lane occupancy,
-// relaxation-bound probes/prunes, portfolio wins), baseline
+// live search counters (nodes, leaves, prunes, relaxation-bound
+// probes/prunes, portfolio wins), baseline
 // characterization sharing, and — in cluster mode — shard health.
 type StatsView struct {
 	QueueDepth     int            `json:"queue_depth"`

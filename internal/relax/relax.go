@@ -2,7 +2,7 @@
 // simultaneous state/Vt/Tox assignment search.
 //
 // The cheap bounds the search uses everywhere (minChoice/minAny contribution
-// sums maintained by sim.Inc3 and sim.Batch3) are delay-oblivious: a gate
+// sums maintained by sim.Inc3) are delay-oblivious: a gate
 // contributes its lowest-objective choice even when that choice alone blows
 // the delay budget.  This package tightens them by dualizing a per-gate
 // surrogate of the delay constraint.  For gate g, state s and choice c let

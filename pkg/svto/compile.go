@@ -99,10 +99,6 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 			GateTrials:       sol.Stats.GateTrials,
 			Leaves:           sol.Stats.Leaves,
 			Pruned:           sol.Stats.Pruned,
-			LeafCacheHits:    sol.Stats.LeafCacheHits,
-			BatchSweeps:      sol.Stats.BatchSweeps,
-			BatchLanes:       sol.Stats.BatchLanes,
-			BatchOccupancy:   BatchOccupancy(sol.Stats.BatchSweeps, sol.Stats.BatchLanes),
 			RelaxBounds:      sol.Stats.RelaxBounds,
 			RelaxPruned:      sol.Stats.RelaxPruned,
 			PortfolioWins:    sol.Stats.PortfolioWins,
@@ -150,18 +146,14 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 // reports progress through.
 func ProgressOf(p core.Progress) Progress {
 	return Progress{
-		StateNodes:     p.StateNodes,
-		GateTrials:     p.GateTrials,
-		Leaves:         p.Leaves,
-		Pruned:         p.Pruned,
-		LeafCacheHits:  p.LeafCacheHits,
-		BatchSweeps:    p.BatchSweeps,
-		BatchLanes:     p.BatchLanes,
-		BatchOccupancy: BatchOccupancy(p.BatchSweeps, p.BatchLanes),
-		RelaxBounds:    p.RelaxBounds,
-		RelaxPruned:    p.RelaxPruned,
-		PortfolioWins:  p.PortfolioWins,
-		BestLeakNA:     p.BestLeak,
-		Elapsed:        p.Elapsed,
+		StateNodes:    p.StateNodes,
+		GateTrials:    p.GateTrials,
+		Leaves:        p.Leaves,
+		Pruned:        p.Pruned,
+		RelaxBounds:   p.RelaxBounds,
+		RelaxPruned:   p.RelaxPruned,
+		PortfolioWins: p.PortfolioWins,
+		BestLeakNA:    p.BestLeak,
+		Elapsed:       p.Elapsed,
 	}
 }

@@ -69,15 +69,6 @@ type Progress struct {
 	GateTrials int64 `json:"gate_trials"` // gate-tree version trials
 	Leaves     int64 `json:"leaves"`      // complete states evaluated
 	Pruned     int64 `json:"pruned"`      // branches cut by the leakage bound
-	// LeafCacheHits counts leaves answered from the gate-state-vector
-	// memoization instead of a fresh gate-tree descent.
-	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
-	// BatchSweeps counts 64-lane batched bound sweeps and BatchLanes the
-	// probe lanes they retired; BatchOccupancy is their ratio — the mean
-	// lane occupancy of the batched evaluator (0 when it is disabled).
-	BatchSweeps    int64   `json:"batch_sweeps,omitempty"`
-	BatchLanes     int64   `json:"batch_lanes,omitempty"`
-	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
 	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade:
 	// relaxation probes paid and the branches they pruned.
 	RelaxBounds int64 `json:"relax_bounds,omitempty"`
@@ -87,18 +78,6 @@ type Progress struct {
 	PortfolioWins int64         `json:"portfolio_wins,omitempty"`
 	BestLeakNA    float64       `json:"best_leak_na"` // incumbent total leakage (nA)
 	Elapsed       time.Duration `json:"elapsed_ns"`   // time since the search started
-}
-
-// BatchOccupancy computes the mean lane occupancy of the batched bound
-// evaluator from its raw counters — the presentation-side derivation the CLI
-// and daemon report instead of the two counters.  Raw counters stay on every
-// wire format because they are additive across shards and resume cycles;
-// the ratio is not.
-func BatchOccupancy(sweeps, lanes int64) float64 {
-	if sweeps == 0 {
-		return 0
-	}
-	return float64(lanes) / float64(sweeps)
 }
 
 // Checkpoint configures crash-safe search execution.  It is an execution
@@ -145,13 +124,6 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials"`
 	Leaves     int64 `json:"leaves"`
 	Pruned     int64 `json:"pruned"`
-	// LeafCacheHits counts leaves answered from the leaf-dedup cache.
-	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
-	// BatchSweeps / BatchLanes instrument the 64-lane batched bound
-	// evaluator (zero when it is disabled); BatchOccupancy is their ratio.
-	BatchSweeps    int64   `json:"batch_sweeps,omitempty"`
-	BatchLanes     int64   `json:"batch_lanes,omitempty"`
-	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
 	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade;
 	// PortfolioWins counts incumbent improvements from portfolio explorers.
 	RelaxBounds   int64         `json:"relax_bounds,omitempty"`
