@@ -41,6 +41,7 @@ import (
 	"svto/internal/techmap"
 	"svto/internal/variation"
 	"svto/internal/verilog"
+	"svto/pkg/svto"
 )
 
 func main() {
@@ -160,7 +161,7 @@ func main() {
 		}
 		fmt.Printf("fusion pass: %d -> %d gates\n", before, len(circ.Gates))
 	}
-	opt, err := libraryOptions(*libOpt)
+	opt, err := svto.LibraryOptions(svto.Library(*libOpt))
 	if err != nil {
 		fatal(err)
 	}
@@ -430,25 +431,6 @@ func loadCircuit(benchName, inFile string) (*netlist.Circuit, error) {
 		return netlist.ReadBench(f, inFile)
 	default:
 		return nil, fmt.Errorf("one of -bench or -in is required")
-	}
-}
-
-func libraryOptions(name string) (library.Options, error) {
-	switch name {
-	case "4opt":
-		return library.DefaultOptions(), nil
-	case "2opt":
-		return library.TwoOption(), nil
-	case "4opt-uniform":
-		o := library.DefaultOptions()
-		o.UniformStack = true
-		return o, nil
-	case "2opt-uniform":
-		o := library.TwoOption()
-		o.UniformStack = true
-		return o, nil
-	default:
-		return library.Options{}, fmt.Errorf("unknown library policy %q", name)
 	}
 }
 

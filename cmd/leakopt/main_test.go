@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"svto/internal/library"
+	"svto/pkg/svto"
 )
 
+// TestLibraryOptions: every policy the -library flag advertises resolves
+// through svto.LibraryOptions, the parser the CLI shares with requests.
 func TestLibraryOptions(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -20,7 +22,7 @@ func TestLibraryOptions(t *testing.T) {
 		{"2opt-uniform", 2, true},
 	}
 	for _, tc := range cases {
-		opt, err := libraryOptions(tc.name)
+		opt, err := svto.LibraryOptions(svto.Library(tc.name))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -31,10 +33,9 @@ func TestLibraryOptions(t *testing.T) {
 			t.Errorf("%s: invalid options: %v", tc.name, err)
 		}
 	}
-	if _, err := libraryOptions("frob"); err == nil {
+	if _, err := svto.LibraryOptions("frob"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	_ = library.DefaultOptions() // keep the import anchored to intent
 }
 
 func TestLoadCircuit(t *testing.T) {

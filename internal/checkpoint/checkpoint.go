@@ -51,9 +51,10 @@ const (
 	// instead of being misdecoded.
 	//
 	// History: 2 added BatchSweeps/BatchLanes to Stats.  3 added the
-	// relaxation/portfolio counters and the Lagrangian multiplier cache as
-	// trailing sections.  Only version 3 is read.
-	Version = 3
+	// relaxation/portfolio counters and a Lagrangian multiplier cache as
+	// trailing sections.  4 dropped the multiplier cache.  Only version 4
+	// is read.
+	Version = 4
 
 	// maxCount bounds every length read from a snapshot, so a corrupt
 	// length field fails validation instead of attempting a huge
@@ -73,7 +74,7 @@ type Stats struct {
 	Pruned     int64 `json:"pruned,omitempty"`      // state-tree branches cut by a bound
 	// LeafCacheHits, BatchSweeps and BatchLanes are retired: they counted
 	// a leaf memo and a 64-lane bound evaluator the search no longer has,
-	// and are always zero.  They stay because the version 3 layout stores
+	// and are always zero.  They stay because the version 4 layout stores
 	// them.
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
@@ -90,7 +91,7 @@ type Stats struct {
 
 // numStats is the number of counters in Stats.  The first leadStats are
 // written before the failure list; the rest, added in version 3, trail
-// the frontier.
+// the frontier and end the payload.
 const (
 	numStats  = 10
 	leadStats = 7
@@ -144,15 +145,6 @@ func (a *AtomicStats) Load() Stats {
 	return s
 }
 
-// Multiplier is one cached Lagrangian multiplier of the relaxation bound
-// engine: the optimal λ of (gate, state).  Only non-zero multipliers are
-// stored.
-type Multiplier struct {
-	Gate   int32
-	State  int32
-	Lambda float64
-}
-
 // WorkerFailure records one worker death (panic or leaf-evaluation error)
 // from a previous run, so failures survive crash/resume cycles.
 type WorkerFailure struct {
@@ -193,14 +185,6 @@ type Snapshot struct {
 	// Frontier holds the unexplored subtree prefixes, one vector per
 	// task: values 0 (input forced false), 1 (true), 2 (unassigned).
 	Frontier [][]byte
-	// HasMultipliers reports whether the writing process had a relaxation
-	// engine (so Multipliers is its cache, possibly empty); false means no
-	// cache was recorded — ablated runs, and snapshots written by a process
-	// that never built the engine — and the resuming process rebuilds cold.
-	HasMultipliers bool
-	// Multipliers is the sparse non-zero multiplier cache, in gate-major
-	// order.
-	Multipliers []Multiplier
 }
 
 // File is the writable handle Save needs; *os.File satisfies it.
@@ -335,21 +319,9 @@ func (s *Snapshot) marshal() []byte {
 	for _, vec := range s.Frontier {
 		w.b = append(w.b, vec...)
 	}
-	// Version-3 trailing sections: relaxation/portfolio counters, then the
-	// multiplier cache.
+	// Trailing section: the relaxation/portfolio counters.
 	for _, p := range stats[leadStats:] {
 		w.i64(*p)
-	}
-	if s.HasMultipliers {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u32(uint32(len(s.Multipliers)))
-	for _, m := range s.Multipliers {
-		w.u32(uint32(m.Gate))
-		w.u32(uint32(m.State))
-		w.f64(m.Lambda)
 	}
 
 	payload := w.b
@@ -435,18 +407,6 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	}
 	for _, p := range stats[leadStats:] {
 		*p = r.i64()
-	}
-	s.HasMultipliers = r.u8() != 0
-	nm := r.count()
-	if nm > 0 {
-		s.Multipliers = make([]Multiplier, 0, min(nm, 1<<16))
-	}
-	for i := 0; i < nm && !r.failed; i++ {
-		s.Multipliers = append(s.Multipliers, Multiplier{
-			Gate:   int32(r.u32()),
-			State:  int32(r.u32()),
-			Lambda: r.f64(),
-		})
 	}
 	if r.failed || len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: payload does not decode cleanly", ErrCorrupt)

@@ -43,11 +43,6 @@ func sampleSnapshot() *Snapshot {
 			{0, 1, 2, 2},
 			{1, 1, 2, 2},
 		},
-		HasMultipliers: true,
-		Multipliers: []Multiplier{
-			{Gate: 0, State: 1, Lambda: 0.25},
-			{Gate: 2, State: 3, Lambda: 17.5},
-		},
 	}
 }
 
@@ -122,10 +117,12 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("want ErrVersion, got %v", err)
 		}
-		// Version 2 is no longer read, even with an intact frame.
+		// Versions 2 and 3 are no longer read, even with an intact frame.
 		payload := data[len(magic)+12 : len(data)-4]
-		if _, err := Unmarshal(reframe(payload, 2)); !errors.Is(err, ErrVersion) {
-			t.Errorf("version-2 frame: want ErrVersion, got %v", err)
+		for _, v := range []uint32{2, 3} {
+			if _, err := Unmarshal(reframe(payload, v)); !errors.Is(err, ErrVersion) {
+				t.Errorf("version-%d frame: want ErrVersion, got %v", v, err)
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -165,28 +162,19 @@ func reframe(payload []byte, version uint32) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// The version-3 trailing sections must be validated like everything before
-// them: a payload cut anywhere inside them — even with a recomputed, valid
-// CRC — must fail, as must a multiplier count that promises more entries
-// than the payload holds.
+// The trailing sections (the counters since version 4; the multipliers too
+// before that) must be validated like everything before them: a payload cut
+// anywhere inside them — even with a recomputed, valid CRC — must fail.
 func TestRejectsCorruptMultiplierSection(t *testing.T) {
 	full := sampleSnapshot().marshal()
 	payload := full[len(magic)+12 : len(full)-4]
-	v3len := 24 + 1 + 4 + 16*len(sampleSnapshot().Multipliers)
+	trailing := 8 * (numStats - leadStats)
 
 	t.Run("truncated trailing sections", func(t *testing.T) {
-		for cut := len(payload) - v3len + 1; cut < len(payload); cut++ {
+		for cut := len(payload) - trailing; cut < len(payload); cut++ {
 			if _, err := Unmarshal(reframe(payload[:cut], Version)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("payload cut to %d of %d: want ErrCorrupt, got %v", cut, len(payload), err)
 			}
-		}
-	})
-	t.Run("overstated multiplier count", func(t *testing.T) {
-		bad := append([]byte(nil), payload...)
-		countOff := len(bad) - 4 - 16*len(sampleSnapshot().Multipliers)
-		binary.LittleEndian.PutUint32(bad[countOff:], 1<<20)
-		if _, err := Unmarshal(reframe(bad, Version)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("want ErrCorrupt, got %v", err)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"svto/internal/checkpoint"
-	"svto/internal/relax"
 	"svto/internal/sim"
 )
 
@@ -18,8 +17,7 @@ import (
 // When Path is set, the running search periodically serializes its frontier,
 // incumbent and counters to Path (atomically: temp file + fsync + rename),
 // writes a final snapshot if it is interrupted, and removes the file when it
-// runs to completion.  Checkpointing implies the task-pool engine even for
-// Workers == 1, so the unexplored frontier is always a well-defined set of
+// runs to completion.  The snapshot's frontier is the pool's unexplored
 // subtree tasks.
 type CheckpointOptions struct {
 	// Path is the snapshot file.
@@ -108,13 +106,10 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	if p.Ablate.NoSortedVersions {
 		ab |= 4
 	}
-	// Bits 8 and 16 belonged to retired ablations; the live bits keep
-	// their values so existing snapshots still resume.
+	// Bits 8, 16 and 64 belonged to retired ablations; the live bits keep
+	// their values so fingerprints stay stable.
 	if p.Ablate.NoRelaxBound {
 		ab |= 32
-	}
-	if p.Ablate.NoPortfolio {
-		ab |= 64
 	}
 	wu(ab)
 	return h.Sum64()
@@ -143,16 +138,13 @@ type ResumedSearch struct {
 	Stats Counters
 	// Failures carries over recorded worker deaths.
 	Failures []WorkerFailure
-	// warm is the snapshot's Lagrangian multiplier cache (nil when it
-	// carried none), used to warm-start the relaxation engine rebuild.
-	warm *relax.Warm
 }
 
 // LoadSearch reads the snapshot at path and validates it against the
-// search (p, opt): fingerprint, incumbent, split depth, frontier tasks and
-// multiplier cache.  A missing file returns (nil, nil): there is nothing to
-// resume and the run starts fresh, which is what makes "-resume" safe to
-// pass unconditionally.  Any disagreement fails with ErrCheckpointMismatch.
+// search (p, opt): fingerprint, incumbent, split depth and frontier tasks.
+// A missing file returns (nil, nil): there is nothing to resume and the run
+// starts fresh, which is what makes "-resume" safe to pass unconditionally.
+// Any disagreement fails with ErrCheckpointMismatch.
 func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*ResumedSearch, error) {
 	snap, err := checkpoint.Load(fs, path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -192,53 +184,29 @@ func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*Resum
 		}
 		rs.Tasks = append(rs.Tasks, task)
 	}
-	if snap.HasMultipliers {
-		rs.warm = relax.NewWarm()
-		for mi, m := range snap.Multipliers {
-			if m.Gate < 0 || int(m.Gate) >= len(p.Timer.Cells) {
-				return nil, mismatch("multiplier %d names gate %d, circuit has %d gates", mi, m.Gate, len(p.Timer.Cells))
-			}
-			if ns := p.Timer.Cells[m.Gate].Template.NumStates(); m.State < 0 || int(m.State) >= ns {
-				return nil, mismatch("multiplier %d names state %d of gate %d (%d states)", mi, m.State, m.Gate, ns)
-			}
-			if math.IsNaN(m.Lambda) || math.IsInf(m.Lambda, 0) || m.Lambda < 0 {
-				return nil, mismatch("multiplier %d holds invalid lambda %v", mi, m.Lambda)
-			}
-			rs.warm.Set(int(m.Gate), int(m.State), m.Lambda)
-		}
-	}
 	return rs, nil
 }
 
 // BuildSnapshot encodes st as the snapshot of the search fingerprinted
-// fprint (see SearchFingerprint).  eng, when non-nil, contributes its
-// multiplier cache so a resume can warm-start the relaxation engine
-// rebuild; nil records "no cache" — the coordinator never builds the
-// engine (its shards do) — and the resuming process rebuilds cold.
-func (p *Problem) BuildSnapshot(fprint uint64, st *ResumedSearch, eng *relax.Engine) (*checkpoint.Snapshot, error) {
+// fprint (see SearchFingerprint).
+func (p *Problem) BuildSnapshot(fprint uint64, st *ResumedSearch) (*checkpoint.Snapshot, error) {
 	inc, err := p.EncodeIncumbent(st.Seed)
 	if err != nil {
 		return nil, err
 	}
 	snap := &checkpoint.Snapshot{
-		Fingerprint:    fprint,
-		Elapsed:        st.Elapsed,
-		SplitDepth:     st.SplitDepth,
-		LeavesUsed:     st.LeavesUsed,
-		Stats:          st.Stats,
-		Incumbent:      inc,
-		HasMultipliers: eng != nil,
+		Fingerprint: fprint,
+		Elapsed:     st.Elapsed,
+		SplitDepth:  st.SplitDepth,
+		LeavesUsed:  st.LeavesUsed,
+		Stats:       st.Stats,
+		Incumbent:   inc,
 	}
 	for _, f := range st.Failures {
 		snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack})
 	}
 	for _, t := range st.Tasks {
 		snap.Frontier = append(snap.Frontier, TaskBytes(t))
-	}
-	if eng != nil {
-		for _, m := range eng.Multipliers() {
-			snap.Multipliers = append(snap.Multipliers, checkpoint.Multiplier{Gate: m.Gate, State: m.State, Lambda: m.Lambda})
-		}
 	}
 	return snap, nil
 }
@@ -342,7 +310,7 @@ func (sh *sharedSearch) writeCheckpoint(tp *taskPool) {
 		LeavesUsed: sh.leafTickets.Load(),
 		Stats:      sh.counters.Load(),
 		Failures:   sh.failuresCopy(),
-	}, sh.relax)
+	})
 	if err == nil {
 		err = checkpoint.Save(sh.ck.fs(), sh.ck.Path, snap)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -230,16 +229,10 @@ func DefaultSplitDepth(parallelism, inputs int) int {
 // spent (state nodes, pruned branches).  The task set is
 // exactly the one a local pool run at the same split depth would build —
 // the expansion evaluates no leaves, so the incumbent cannot move during
-// it — and opt.Seed applies the same optional shuffle runPool would.
+// it — and opt.Seed applies the same optional shuffle a local Solve would.
 func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]sim.Value, SearchStats, error) {
 	if seed == nil {
 		return nil, SearchStats{}, fmt.Errorf("%w: ExpandFrontier requires a seed incumbent", ErrInvalidOptions)
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	if depth > len(p.piOrder) {
-		depth = len(p.piOrder)
 	}
 	// A zero-stats copy keeps the returned counters a pure delta: the
 	// caller owns the seed's own counters and merges them once.  The
@@ -248,14 +241,9 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 	zero.Stats = SearchStats{}
 	opt.Share = nil
 	sh := newSharedSearch(p, opt, p.Budget(opt.Penalty), &zero)
-	sh.splitDepth = depth
-	tasks, err := sh.frontier(depth)
+	tasks, err := sh.frontier(depth, opt.Seed)
 	if err != nil {
 		return nil, SearchStats{}, err
-	}
-	if opt.Seed != 0 {
-		rng := rand.New(rand.NewSource(opt.Seed))
-		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
 	}
 	return tasks, SearchStats{Counters: sh.counters.Load()}, nil
 }
@@ -279,13 +267,15 @@ type TaskResult struct {
 // SolveTasks drains an explicit subtree task set with the pool engine: the
 // shard half of a distributed run.  seed is the starting incumbent (pass a
 // zero-Stats copy — the result's Stats then cover exactly this call's
-// work, after the usual rollback of tasks that did not finish);
+// work: a task that did not finish returns in Remaining and its partial
+// counters are withdrawn);
 // opt.SplitDepth must be the depth the tasks were expanded at.  An error
 // comes only from infrastructure failures — like Solve, an all-workers-died
 // run returns the incumbent alongside ErrWorkerPanic.
 //
 // Checkpointing is rejected: in a distributed run the coordinator owns the
 // snapshot, and a shard's unfinished tasks are its Remaining return.
+// Options.Portfolio is ignored: a drain starts no explorers.
 func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, tasks [][]sim.Value) (*TaskResult, error) {
 	start := time.Now()
 	if err := opt.Validate(); err != nil {
@@ -315,39 +305,17 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 	sh := newSharedSearch(p, opt, p.Budget(opt.Penalty), seed)
 	sh.start = start
 	sh.splitDepth = opt.SplitDepth
+	sh.handOff = true
 	// Shards run the same bound cascade a local pool would, so a 1-shard
 	// cluster run explores (and prunes) bit-identically to the local search.
 	// The engine is cached on the Problem, so repeated leases pay the build
 	// once.
 	var err error
-	sh.relax, err = p.relaxEngine(ctx, sh.budget, nil)
+	sh.relax, err = p.relaxEngine(ctx, sh.budget)
 	if err != nil {
 		return nil, err
 	}
-	if ctx.Err() != nil {
-		sh.markInterrupted()
-		return &TaskResult{Best: sh.finish(start), Remaining: cloneTasks(tasks)}, nil
-	}
-
-	watchDone := make(chan struct{})
-	var watchOnce sync.Once
-	stopWatcher := func() { watchOnce.Do(func() { close(watchDone) }) }
-	defer stopWatcher()
-	go func() {
-		select {
-		case <-ctx.Done():
-			sh.markInterrupted()
-		case <-watchDone:
-		}
-	}()
-
-	searchErr := sh.runPool(opt, &ResumedSearch{Tasks: tasks, SplitDepth: opt.SplitDepth})
-	stopWatcher()
-
-	var remaining [][]sim.Value
-	if sh.pool != nil {
-		remaining = sh.pool.remaining()
-	}
+	remaining, searchErr := sh.runPool(ctx, tasks, opt.Workers)
 	if searchErr != nil && !errors.Is(searchErr, ErrWorkerPanic) {
 		return nil, searchErr
 	}
@@ -356,12 +324,4 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 		Remaining:  remaining,
 		LeavesUsed: sh.leafTickets.Load(),
 	}, searchErr
-}
-
-func cloneTasks(tasks [][]sim.Value) [][]sim.Value {
-	out := make([][]sim.Value, len(tasks))
-	for i, t := range tasks {
-		out[i] = append([]sim.Value(nil), t...)
-	}
-	return out
 }

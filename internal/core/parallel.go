@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -38,6 +39,11 @@ type sharedSearch struct {
 
 	splitDepth int
 
+	// handOff reports that an interrupted drain hands its unexplored
+	// frontier on — to a checkpoint snapshot, or as SolveTasks' Remaining
+	// — so whoever takes a stopped task next re-explores and re-counts it.
+	handOff bool
+
 	// counters are the exactly-once totals: workers add their deltas at
 	// leaf granularity and withdraw them when a task rolls back.
 	counters checkpoint.AtomicStats
@@ -72,10 +78,6 @@ type sharedSearch struct {
 	baseline     *sta.State
 	baselineOnce sync.Once
 	baselineErr  error
-
-	// pool is the task pool of the most recent runPool call, kept so
-	// SolveTasks can report the unexplored remainder after an interrupt.
-	pool *taskPool
 }
 
 // newSharedSearch seeds the incumbent with seed — Heuristic 1's solution
@@ -314,10 +316,11 @@ func (w *worker) markTask() {
 }
 
 // rollbackTask withdraws the current task's published counter deltas from
-// the shared totals.  It runs when the task returns to the pool unfinished —
-// worker death or a mid-task stop — because the requeued task will be
-// re-explored from scratch by whichever run (this one or a resume) next
-// takes it, and counting the partial exploration would double-count it:
+// the shared totals.  It runs when the task returns to the pool unfinished
+// and someone will re-run it — survivors after a worker death, or the
+// resume or coordinator a stopped drain hands its frontier to — because
+// the requeued task will be re-explored from scratch by whoever next takes
+// it, and counting the partial exploration would double-count it:
 // checkpointed totals would re-add the same nodes and leaves after every
 // kill/resume cycle, breaking the monotone-provenance contract of
 // leakopt -stats and the daemon's result documents.  Leaf-budget tickets are
@@ -603,64 +606,33 @@ func (sh *sharedSearch) runTask(w *worker) (err error) {
 	return nil
 }
 
-// runSequential runs the whole tree on one worker (Workers == 1 without
-// checkpointing), preserving the bit-for-bit deterministic visit order of
-// the plain DFS.  A worker death here is by definition all workers dying,
-// so it degrades the same way the pool does: incumbent + ErrWorkerPanic.
-func (sh *sharedSearch) runSequential() error {
-	w, err := sh.newWorker()
-	if err != nil {
-		return err
-	}
-	err = sh.runTask(w)
-	w.flush()
-	if err != nil {
-		sh.recordFailure(0, err)
-		sh.markInterrupted()
-		return sh.allDeadError(1)
-	}
-	return nil
-}
-
-// runPool is the pool engine: the state tree is split into independent
-// subtree tasks (from the frontier expansion, or from a resume snapshot's
-// saved frontier), and a pool of isolated workers drains them.  The pool is
-// the load-balancing mechanism — a worker that lands on heavily-pruned
-// subtrees immediately picks up the next task — and the failure-isolation
-// boundary: a panicking or erroring worker records a WorkerFailure, returns
-// its task to the pool and dies, while survivors keep draining.  Only when
-// every worker has died does the search fail, and even then the caller
-// still gets the incumbent alongside the error.
-func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
-	var tasks [][]sim.Value
-	if rs != nil {
-		tasks = rs.Tasks
-	} else {
-		depth := opt.SplitDepth
-		if depth <= 0 {
-			depth = autoSplitDepth(opt.Workers, len(sh.p.piOrder))
-			if sh.ck.Path != "" && depth < ckSplitDepth {
-				// Finer tasks bound the re-run loss when a crashed run's
-				// in-flight tasks are re-explored on resume.
-				depth = ckSplitDepth
-			}
-		}
-		if depth > len(sh.p.piOrder) {
-			depth = len(sh.p.piOrder)
-		}
-		sh.splitDepth = depth
-		var err error
-		tasks, err = sh.frontier(depth)
-		if err != nil {
-			return err
-		}
-		if opt.Seed != 0 {
-			rng := rand.New(rand.NewSource(opt.Seed))
-			rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-		}
-	}
+// runPool drains tasks with a pool of isolated workers: the one tree-search
+// driver behind a local Solve (whose tasks come from the frontier
+// expansion or a resume snapshot) and a cluster shard's SolveTasks.  With
+// one worker and a single root task it is the plain depth-first search.
+// The pool is the load-balancing mechanism — a worker that lands on
+// heavily-pruned subtrees immediately picks up the next task — and the
+// failure-isolation boundary: a panicking or erroring worker records a
+// WorkerFailure, returns its task to the pool and dies, while survivors
+// keep draining.  Only when every worker has died does the search fail,
+// and even then the caller still gets the incumbent alongside the error.
+// ctx cancellation stops the drain; the unexplored tasks are returned.
+func (sh *sharedSearch) runPool(ctx context.Context, tasks [][]sim.Value, workers int) ([][]sim.Value, error) {
 	tp := newTaskPool(tasks)
-	sh.pool = tp
+	// Never spawn more workers than tasks: when the frontier pruned every
+	// subtree there is nothing to do, and each idle worker would still pay
+	// for a baseline clone and a bound engine.
+	workers = min(workers, len(tasks))
+	ws := make([]*worker, workers)
+	for i := range ws {
+		w, err := sh.newWorker()
+		if err != nil {
+			// Infrastructure failure (baseline STA / bound engine), not a
+			// search fault: abort before any worker runs.
+			return nil, err
+		}
+		ws[i] = w
+	}
 
 	// The checkpoint ticker runs for the duration of the drain; the final
 	// write (or removal) below happens only after it has stopped, so two
@@ -682,32 +654,13 @@ func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 			}
 		}()
 	}
-	stopTicker := func() {
-		if ckStop != nil {
-			close(ckStop)
-			<-ckDone
-			ckStop = nil
-		}
+	// ctx cancellation becomes the lock-free stop flag the workers poll.
+	// An already-done ctx stops the drain before any task is taken.
+	if ctx.Err() != nil {
+		sh.markInterrupted()
 	}
+	stopWatch := context.AfterFunc(ctx, sh.markInterrupted)
 
-	// Never spawn more workers than tasks: when the frontier pruned every
-	// subtree there is nothing to do, and each idle worker would still pay
-	// for a baseline clone and a bound engine.
-	workers := opt.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	ws := make([]*worker, workers)
-	for i := range ws {
-		w, err := sh.newWorker()
-		if err != nil {
-			// Infrastructure failure (baseline STA / bound engine), not a
-			// search fault: abort before any worker runs.
-			stopTicker()
-			return err
-		}
-		ws[i] = w
-	}
 	var (
 		wg   sync.WaitGroup
 		dead atomic.Int32
@@ -729,8 +682,9 @@ func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 				w.markTask()
 				if err := sh.runTask(w); err != nil {
 					sh.recordFailure(id, err)
-					// The task re-runs from scratch (here or on resume), so
-					// its partial counters must not stay in the totals.
+					// Survivors (or a resume) re-run the task from
+					// scratch, so its partial counters must not stay in
+					// the totals.
 					w.rollbackTask()
 					tp.requeue(id)
 					dead.Add(1)
@@ -738,11 +692,14 @@ func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 				}
 				if sh.stop.Load() {
 					// Stopped mid-task: the subtree may be partially
-					// explored, so it stays in the resumable frontier and
-					// its partial counters are withdrawn — a resumed run
-					// re-counts it, and keeping the partial deltas would
-					// double-count it in the stitched totals.
-					w.rollbackTask()
+					// explored, so it stays in the frontier.  A handed-on
+					// frontier is re-counted by whoever resumes it, so the
+					// partial counters are withdrawn; otherwise the
+					// partial work is this run's final work and stays
+					// counted.
+					if sh.handOff {
+						w.rollbackTask()
+					}
 					tp.requeue(id)
 					return
 				}
@@ -751,14 +708,16 @@ func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 		}(i, w)
 	}
 	wg.Wait()
+	stopWatch()
 
 	var err error
 	if workers > 0 && int(dead.Load()) == workers {
 		sh.markInterrupted()
 		err = sh.allDeadError(workers)
 	}
-	stopTicker()
-	if sh.ck.Path != "" {
+	if ckStop != nil {
+		close(ckStop)
+		<-ckDone
 		if sh.interrupted.Load() {
 			// Interrupted (cancellation, budget, or total worker loss):
 			// persist the final frontier so a resume continues from here.
@@ -772,12 +731,17 @@ func (sh *sharedSearch) runPool(opt Options, rs *ResumedSearch) error {
 			}
 		}
 	}
-	return err
+	return tp.remaining(), err
 }
 
 // autoSplitDepth picks the shallowest depth giving a comfortable task
 // surplus (≈4 subtrees per worker), so pruning imbalance load-balances.
+// One worker has nothing to balance: depth 0 makes its single task the
+// root, which it searches in the plain depth-first order.
 func autoSplitDepth(workers, piCount int) int {
+	if workers <= 1 {
+		return 0
+	}
 	d := 0
 	for (1<<d) < 4*workers && d < piCount && d < 12 {
 		d++
@@ -785,15 +749,19 @@ func autoSplitDepth(workers, piCount int) int {
 	return d
 }
 
-// frontier expands the state tree to the split depth with one incremental
-// bound engine, applying the same bound-guided ordering and pruning the
-// worker DFS would.  Subtrees are collected in depth-first preorder (the
-// bound-preferred branch first), so better-bounded tasks still reach the
-// queue earlier; the incumbent cannot tighten during expansion (no leaf is
-// evaluated here), so the surviving task set is exactly the breadth-first
-// one.
-func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
+// frontier builds the task list of a fresh search: it expands the state
+// tree to depth (clamped to the input count, and recorded as the search's
+// split depth) with one incremental bound engine, applying the same
+// bound-guided ordering and pruning the worker DFS would, then shuffles
+// the tasks when seed is non-zero.  Subtrees are collected in depth-first
+// preorder (the bound-preferred branch first), so better-bounded tasks
+// still reach the queue earlier; the incumbent cannot tighten during
+// expansion (no leaf is evaluated here), so the surviving task set is
+// exactly the breadth-first one, and the expansion is never cut short.
+func (sh *sharedSearch) frontier(depth int, seed int64) ([][]sim.Value, error) {
 	p := sh.p
+	depth = min(max(depth, 0), len(p.piOrder))
+	sh.splitDepth = depth
 	cur := make([]sim.Value, len(p.CC.PI))
 	for i := range cur {
 		cur[i] = sim.X
@@ -809,9 +777,6 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 	var tasks [][]sim.Value
 	var expand func(d int)
 	expand = func(d int) {
-		if sh.stop.Load() {
-			return
-		}
 		if d == depth {
 			tasks = append(tasks, append([]sim.Value(nil), cur...))
 			return
@@ -836,5 +801,9 @@ func (sh *sharedSearch) frontier(depth int) ([][]sim.Value, error) {
 	}
 	expand(0)
 	sh.counters.Add(stats)
+	if seed != 0 {
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+	}
 	return tasks, nil
 }

@@ -55,10 +55,6 @@ type Ablation struct {
 	// admissible); only the explored node count and the RelaxBounds/
 	// RelaxPruned counters change.
 	NoRelaxBound bool
-	// NoPortfolio disables the racing solver portfolio even when
-	// Options.Portfolio requests it, so the portfolio's contribution can be
-	// measured against the plain pool on identical options.
-	NoPortfolio bool
 
 	// The remaining fields are deterministic fault-injection hooks for the
 	// crash-safety tests.  They key off a shared leaf-attempt counter that
@@ -450,13 +446,11 @@ func (p *Problem) seedBoundEngine() (*sim.Inc3, error) {
 // budget, building (and caching) it on first use.  It returns nil — no
 // engine, zero probe overhead — when state bounds or the relaxation are
 // ablated, or when the budget is loose enough that the dual optimum cannot
-// improve on the cheap minChoice/minAny bound anywhere.  warm, when non-nil,
-// is a multiplier cache from a checkpoint snapshot of the identical problem;
-// it only accelerates the build (the optimal multipliers are deterministic),
-// so a cache hit in relaxCache ignores it.  A ctx cancellation or deadline
-// abandons the build and degrades to the cheap bound (nil engine, nil
-// error) without caching, so a later search with time to spare rebuilds.
-func (p *Problem) relaxEngine(ctx context.Context, budget float64, warm *relax.Warm) (*relax.Engine, error) {
+// improve on the cheap minChoice/minAny bound anywhere.  A ctx cancellation
+// or deadline abandons the build and degrades to the cheap bound (nil
+// engine, nil error) without caching, so a later search with time to spare
+// rebuilds.
+func (p *Problem) relaxEngine(ctx context.Context, budget float64) (*relax.Engine, error) {
 	if p.Ablate.NoStateBounds || p.Ablate.NoRelaxBound {
 		return nil, nil
 	}
@@ -470,7 +464,6 @@ func (p *Problem) relaxEngine(ctx context.Context, budget float64, warm *relax.W
 		Obj:      p.objOf,
 		Budget:   budget,
 		DelayEps: DelayEps,
-		Warm:     warm,
 		Ctx:      ctx,
 	})
 	if err != nil {

@@ -42,7 +42,7 @@ func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 		// most choice elimination and any admissibility slip would surface.
 		for _, penalty := range []float64{0, 0.001, 0.02, 0.05, 0.10} {
 			budget := p.Budget(penalty)
-			eng, err := p.relaxEngine(context.Background(), budget, nil)
+			eng, err := p.relaxEngine(context.Background(), budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestPortfolioMatchesExact(t *testing.T) {
 		checkSolution(t, p, par, p.Budget(penalty))
 	}
 
-	// NoPortfolio ablation and Workers=1 both ignore the flag entirely.
+	// Workers=1 ignores the flag entirely.
 	solo, err := solve1(p, Options{Algorithm: AlgExact, Penalty: penalty, Portfolio: true})
 	if err != nil {
 		t.Fatal(err)
@@ -224,20 +224,6 @@ func TestPortfolioMatchesExact(t *testing.T) {
 	}
 	if solo.Stats.PortfolioWins != 0 {
 		t.Errorf("sequential run reported portfolio wins: %d", solo.Stats.PortfolioWins)
-	}
-	ab := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
-	ab.Ablate.NoPortfolio = true
-	off, err := ab.Solve(context.Background(), Options{
-		Algorithm: AlgExact, Penalty: penalty, Workers: 4, Portfolio: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(off.Leak-seq.Leak) > 1e-9 {
-		t.Errorf("NoPortfolio run leak %.9f != exact optimum %.9f", off.Leak, seq.Leak)
-	}
-	if off.Stats.PortfolioWins != 0 {
-		t.Errorf("NoPortfolio run reported portfolio wins: %d", off.Stats.PortfolioWins)
 	}
 }
 

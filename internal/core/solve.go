@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
-	"svto/internal/relax"
+	"svto/internal/sim"
 )
 
 // Search tolerances, shared by every algorithm.  The seed implementation
@@ -102,9 +101,10 @@ type Options struct {
 	// Workers is the parallel state-tree worker count; <= 0 means
 	// GOMAXPROCS.  Workers == 1 reproduces the sequential search exactly.
 	Workers int
-	// SplitDepth is the state-tree depth at which the parallel engine
-	// splits the search into independent subtree tasks; 0 picks a depth
-	// automatically from the worker count.  Ignored when Workers == 1.
+	// SplitDepth is the state-tree depth at which the search splits into
+	// independent subtree tasks; 0 picks a depth automatically from the
+	// worker count (0 for one worker without checkpointing: the single
+	// task is the root).
 	SplitDepth int
 	// MaxLeaves, when > 0, stops the search after that many complete
 	// states have been evaluated by the tree search — a machine-independent
@@ -126,8 +126,9 @@ type Options struct {
 	// searches the result is unchanged (the explorers only ever install
 	// feasible solutions, and pruning bounds stay admissible) but bad
 	// subtrees are cut sooner.  Ignored at Workers == 1 — the bit-for-bit
-	// sequential determinism contract stays intact — and under
-	// Ablate.NoPortfolio.  Explorer work is not charged against MaxLeaves.
+	// sequential determinism contract stays intact — and by SolveTasks,
+	// which starts no explorers.  Explorer work is not charged against
+	// MaxLeaves.
 	Portfolio bool
 	// RefinePasses, when > 0, runs that many iterated gate-refinement
 	// passes over the search result before returning it.
@@ -259,17 +260,14 @@ func emitFinalProgress(opt Options, sol *Solution) {
 
 // treeSearch runs the bounded state-tree search (Heuristic 2 or Exact):
 // Heuristic 1 seeds the shared incumbent (or, on resume, the snapshot's
-// incumbent re-seeds it), then the tree is explored sequentially
-// (Workers == 1 without checkpointing) or by a pool of isolated workers
-// over subtree tasks.
+// incumbent re-seeds it), the state tree is expanded to the split depth (or
+// the snapshot's frontier is reloaded), and a pool of isolated workers
+// drains the subtree tasks — the same three steps a cluster shard runs.
 func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, rs *ResumedSearch) (*Solution, error) {
 	budget := p.Budget(opt.Penalty)
-	var (
-		seed *Solution
-		warm *relax.Warm
-	)
+	var seed *Solution
 	if rs != nil {
-		seed, warm = rs.Seed, rs.warm
+		seed = rs.Seed
 	} else {
 		var err error
 		if seed, err = p.heuristic1(budget); err != nil {
@@ -282,16 +280,15 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	if opt.Checkpoint.Path != "" {
 		sh.ck = opt.Checkpoint
 		sh.fprint = p.fingerprint(opt)
+		sh.handOff = true
 	}
-	// Build the Lagrangian bound engine eagerly, before any worker (or the
-	// checkpoint ticker) starts, so every snapshot carries the real
-	// multiplier cache.  A resume snapshot's cache warm-starts the build;
-	// the resulting tables are identical to a cold build either way.
+	// Workers pick the Lagrangian bound engine up when they are created.
 	var err error
-	sh.relax, err = p.relaxEngine(ctx, budget, warm)
+	sh.relax, err = p.relaxEngine(ctx, budget)
 	if err != nil {
 		return nil, err
 	}
+	var tasks [][]sim.Value
 	if rs != nil {
 		// Continue, don't reset: counters, budgets and recorded failures
 		// all carry over from the crashed run.
@@ -300,6 +297,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		sh.counters.Add(rs.Stats)
 		sh.failures = rs.Failures
 		sh.splitDepth = rs.SplitDepth
+		tasks = rs.Tasks
 		if sh.maxLeaves > 0 && rs.LeavesUsed >= sh.maxLeaves {
 			// The leaf budget was exhausted before the crash.
 			sh.markInterrupted()
@@ -312,24 +310,33 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		sh.markInterrupted()
 		return sh.finish(start), nil
 	}
-
-	// A watcher translates ctx cancellation into the lock-free stop flag
-	// the workers poll, replacing the legacy time.Now() polling.
-	watchDone := make(chan struct{})
-	var watchOnce sync.Once
-	stopWatcher := func() { watchOnce.Do(func() { close(watchDone) }) }
-	defer stopWatcher()
-	go func() {
-		select {
-		case <-ctx.Done():
-			sh.markInterrupted()
-		case <-watchDone:
+	// Portfolio race: convert up to two worker slots into explorer
+	// goroutines (see portfolio.go), before the split depth is picked for
+	// the slots left.  Workers == 1 keeps all slots for the deterministic
+	// search, so the sequential contract is untouched.
+	explorers := 0
+	if opt.Portfolio && opt.Workers > 1 && len(p.CC.PI) > 0 {
+		explorers = portfolioSlots(opt.Workers)
+		opt.Workers -= explorers
+	}
+	if rs == nil {
+		depth := opt.SplitDepth
+		if depth <= 0 {
+			depth = autoSplitDepth(opt.Workers, len(p.piOrder))
+			if sh.ck.Path != "" && depth < ckSplitDepth {
+				// Finer tasks bound the re-run loss when a crashed run's
+				// in-flight tasks are re-explored on resume.
+				depth = ckSplitDepth
+			}
 		}
-	}()
+		if tasks, err = sh.frontier(depth, opt.Seed); err != nil {
+			return nil, err
+		}
+	}
 
-	var progressDone chan struct{}
+	var progressDone, progressStop chan struct{}
 	if opt.Progress != nil {
-		progressDone = make(chan struct{})
+		progressDone, progressStop = make(chan struct{}), make(chan struct{})
 		interval := opt.ProgressInterval
 		if interval <= 0 {
 			interval = 100 * time.Millisecond
@@ -342,38 +349,21 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 				select {
 				case <-tick.C:
 					opt.Progress(sh.snapshot(start))
-				case <-watchDone:
+				case <-progressStop:
 					return
 				}
 			}
 		}()
 	}
 
-	// Portfolio race: convert up to two worker slots into explorer
-	// goroutines (see portfolio.go).  Workers == 1 keeps all slots for the
-	// deterministic search, so the sequential contract is untouched.
-	stopExplorers := func() {}
-	if opt.Portfolio && !p.Ablate.NoPortfolio && opt.Workers > 1 && len(p.CC.PI) > 0 {
-		ex := portfolioSlots(opt.Workers)
-		opt.Workers -= ex
-		stopExplorers = sh.startExplorers(ex, opt.Seed)
-	}
-
-	// Checkpointing and resume always use the pool engine, even for one
-	// worker: the pool is what keeps the unexplored frontier as an explicit,
-	// serializable set of tasks.
-	var searchErr error
-	if (opt.Workers == 1 || len(p.piOrder) == 0) && sh.ck.Path == "" && rs == nil {
-		searchErr = sh.runSequential()
-	} else {
-		searchErr = sh.runPool(opt, rs)
-	}
+	stopExplorers := sh.startExplorers(explorers, opt.Seed)
+	_, searchErr := sh.runPool(ctx, tasks, opt.Workers)
 
 	stopExplorers()
-	stopWatcher()
 	if progressDone != nil {
 		// Wait out the ticker goroutine; the final snapshot is emitted by
 		// Solve after refinement.
+		close(progressStop)
 		<-progressDone
 	}
 	if searchErr != nil {

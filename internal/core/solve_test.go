@@ -191,6 +191,52 @@ func TestSolveMaxLeavesSeedIsFree(t *testing.T) {
 	}
 }
 
+// A drain stopped by its leaf budget keeps the partial work of the tasks it
+// stopped in: nothing hands their frontier on, so no one re-counts them.
+// c432's 36 inputs put far more than maxLeaves leaves under every
+// split-depth task, so each worker is mid-task when the budget runs out;
+// withdrawing those tasks' counters once made Workers=2 report one leaf.
+func TestSolveStoppedDrainKeepsCounters(t *testing.T) {
+	prof, err := gen.ByName("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := prof.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
+	const maxLeaves = 300
+	for _, workers := range []int{1, 2} {
+		sol, err := p.Solve(context.Background(), Options{
+			Algorithm: AlgHeuristic2, Penalty: 0.05, Workers: workers, MaxLeaves: maxLeaves,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Stats.Interrupted {
+			t.Fatalf("workers=%d: budgeted search was not interrupted", workers)
+		}
+		// The tree leaves plus the free seed leaf.
+		if sol.Stats.Leaves != maxLeaves+1 {
+			t.Errorf("workers=%d: %d leaves counted, want %d", workers, sol.Stats.Leaves, maxLeaves+1)
+		}
+		checkSolution(t, p, sol, p.Budget(0.05))
+		if workers > 1 {
+			continue
+		}
+		// Workers=1 is the plain depth-first search; these are its
+		// objective and counters on this instance.
+		want := Counters{StateNodes: 368, GateTrials: 62350, Leaves: maxLeaves + 1}
+		if got := math.Float64bits(sol.Leak); got != 0x40a963f094c15aae {
+			t.Errorf("workers=1: leak %.9f (bits %016x), want bits 40a963f094c15aae", sol.Leak, got)
+		}
+		if sol.Stats.Counters != want {
+			t.Errorf("workers=1: counters %+v, want %+v", sol.Stats.Counters, want)
+		}
+	}
+}
+
 // Progress callbacks arrive from one goroutine with monotone counters and a
 // final snapshot consistent with the returned stats.
 func TestSolveProgress(t *testing.T) {

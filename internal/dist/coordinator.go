@@ -610,7 +610,7 @@ func (r *run) writeSnapshot() {
 	r.lastCk = time.Now()
 	r.mu.Unlock()
 
-	snap, err := r.comp.Prob.BuildSnapshot(r.fprint, st, nil)
+	snap, err := r.comp.Prob.BuildSnapshot(r.fprint, st)
 	if err != nil {
 		r.c.logf("dist: job %s: snapshot incumbent: %v", r.jobID, err)
 		return

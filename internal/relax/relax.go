@@ -97,49 +97,11 @@ type Config struct {
 	// comparisons; slacks are computed against Budget+DelayEps so a choice
 	// the gate-tree descent would accept never contributes a positive term.
 	DelayEps float64
-	// Warm, when non-nil, is a multiplier cache from a previous Build over
-	// the identical problem (carried by checkpoint snapshots): per (gate,
-	// state) the cached λ* is re-evaluated directly and the pairwise
-	// crossing scan is skipped.  Entries absent from a non-nil cache mean
-	// λ* = 0.  Because λ* is a deterministic function of the problem, the
-	// resulting tables are identical to a cold Build — the cache only
-	// saves build time.
-	Warm *Warm
 	// Ctx, when non-nil, lets a time-limited or cancelled search abandon
 	// the build: Build checks it between gates and returns the context's
 	// error.  Callers degrade to the cheap bound — the probes are a
 	// startup investment a nearly-expired budget cannot amortize.
 	Ctx context.Context
-}
-
-// Warm is a sparse (gate, state) → λ multiplier cache.
-type Warm struct {
-	m map[int64]float64
-}
-
-// NewWarm creates an empty multiplier cache.
-func NewWarm() *Warm { return &Warm{m: make(map[int64]float64)} }
-
-func warmKey(gate, state int) int64 { return int64(gate)<<32 | int64(uint32(state)) }
-
-// Set records the multiplier of one (gate, state).
-func (w *Warm) Set(gate, state int, lambda float64) { w.m[warmKey(gate, state)] = lambda }
-
-// Get looks up the multiplier of one (gate, state).
-func (w *Warm) Get(gate, state int) (float64, bool) {
-	l, ok := w.m[warmKey(gate, state)]
-	return l, ok
-}
-
-// Len returns the number of cached multipliers.
-func (w *Warm) Len() int { return len(w.m) }
-
-// Mult is one exported multiplier (Multipliers); Gate/State index the
-// problem's compiled gate order and instance states.
-type Mult struct {
-	Gate   int32
-	State  int32
-	Lambda float64
 }
 
 // Engine holds the relaxation bound tables for one (problem, budget) pair.
@@ -153,9 +115,6 @@ type Engine struct {
 	// Unknown[g] = min_s Known[g][s]: the contribution while the gate
 	// state is undetermined.  Always ≥ the cheap minAny[g].
 	Unknown []float64
-	// Lambda[g][s] is the optimal multiplier behind Known[g][s] (0 when
-	// the cheap bound is already dual-optimal).
-	Lambda [][]float64
 
 	improved int // count of (g,s) entries with Known > cheap minimum
 }
@@ -169,21 +128,6 @@ func (e *Engine) Improved() bool { return e.improved > 0 }
 // ActiveEntries returns the number of (gate, state) entries whose bound is
 // strictly tighter than the cheap minimum.
 func (e *Engine) ActiveEntries() int { return e.improved }
-
-// Multipliers exports the non-zero multipliers as sparse (gate, state, λ)
-// triples, in gate-major deterministic order — the checkpoint multiplier
-// cache.
-func (e *Engine) Multipliers() []Mult {
-	var out []Mult
-	for gi := range e.Lambda {
-		for s, l := range e.Lambda[gi] {
-			if l > 0 {
-				out = append(out, Mult{Gate: int32(gi), State: int32(s), Lambda: l})
-			}
-		}
-	}
-	return out
-}
 
 // probeKey identifies a delay probe result: dlb depends on the choice only
 // through its version and pin permutation (the static timing analysis never
@@ -233,7 +177,6 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 	e := &Engine{
 		Known:   make([][]float64, ngates),
 		Unknown: make([]float64, ngates),
-		Lambda:  make([][]float64, ngates),
 	}
 	// Per-leaf scratch, reused across gates/states.
 	var objs, slacks []float64
@@ -249,7 +192,6 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 		cell := timer.Cells[gi]
 		ns := cell.Template.NumStates()
 		e.Known[gi] = make([]float64, ns)
-		e.Lambda[gi] = make([]float64, ns)
 		for k := range probes {
 			delete(probes, k)
 		}
@@ -311,17 +253,8 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 			for ci := range choices {
 				slacks = append(slacks, slackOf(&choices[ci]))
 			}
-			var warm *float64
-			if cfg.Warm != nil {
-				l := 0.0
-				if wl, ok := cfg.Warm.Get(gi, s); ok {
-					l = wl
-				}
-				warm = &l
-			}
-			q, lambda := solveDual(objs, slacks, warm)
+			q, lambda := solveDual(objs, slacks)
 			e.Known[gi][s] = q
-			e.Lambda[gi][s] = lambda
 			if lambda > 0 {
 				e.improved++
 			}
@@ -335,11 +268,8 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 // solveDual maximizes q(λ) = min_i (objs[i] + λ·slacks[i]) over λ ≥ 0.  The
 // envelope is concave piecewise-linear, so the maximum is attained at λ = 0
 // or at a crossing of two choice lines; every candidate is evaluated and the
-// best (value, then smallest λ) wins, deterministically.  When warm is
-// non-nil the scan is skipped and only {0, *warm} are evaluated — valid for
-// any λ ≥ 0 (every multiplier yields an admissible bound), and exact when
-// *warm is a previous Build's λ* for the same lines.
-func solveDual(objs, slacks []float64, warm *float64) (q, lambda float64) {
+// best (value, then smallest λ) wins, deterministically.
+func solveDual(objs, slacks []float64) (q, lambda float64) {
 	q0 := math.Inf(1)
 	for _, o := range objs {
 		if o < q0 {
@@ -368,10 +298,6 @@ func solveDual(objs, slacks []float64, warm *float64) (q, lambda float64) {
 		if v > q || (v == q && l < lambda) {
 			q, lambda = v, l
 		}
-	}
-	if warm != nil {
-		try(*warm)
-		return q, lambda
 	}
 	for i := range objs {
 		for j := i + 1; j < len(objs); j++ {

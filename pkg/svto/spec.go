@@ -108,7 +108,7 @@ func (l LibrarySpec) Key() string {
 
 // options resolves the policy into build options.
 func (l LibrarySpec) options() (library.Options, error) {
-	return libraryOptions(l.Policy)
+	return LibraryOptions(l.Policy)
 }
 
 // SearchSpec configures the search: algorithm, delay budget, and the
@@ -136,7 +136,9 @@ type SearchSpec struct {
 	// Portfolio races stochastic explorer strategies against the tree
 	// search under the shared incumbent (needs Workers > 1; see
 	// core.Options.Portfolio).  The final objective on exhaustive searches
-	// is unchanged — only how fast bad subtrees are cut.
+	// is unchanged — only how fast bad subtrees are cut.  Cluster runs
+	// ignore it: their shards drain leased tasks through core's SolveTasks,
+	// which starts no explorers.
 	Portfolio bool `json:"portfolio,omitempty"`
 	// BaselineVectors, when > 0, estimates the unoptimized average leakage
 	// over that many random vectors (Result.BaselineNA, ReductionX).

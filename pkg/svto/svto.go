@@ -260,7 +260,10 @@ func coreAlgorithm(a Algorithm) (core.Algorithm, error) {
 	return alg, nil
 }
 
-func libraryOptions(l Library) (library.Options, error) {
+// LibraryOptions resolves a library policy into build options; "" means
+// Lib4Option.  It is the one parser of the policy names, shared by request
+// validation and the leakopt CLI's -library flag.
+func LibraryOptions(l Library) (library.Options, error) {
 	switch l {
 	case "", Lib4Option:
 		return library.DefaultOptions(), nil
