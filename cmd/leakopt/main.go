@@ -52,7 +52,6 @@ func main() {
 		method    = flag.String("method", "heu1", "heuristic1 | heuristic2 | exact | state-only | vt-state | compare (heu1/heu2 accepted as aliases)")
 		heu2sec   = flag.Float64("heu2sec", 5, "heuristic 2 time budget (seconds)")
 		workers   = flag.Int("workers", 1, "parallel search workers (0 = all CPUs)")
-		portfolio = flag.Bool("portfolio", false, "race stochastic explorer strategies against the tree search (needs -workers > 1)")
 		maxLeaves = flag.Int64("max-leaves", 0, "stop after this many complete states (0 = unlimited)")
 		ckPath    = flag.String("checkpoint", "", "write crash-safe search snapshots to this file (heu2/exact)")
 		ckEvery   = flag.Duration("checkpoint-interval", 30*time.Second, "periodic snapshot cadence for -checkpoint")
@@ -87,7 +86,7 @@ func main() {
 			fatal(fmt.Errorf("-submit/-dump-request run the portable job flow; -seq, -mc, -timing and -checkpoint are local-only"))
 		}
 		req, err := buildRequest(*benchName, *inFile, methodName, *libOpt, *penalty, *heu2sec,
-			*workers, *maxLeaves, *vectors, *reportTop, *fuse, *emitWrap != "", *portfolio)
+			*workers, *maxLeaves, *vectors, *reportTop, *fuse, *emitWrap != "")
 		if err != nil {
 			fatal(err)
 		}
@@ -293,9 +292,6 @@ func main() {
 				fmt.Printf("             relax probes %d (pruned %d)\n",
 					sol.Stats.RelaxBounds, sol.Stats.RelaxPruned)
 			}
-			if sol.Stats.PortfolioWins > 0 {
-				fmt.Printf("             portfolio wins %d\n", sol.Stats.PortfolioWins)
-			}
 			if sol.Stats.Resumed {
 				fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",
 					sol.Stats.PriorRuntime.Round(time.Millisecond))
@@ -333,7 +329,6 @@ func main() {
 			TimeLimit: limit,
 			Workers:   *workers,
 			MaxLeaves: *maxLeaves,
-			Portfolio: *portfolio,
 		}
 		if *ckPath != "" && (alg == core.AlgHeuristic2 || alg == core.AlgExact) {
 			o.Checkpoint = core.CheckpointOptions{

@@ -25,7 +25,7 @@ import (
 // is exactly core.ParseAlgorithm — the same parser the daemon applies on
 // the other side of the wire.
 func buildRequest(benchName, inFile, method, libOpt string, penalty, heu2sec float64,
-	workers int, maxLeaves int64, vectors, reportTop int, fuse, standby, portfolio bool) (svto.Request, error) {
+	workers int, maxLeaves int64, vectors, reportTop int, fuse, standby bool) (svto.Request, error) {
 
 	coreAlg, err := core.ParseAlgorithm(method)
 	if err != nil {
@@ -46,7 +46,6 @@ func buildRequest(benchName, inFile, method, libOpt string, penalty, heu2sec flo
 			TimeLimitSec:    limitSec,
 			Workers:         workers,
 			MaxLeaves:       maxLeaves,
-			Portfolio:       portfolio,
 			BaselineVectors: vectors,
 		},
 		Output: svto.OutputSpec{ReportTop: reportTop, StandbyBench: standby},
@@ -169,9 +168,6 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 		if res.Stats.RelaxBounds > 0 {
 			fmt.Printf("             relax probes %d (pruned %d)\n",
 				res.Stats.RelaxBounds, res.Stats.RelaxPruned)
-		}
-		if res.Stats.PortfolioWins > 0 {
-			fmt.Printf("             portfolio wins %d\n", res.Stats.PortfolioWins)
 		}
 		if res.Resumed {
 			fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",

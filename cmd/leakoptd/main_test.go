@@ -115,7 +115,13 @@ func TestJobAPIEndToEnd(t *testing.T) {
 	}
 
 	// Malformed submissions fail at the boundary.
-	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{}`} {
+	for _, body := range []string{
+		"{not json", `{"unknown_field": 1}`, `{}`,
+		// The retired portfolio field is unknown, and negative search
+		// budgets fail validation, so neither is queued.
+		`{"design":{"benchmark":"c432"},"search":{"portfolio":true}}`,
+		`{"design":{"benchmark":"c432"},"search":{"refine_passes":-1}}`,
+	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)

@@ -72,10 +72,10 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials,omitempty"` // gate-tree version trials (incl. rejected)
 	Leaves     int64 `json:"leaves,omitempty"`      // complete states evaluated with a gate-tree descent
 	Pruned     int64 `json:"pruned,omitempty"`      // state-tree branches cut by a bound
-	// LeafCacheHits, BatchSweeps and BatchLanes are retired: they counted
-	// a leaf memo and a 64-lane bound evaluator the search no longer has,
-	// and are always zero.  They stay because the version 4 layout stores
-	// them.
+	// LeafCacheHits, BatchSweeps, BatchLanes and PortfolioWins are
+	// retired: they counted a leaf memo, a 64-lane bound evaluator and a
+	// racing solver portfolio the search no longer has, and are always
+	// zero.  They stay because the version 4 layout stores them.
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
 	BatchLanes    int64 `json:"batch_lanes,omitempty"`
@@ -84,8 +84,7 @@ type Stats struct {
 	// probes cut (included in Pruned).
 	RelaxBounds int64 `json:"relax_bounds,omitempty"`
 	RelaxPruned int64 `json:"relax_pruned,omitempty"`
-	// PortfolioWins counts incumbent installations won by the racing
-	// portfolio explorers rather than the tree-search workers.
+	// PortfolioWins is retired (see LeafCacheHits).
 	PortfolioWins int64 `json:"portfolio_wins,omitempty"`
 }
 
@@ -319,7 +318,7 @@ func (s *Snapshot) marshal() []byte {
 	for _, vec := range s.Frontier {
 		w.b = append(w.b, vec...)
 	}
-	// Trailing section: the relaxation/portfolio counters.
+	// Trailing section: the relaxation counters and retired PortfolioWins.
 	for _, p := range stats[leadStats:] {
 		w.i64(*p)
 	}

@@ -275,7 +275,6 @@ type TaskResult struct {
 //
 // Checkpointing is rejected: in a distributed run the coordinator owns the
 // snapshot, and a shard's unfinished tasks are its Remaining return.
-// Options.Portfolio is ignored: a drain starts no explorers.
 func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, tasks [][]sim.Value) (*TaskResult, error) {
 	start := time.Now()
 	if err := opt.Validate(); err != nil {

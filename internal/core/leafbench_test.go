@@ -38,8 +38,12 @@ func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *sharedSearc
 	if err != nil {
 		b.Fatal(err)
 	}
+	base, err := p.Timer.NewState(p.Timer.FastChoices())
+	if err != nil {
+		b.Fatal(err)
+	}
 	sh := newSharedSearch(p, Options{Algorithm: alg}, budget, seed)
-	w, err := sh.newWorker()
+	w, err := sh.newWorker(base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,8 +113,12 @@ func TestLeafEvalAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		base, err := p.Timer.NewState(p.Timer.FastChoices())
+		if err != nil {
+			t.Fatal(err)
+		}
 		sh := newSharedSearch(p, Options{Algorithm: alg}, budget, seed)
-		w, err := sh.newWorker()
+		w, err := sh.newWorker(base)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,12 +72,6 @@ type sharedSearch struct {
 	priorElapsed time.Duration
 	ckWrites     atomic.Int64
 	ckErrors     atomic.Int64
-
-	// baseline is the all-fast timing state workers clone instead of
-	// re-running a full analysis per worker.
-	baseline     *sta.State
-	baselineOnce sync.Once
-	baselineErr  error
 }
 
 // newSharedSearch seeds the incumbent with seed — Heuristic 1's solution
@@ -164,21 +158,6 @@ func (sh *sharedSearch) recordFailure(workerID int, err error) {
 	sh.failMu.Unlock()
 }
 
-// recordExplorerFailure logs a portfolio explorer death.  Unlike worker
-// deaths it never joins the all-workers-died error: the exact/heuristic pool
-// does not depend on the explorers, so losing all of them only degrades the
-// race, not the search.
-func (sh *sharedSearch) recordExplorerFailure(slot int, err error) {
-	wf := WorkerFailure{Worker: slot, Err: err.Error()}
-	var pe *panicError
-	if errors.As(err, &pe) {
-		wf.Stack = string(pe.stack)
-	}
-	sh.failMu.Lock()
-	sh.failures = append(sh.failures, wf)
-	sh.failMu.Unlock()
-}
-
 func (sh *sharedSearch) failuresCopy() []WorkerFailure {
 	sh.failMu.Lock()
 	defer sh.failMu.Unlock()
@@ -207,15 +186,6 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("worker panic: %v", e.val) }
 
-// sharedBaseline lazily computes the all-fast timing state once; workers
-// clone it (O(nets) copy) instead of each paying a full analysis.
-func (sh *sharedSearch) sharedBaseline() (*sta.State, error) {
-	sh.baselineOnce.Do(func() {
-		sh.baseline, sh.baselineErr = sh.p.Timer.NewState(sh.p.Timer.FastChoices())
-	})
-	return sh.baseline, sh.baselineErr
-}
-
 // worker is one search goroutine: its own partial-state vector, incremental
 // bound engine, incremental timing scratch and local counters (flushed to
 // the shared totals at leaf granularity, keeping the hot path free of
@@ -239,11 +209,10 @@ type worker struct {
 	arena    *leafArena // reusable leaf-evaluation buffers
 }
 
-func (sh *sharedSearch) newWorker() (*worker, error) {
-	base, err := sh.sharedBaseline()
-	if err != nil {
-		return nil, err
-	}
+// newWorker builds a worker around base, the drain's all-fast timing
+// state, which every worker clones (an O(nets) copy) instead of paying a
+// full analysis of its own.
+func (sh *sharedSearch) newWorker(base *sta.State) (*worker, error) {
 	inc, err := sh.p.newBoundEngine()
 	if err != nil {
 		return nil, err
@@ -624,8 +593,15 @@ func (sh *sharedSearch) runPool(ctx context.Context, tasks [][]sim.Value, worker
 	// for a baseline clone and a bound engine.
 	workers = min(workers, len(tasks))
 	ws := make([]*worker, workers)
+	var base *sta.State
+	if workers > 0 {
+		var err error
+		if base, err = sh.p.Timer.NewState(sh.p.Timer.FastChoices()); err != nil {
+			return nil, err
+		}
+	}
 	for i := range ws {
-		w, err := sh.newWorker()
+		w, err := sh.newWorker(base)
 		if err != nil {
 			// Infrastructure failure (baseline STA / bound engine), not a
 			// search fault: abort before any worker runs.

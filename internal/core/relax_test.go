@@ -185,10 +185,10 @@ func TestNoRelaxBoundAblationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPortfolioMatchesExact: the portfolio explorers race the exhaustive
-// tree search under the shared incumbent, so the final objective must equal
-// the single-strategy optimum — the explorers can only tighten the bound,
-// never steal the proof of optimality.
+// TestPortfolioMatchesExact: on the RandomLogic "portfolio7" instance, the
+// exhaustive tree search with four workers and a shuffled subtree order must
+// reach the single-worker optimum for every shuffle seed, and a seed given
+// to a Workers=1 run must leave it bit-identical to the plain sequential one.
 func TestPortfolioMatchesExact(t *testing.T) {
 	circ, err := gen.RandomLogic("portfolio7", 13, 7, 22)
 	if err != nil {
@@ -203,27 +203,24 @@ func TestPortfolioMatchesExact(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		par, err := p.Solve(context.Background(), Options{
 			Algorithm: AlgExact, Penalty: penalty,
-			Workers: 4, Portfolio: true, Seed: seed,
+			Workers: 4, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(par.Leak-seq.Leak) > 1e-9 {
-			t.Errorf("seed %d: portfolio leak %.9f != exact optimum %.9f", seed, par.Leak, seq.Leak)
+			t.Errorf("seed %d: parallel leak %.9f != exact optimum %.9f", seed, par.Leak, seq.Leak)
 		}
 		checkSolution(t, p, par, p.Budget(penalty))
 	}
 
-	// Workers=1 ignores the flag entirely.
-	solo, err := solve1(p, Options{Algorithm: AlgExact, Penalty: penalty, Portfolio: true})
+	// Workers=1 has no task order to shuffle, so the seed changes nothing.
+	solo, err := solve1(p, Options{Algorithm: AlgExact, Penalty: penalty, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(solo.Leak) != math.Float64bits(seq.Leak) {
-		t.Errorf("Workers=1 with Portfolio set is not bit-identical to plain sequential")
-	}
-	if solo.Stats.PortfolioWins != 0 {
-		t.Errorf("sequential run reported portfolio wins: %d", solo.Stats.PortfolioWins)
+		t.Errorf("Workers=1 with Seed set is not bit-identical to plain sequential")
 	}
 }
 

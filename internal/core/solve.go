@@ -114,22 +114,8 @@ type Options struct {
 	// seed.
 	MaxLeaves int64
 	// Seed, when non-zero, shuffles the parallel subtree task order (a
-	// cheap load-balancing lever); zero keeps bound-guided order.  It also
-	// seeds the portfolio explorers' random restarts.
+	// cheap load-balancing lever); zero keeps bound-guided order.
 	Seed int64
-	// Portfolio races solver strategies inside one tree search: with
-	// Workers > 1, up to two worker slots become explorer goroutines —
-	// seed-randomized greedy restarts and incumbent-perturbation descents —
-	// that install improvements into the shared incumbent while the
-	// remaining slots run the relaxation-guided branch-and-bound pool.
-	// Early tight incumbents and tighter bounds compound, so on exhaustive
-	// searches the result is unchanged (the explorers only ever install
-	// feasible solutions, and pruning bounds stay admissible) but bad
-	// subtrees are cut sooner.  Ignored at Workers == 1 — the bit-for-bit
-	// sequential determinism contract stays intact — and by SolveTasks,
-	// which starts no explorers.  Explorer work is not charged against
-	// MaxLeaves.
-	Portfolio bool
 	// RefinePasses, when > 0, runs that many iterated gate-refinement
 	// passes over the search result before returning it.
 	RefinePasses int
@@ -310,15 +296,6 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		sh.markInterrupted()
 		return sh.finish(start), nil
 	}
-	// Portfolio race: convert up to two worker slots into explorer
-	// goroutines (see portfolio.go), before the split depth is picked for
-	// the slots left.  Workers == 1 keeps all slots for the deterministic
-	// search, so the sequential contract is untouched.
-	explorers := 0
-	if opt.Portfolio && opt.Workers > 1 && len(p.CC.PI) > 0 {
-		explorers = portfolioSlots(opt.Workers)
-		opt.Workers -= explorers
-	}
 	if rs == nil {
 		depth := opt.SplitDepth
 		if depth <= 0 {
@@ -356,10 +333,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		}()
 	}
 
-	stopExplorers := sh.startExplorers(explorers, opt.Seed)
 	_, searchErr := sh.runPool(ctx, tasks, opt.Workers)
-
-	stopExplorers()
 	if progressDone != nil {
 		// Wait out the ticker goroutine; the final snapshot is emitted by
 		// Solve after refinement.

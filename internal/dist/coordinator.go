@@ -27,10 +27,6 @@ const maxWireBody = 64 << 20
 
 // Config tunes a Coordinator.  The zero value is usable.
 type Config struct {
-	// SplitDepth forces the frontier expansion depth; 0 picks it from the
-	// registered shards' total worker count (floored at the checkpoint
-	// depth, so there is always enough granularity to steal and re-queue).
-	SplitDepth int
 	// LeaseTTL is how long a shard may stay silent before its leased tasks
 	// are re-queued; 0 defaults to 10s.  Shards sync every few hundred
 	// milliseconds while working, so the TTL only fires on real deaths.
@@ -365,13 +361,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, o
 		if seed, err = comp.Prob.SeedSolution(coreOpt.Penalty); err != nil {
 			return nil, err
 		}
-		r.splitDepth = c.cfg.SplitDepth
-		if coreOpt.SplitDepth > 0 {
-			r.splitDepth = coreOpt.SplitDepth
-		}
-		if r.splitDepth <= 0 {
-			r.splitDepth = core.DefaultSplitDepth(c.parallelism(), len(comp.Prob.CC.PI))
-		}
+		r.splitDepth = core.DefaultSplitDepth(c.parallelism(), len(comp.Prob.CC.PI))
 		frontier, expStats, ferr := comp.Prob.ExpandFrontier(coreOpt, seed, r.splitDepth)
 		if ferr != nil {
 			return nil, ferr

@@ -119,14 +119,24 @@ func TestSubmitRejectsMalformedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Submit(svto.Request{}); err == nil {
-		t.Fatal("empty request accepted")
-	}
-	if _, err := m.Submit(svto.Request{
-		Design: svto.DesignSpec{Benchmark: "c432"},
-		Search: svto.SearchSpec{Algorithm: "simulated-annealing"},
-	}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	c432 := svto.DesignSpec{Benchmark: "c432"}
+	for _, tc := range []struct {
+		name string
+		req  svto.Request
+	}{
+		{"empty request", svto.Request{}},
+		{"unknown algorithm", svto.Request{Design: c432, Search: svto.SearchSpec{Algorithm: "simulated-annealing"}}},
+		// Search budgets core would reject must fail here, not as a
+		// failed job after queueing.
+		{"negative budgets", svto.Request{Design: c432, Search: svto.SearchSpec{RefinePasses: -1, MaxLeaves: -3}}},
+		{"negative refine passes", svto.Request{Design: c432, Search: svto.SearchSpec{RefinePasses: -1}}},
+		{"negative max leaves", svto.Request{Design: c432, Search: svto.SearchSpec{Algorithm: svto.Heuristic2, MaxLeaves: -3}}},
+		{"negative workers", svto.Request{Design: c432, Search: svto.SearchSpec{Workers: -1}}},
+		{"negative time limit", svto.Request{Design: c432, Search: svto.SearchSpec{TimeLimitSec: -1}}},
+	} {
+		if v, err := m.Submit(tc.req); err == nil {
+			t.Errorf("%s accepted (job %s, status %q)", tc.name, v.ID, v.Status)
+		}
 	}
 }
 
@@ -437,6 +447,24 @@ func TestOpenAdoptsMoreJobsThanQueueSize(t *testing.T) {
 		})
 		ids = append(ids, id)
 	}
+	// A record stored by an older daemon whose request still carries the
+	// retired "portfolio" search field: the plain decode ignores it and
+	// the job is adopted like any other.
+	legacy := Record{ID: fmt.Sprintf("%016x", 6), Request: req, Status: StatusQueued, Created: time.Now().UTC()}
+	plantRecord(t, dir, legacy)
+	legacyPath := filepath.Join(dir, "jobs", legacy.ID+".json")
+	data, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPortfolio := bytes.Replace(data, []byte(`"search":{`), []byte(`"search":{"portfolio":true,`), 1)
+	if bytes.Equal(withPortfolio, data) {
+		t.Fatalf("stored record has no search object to extend: %s", data)
+	}
+	if err := os.WriteFile(legacyPath, withPortfolio, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, legacy.ID)
 
 	type opened struct {
 		m   *Manager

@@ -25,8 +25,7 @@ type ClusterStats struct {
 // StatsView is the daemon-wide operational snapshot served by GET
 // /v1/stats: queue pressure, per-status job counts, every running job's
 // live search counters (nodes, leaves, prunes, relaxation-bound
-// probes/prunes, portfolio wins), baseline
-// characterization sharing, and — in cluster mode — shard health.
+// probes/prunes), baseline characterization sharing, and — in cluster mode — shard health.
 type StatsView struct {
 	QueueDepth     int            `json:"queue_depth"`
 	Counts         map[Status]int `json:"counts"`

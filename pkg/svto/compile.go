@@ -58,6 +58,13 @@ func Compile(req Request, base *Baseline) (*Compiled, error) {
 // progress delivery, incumbent sharing — stay with the caller, because a
 // coordinator, a shard and a local Run all wire them differently.
 func (c *Compiled) CoreOptions(req Request) (core.Options, error) {
+	return coreOptions(req)
+}
+
+// coreOptions is the one SearchSpec → core.Options mapping, shared by
+// CoreOptions and Validate so a request is checked against exactly the
+// options it will run with.
+func coreOptions(req Request) (core.Options, error) {
 	alg, err := coreAlgorithm(req.Search.Algorithm)
 	if err != nil {
 		return core.Options{}, err
@@ -68,7 +75,6 @@ func (c *Compiled) CoreOptions(req Request) (core.Options, error) {
 		TimeLimit:    req.Search.TimeLimit(),
 		Workers:      req.Search.Workers,
 		Seed:         req.Search.Seed,
-		Portfolio:    req.Search.Portfolio,
 		MaxLeaves:    req.Search.MaxLeaves,
 		RefinePasses: req.Search.RefinePasses,
 	}, nil
@@ -101,7 +107,6 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 			Pruned:           sol.Stats.Pruned,
 			RelaxBounds:      sol.Stats.RelaxBounds,
 			RelaxPruned:      sol.Stats.RelaxPruned,
-			PortfolioWins:    sol.Stats.PortfolioWins,
 			Runtime:          sol.Stats.Runtime,
 			Interrupted:      sol.Stats.Interrupted,
 			CheckpointWrites: sol.Stats.CheckpointWrites,
@@ -146,14 +151,13 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 // reports progress through.
 func ProgressOf(p core.Progress) Progress {
 	return Progress{
-		StateNodes:    p.StateNodes,
-		GateTrials:    p.GateTrials,
-		Leaves:        p.Leaves,
-		Pruned:        p.Pruned,
-		RelaxBounds:   p.RelaxBounds,
-		RelaxPruned:   p.RelaxPruned,
-		PortfolioWins: p.PortfolioWins,
-		BestLeakNA:    p.BestLeak,
-		Elapsed:       p.Elapsed,
+		StateNodes:  p.StateNodes,
+		GateTrials:  p.GateTrials,
+		Leaves:      p.Leaves,
+		Pruned:      p.Pruned,
+		RelaxBounds: p.RelaxBounds,
+		RelaxPruned: p.RelaxPruned,
+		BestLeakNA:  p.BestLeak,
+		Elapsed:     p.Elapsed,
 	}
 }

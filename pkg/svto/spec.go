@@ -26,9 +26,10 @@ type Request struct {
 }
 
 // Validate rejects a Request that could never run: no (or ambiguous)
-// design source, an unparsable netlist, or an unknown library policy or
-// algorithm.  Serving layers call it at submission so a malformed job
-// fails at the API boundary instead of minutes later in a worker.
+// design source, an unparsable netlist, an unknown library policy or
+// algorithm, or search options core rejects (a negative budget or count).
+// Serving layers call it at submission so a malformed job fails at the API
+// boundary instead of minutes later in a worker.
 func Validate(req Request) error {
 	if _, err := req.Design.load(); err != nil {
 		return err
@@ -36,10 +37,11 @@ func Validate(req Request) error {
 	if _, err := req.Library.options(); err != nil {
 		return err
 	}
-	if _, err := coreAlgorithm(req.Search.Algorithm); err != nil {
+	opt, err := coreOptions(req)
+	if err != nil {
 		return err
 	}
-	return nil
+	return opt.Validate()
 }
 
 // DesignSpec selects the circuit.  Exactly one of Benchmark, Bench or
@@ -130,16 +132,8 @@ type SearchSpec struct {
 	// MaxLeaves bounds the number of complete states evaluated; 0 means
 	// unlimited.  The budget spans resumed runs.
 	MaxLeaves int64 `json:"max_leaves,omitempty"`
-	// Seed drives baseline vectors, parallel task shuffling and the
-	// portfolio explorers' random restarts.
+	// Seed drives baseline vectors and parallel task shuffling.
 	Seed int64 `json:"seed,omitempty"`
-	// Portfolio races stochastic explorer strategies against the tree
-	// search under the shared incumbent (needs Workers > 1; see
-	// core.Options.Portfolio).  The final objective on exhaustive searches
-	// is unchanged — only how fast bad subtrees are cut.  Cluster runs
-	// ignore it: their shards drain leased tasks through core's SolveTasks,
-	// which starts no explorers.
-	Portfolio bool `json:"portfolio,omitempty"`
 	// BaselineVectors, when > 0, estimates the unoptimized average leakage
 	// over that many random vectors (Result.BaselineNA, ReductionX).
 	BaselineVectors int `json:"baseline_vectors,omitempty"`

@@ -71,13 +71,10 @@ type Progress struct {
 	Pruned     int64 `json:"pruned"`      // branches cut by the leakage bound
 	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade:
 	// relaxation probes paid and the branches they pruned.
-	RelaxBounds int64 `json:"relax_bounds,omitempty"`
-	RelaxPruned int64 `json:"relax_pruned,omitempty"`
-	// PortfolioWins counts incumbent improvements won by the racing
-	// portfolio explorers.
-	PortfolioWins int64         `json:"portfolio_wins,omitempty"`
-	BestLeakNA    float64       `json:"best_leak_na"` // incumbent total leakage (nA)
-	Elapsed       time.Duration `json:"elapsed_ns"`   // time since the search started
+	RelaxBounds int64         `json:"relax_bounds,omitempty"`
+	RelaxPruned int64         `json:"relax_pruned,omitempty"`
+	BestLeakNA  float64       `json:"best_leak_na"` // incumbent total leakage (nA)
+	Elapsed     time.Duration `json:"elapsed_ns"`   // time since the search started
 }
 
 // Checkpoint configures crash-safe search execution.  It is an execution
@@ -124,13 +121,11 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials"`
 	Leaves     int64 `json:"leaves"`
 	Pruned     int64 `json:"pruned"`
-	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade;
-	// PortfolioWins counts incumbent improvements from portfolio explorers.
-	RelaxBounds   int64         `json:"relax_bounds,omitempty"`
-	RelaxPruned   int64         `json:"relax_pruned,omitempty"`
-	PortfolioWins int64         `json:"portfolio_wins,omitempty"`
-	Runtime       time.Duration `json:"runtime_ns"`
-	Interrupted   bool          `json:"interrupted,omitempty"` // search cut short by cancellation or limits
+	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade.
+	RelaxBounds int64         `json:"relax_bounds,omitempty"`
+	RelaxPruned int64         `json:"relax_pruned,omitempty"`
+	Runtime     time.Duration `json:"runtime_ns"`
+	Interrupted bool          `json:"interrupted,omitempty"` // search cut short by cancellation or limits
 	// WorkerFailures describes search workers that panicked and were
 	// isolated (one message per dead worker); empty on a clean run.
 	WorkerFailures []string `json:"worker_failures,omitempty"`
