@@ -64,6 +64,20 @@
 // λ = 0 and at every pairwise crossing of choice lines, no iteration or
 // step-size schedule required.
 //
+// Almost every slack is settled without sta.Lower.  dlb(g,c) bounds the
+// delay of every completion with g at c from below, and the all-fast
+// completion with only g changed is one of them, so dlb(g,c) is at most
+// that completion's delay up to the drift and rounding slackGuard already
+// absorbs.  Build therefore keeps one all-fast incremental timing state
+// (sta.State) and screens each slow choice with SetChoice, Delay and
+// SetChoice back, tens of microseconds against milliseconds for a Probe:
+// when the screened delay is ≤ Budget + DelayEps, dlb ≤ T' and the clamped
+// slack is exactly 0, the value a probe would have produced.  Only the
+// choices the screen cannot settle are probed, and sta.Lower is built on
+// the first of them; if it cannot be built, every remaining slack is forced
+// to zero (see Build).  The tables are bit-identical with and without the
+// screen.
+//
 // The result is a second contribution-table pair (Known/Unknown) with
 // Known[g][s] = q[g,s](λ*) ≥ minChoice[g][s] and Unknown[g] = min_s
 // Known[g][s] ≥ minAny[g]; the search feeds them to the same incremental
@@ -157,10 +171,14 @@ func keyOf(ch *library.Choice) probeKey {
 // descent happened to run.
 func slackGuard(ngates int) float64 { return 1e-6 + 4e-9*float64(ngates) }
 
-// Build probes every (gate, version, permutation) delay lower bound against
-// the certified lower-bound timing model and solves each per-(gate, state)
-// dual exactly.  The cost is one cone re-propagation per distinct slow
-// (version, permutation) per gate, paid once per (problem, budget).
+// Build computes every (gate, choice) slack and solves each per-(gate,
+// state) dual exactly.  A slack costs one screen on the all-fast incremental
+// timing state (SetChoice, Delay, SetChoice back; see the package doc), and
+// only a choice the screen cannot settle pays a certified sta.Lower probe.
+// Both are memoized per distinct slow (version, permutation) per gate, and
+// sta.Lower is built on the first unsettled choice, so a build the screen
+// settles entirely never constructs it.  The cost is paid once per
+// (problem, budget).
 //
 // When the library's timing tables cannot be verified monotone (a custom
 // library with non-physical grids), every slack is forced to zero: the dual
@@ -168,19 +186,44 @@ func slackGuard(ngates int) float64 { return 1e-6 + 4e-9*float64(ngates) }
 // drops the engine — the cascade degrades to the cheap bound instead of
 // risking an uncertified pruning decision.
 func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
+	return build(timer, cfg, true, nil)
+}
+
+// build is Build with the screen switchable, so the screened tables can be
+// checked word for word against the probe-only ones.  observe, when
+// non-nil, sees every slack the build resolves: the gate, the choice, the
+// screen delay (NaN when the screen is off) and the sta.Lower probe (NaN
+// when the screen settled the choice or sta.Lower failed), so a test can
+// check the screen's premise, dlb ≤ screen delay + slackGuard, against the
+// probes of an unscreened build.
+func build(timer *sta.Timer, cfg Config, screen bool,
+	observe func(gate int, ch *library.Choice, screened, dlb float64)) (*Engine, error) {
 	if cfg.Obj == nil {
 		return nil, fmt.Errorf("relax: Config.Obj is required")
 	}
-	lb, lbErr := sta.NewLower(timer)
 	ngates := len(timer.Cells)
-	budgetEps := cfg.Budget + cfg.DelayEps + slackGuard(ngates)
+	accept := cfg.Budget + cfg.DelayEps
+	budgetEps := accept + slackGuard(ngates)
+	var (
+		fast  []*library.Choice
+		st    *sta.State // the screen's all-fast timing state; nil unscreened
+		lb    *sta.Lower // built on the first choice the screen cannot settle
+		lbErr error
+	)
+	if screen {
+		fast = timer.FastChoices()
+		var err error
+		if st, err = timer.NewState(fast); err != nil {
+			return nil, err
+		}
+	}
 	e := &Engine{
 		Known:   make([][]float64, ngates),
 		Unknown: make([]float64, ngates),
 	}
 	// Per-leaf scratch, reused across gates/states.
 	var objs, slacks []float64
-	probes := make(map[probeKey]float64)
+	memo := make(map[probeKey]float64)
 	for gi := 0; gi < ngates; gi++ {
 		if cfg.Ctx != nil {
 			select {
@@ -192,37 +235,50 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 		cell := timer.Cells[gi]
 		ns := cell.Template.NumStates()
 		e.Known[gi] = make([]float64, ns)
-		for k := range probes {
-			delete(probes, k)
+		for k := range memo {
+			delete(memo, k)
 		}
 		// slackOf computes the clamped surrogate slack of one choice,
-		// memoizing delay probes by (version, permutation).  Acceptable
-		// choices (slack ≤ 0, or MaxFactor ≤ 1, which the descent accepts
-		// without a delay check) are clamped to exactly zero: every
-		// accepted leaf still satisfies the clamped surrogate (λ·0 = 0),
-		// so admissibility is untouched, but the dual envelope stops being
-		// dragged down by feasible choices' negative slacks — q(λ) becomes
-		// nondecreasing in λ and climbs to the choice-elimination bound,
-		// the cheapest choice the descent could actually accept, at a
-		// finite λ*, pricing infeasible-alone choices out completely.
+		// memoized by (version, permutation).  Acceptable choices (slack
+		// ≤ 0, or MaxFactor ≤ 1, which the descent accepts without a delay
+		// check) are clamped to exactly zero: every accepted leaf still
+		// satisfies the clamped surrogate (λ·0 = 0), so admissibility is
+		// untouched, but the dual envelope stops being dragged down by
+		// feasible choices' negative slacks — q(λ) becomes nondecreasing in
+		// λ and climbs to the choice-elimination bound, the cheapest choice
+		// the descent could actually accept, at a finite λ*, pricing
+		// infeasible-alone choices out completely.
 		slackOf := func(ch *library.Choice) float64 {
-			if lbErr != nil {
+			if ch.Version.MaxFactor <= 1 {
 				return 0
 			}
-			dlb := lb.BaseDelay()
-			if ch.Version.MaxFactor > 1 {
-				key := keyOf(ch)
-				d, ok := probes[key]
-				if !ok {
-					d = lb.Probe(gi, ch)
-					probes[key] = d
+			key := keyOf(ch)
+			if slack, ok := memo[key]; ok {
+				return slack
+			}
+			slack, screened, dlb := 0.0, math.NaN(), math.NaN()
+			if st != nil {
+				st.SetChoice(gi, ch)
+				screened = st.Delay()
+				st.SetChoice(gi, fast[gi])
+			}
+			// NaN (no screen) fails the test, so an unscreened build
+			// probes every slow choice.
+			if !(screened <= accept) {
+				if lb == nil && lbErr == nil {
+					lb, lbErr = sta.NewLower(timer)
 				}
-				dlb = d
+				if lbErr == nil {
+					dlb = lb.Probe(gi, ch)
+					if slack = dlb - budgetEps; slack < 0 {
+						slack = 0
+					}
+				}
 			}
-			slack := dlb - budgetEps
-			if slack < 0 || ch.Version.MaxFactor <= 1 {
-				slack = 0
+			if observe != nil {
+				observe(gi, ch, screened, dlb)
 			}
+			memo[key] = slack
 			return slack
 		}
 		unknown := math.Inf(1)
@@ -237,13 +293,13 @@ func Build(timer *sta.Timer, cfg Config) (*Engine, error) {
 					argmin = ci
 				}
 			}
-			// Screen before paying for probes: if the lowest-objective
+			// Settle the argmin before the rest: if the lowest-objective
 			// choice is itself acceptable, its flat clamped line caps the
 			// envelope at q(λ) ≤ q0 for every λ while q(0) = q0 — so
 			// q* = q0 with λ* = 0 no matter what the other choices' slacks
-			// are, and none of them needs a delay probe.  Under loose
+			// are, and none of them needs a slack at all.  Under loose
 			// budgets (the common case on big circuits) this skips almost
-			// every probe in the build.
+			// every other choice in the build.
 			if slackOf(&choices[argmin]) == 0 {
 				e.Known[gi][s] = objs[argmin]
 				unknown = math.Min(unknown, objs[argmin])
