@@ -475,16 +475,6 @@ func BenchmarkSpnetSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkLibraryBuild measures a full 4-option library construction.
-func BenchmarkLibraryBuild(b *testing.B) {
-	p := tech.Default()
-	for i := 0; i < b.N; i++ {
-		if _, err := library.Build(p, library.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLogicSim measures 2-valued simulation of c7552.
 func BenchmarkLogicSim(b *testing.B) {
 	prof, err := gen.ByName("c7552")

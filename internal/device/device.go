@@ -72,13 +72,13 @@ func nmosChannel(p *tech.Params, dp *tech.DeviceParams, w float64, c tech.Corner
 	vtEff := vt - dp.DIBL*vds
 
 	// Capped subthreshold term: at and above threshold the exponential is
-	// clamped to its threshold value so the term stays bounded while the
-	// strong-inversion term takes over.
-	arg := (vgs - vtEff) / (p.SubSwing * p.VThermal)
-	if arg > 0 {
-		arg = 0
+	// clamped to its threshold value, exp(0) = 1 exactly, so the term stays
+	// bounded while the strong-inversion term takes over.
+	sub := 1.0
+	if arg := (vgs - vtEff) / (p.SubSwing * p.VThermal); arg < 0 {
+		sub = math.Exp(arg)
 	}
-	i := w * dp.Isub0 * math.Exp(arg) * (1 - math.Exp(-vds/p.VThermal))
+	i := w * dp.Isub0 * sub * (1 - math.Exp(-vds/p.VThermal))
 
 	// Strong-inversion linear-region term. Ron is in kOhm*um, so the
 	// conductance w/Ron is in mA/V = 1e6 nA/V.

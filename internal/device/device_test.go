@@ -249,3 +249,68 @@ func TestCapacitances(t *testing.T) {
 		t.Errorf("DrainCap = %g, want %g", got, want)
 	}
 }
+
+// At and above threshold the subthreshold exponential is clamped, and
+// ChannelCurrent skips math.Exp(0); the result must equal the clamped
+// formula evaluated with the Exp(0) call, bit for bit.
+func TestClampedSubthresholdSkipsExpExactly(t *testing.T) {
+	p := tech.Default()
+	// reference is the channel model with the Exp(0) call kept; it also
+	// reports whether the subthreshold argument was clamped.
+	reference := func(d Device, vg, va, vb float64) (float64, bool) {
+		dp, sign := &p.NMOS, 1.0
+		if d.Kind == tech.PMOS {
+			dp, sign = &p.PMOS, -1
+			vg, va, vb = -vg, -va, -vb
+		}
+		if va < vb {
+			va, vb, sign = vb, va, -sign
+		}
+		vgs, vds := vg-vb, va-vb
+		if vds == 0 {
+			return sign * 0, false
+		}
+		vt := dp.Vt(d.Corner.Vt)
+		vtEff := vt - dp.DIBL*vds
+		arg := (vgs - vtEff) / (p.SubSwing * p.VThermal)
+		clamped := arg >= 0
+		if arg > 0 {
+			arg = 0
+		}
+		i := d.W * dp.Isub0 * math.Exp(arg) * (1 - math.Exp(-vds/p.VThermal))
+		if over := vgs - vtEff; over > 0 {
+			g := d.W / (dp.Ron * dp.RonFactor(d.Corner)) * 1e6
+			vddOver := p.Vdd - vt
+			if vddOver <= 0 {
+				vddOver = p.Vdd
+			}
+			i += g * (over / vddOver) * vds
+		}
+		return sign * i, clamped
+	}
+	clamped, total := 0, 0
+	for _, d := range []Device{
+		nmos(2, tech.FastCorner), nmos(1, tech.SlowCorner), nmos(3, tech.LowIsubCorner),
+		pmos(2, tech.FastCorner), pmos(4, tech.LowIgateCorner), pmos(1, tech.SlowCorner),
+	} {
+		for g := 0; g <= 20; g++ {
+			for a := 0; a <= 20; a++ {
+				for b := 0; b <= 20; b += 4 {
+					vg, va, vb := float64(g)/20*p.Vdd, float64(a)/20*p.Vdd, float64(b)/20*p.Vdd
+					got := d.ChannelCurrent(p, vg, va, vb)
+					want, c := reference(d, vg, va, vb)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s at vg=%g va=%g vb=%g: %v, Exp(0) formula %v", d, vg, va, vb, got, want)
+					}
+					total++
+					if c {
+						clamped++
+					}
+				}
+			}
+		}
+	}
+	if clamped < total/10 {
+		t.Fatalf("only %d of %d biases clamp the subthreshold argument", clamped, total)
+	}
+}

@@ -20,9 +20,10 @@ import (
 	"svto/pkg/svto"
 )
 
-// maxWireBody caps every JSON request body the coordinator (and the
-// daemon's job API) will read, so a confused or malicious client cannot
-// exhaust memory with an unbounded POST.
+// maxWireBody caps every JSON body the wire protocol reads: each request
+// the coordinator (and the daemon's job API) decodes, and each reply a
+// shard decodes, so a confused or malicious peer cannot exhaust memory
+// with an unbounded body.
 const maxWireBody = 64 << 20
 
 // Config tunes a Coordinator.  The zero value is usable.

@@ -312,11 +312,19 @@ func (c *client) do(req *http.Request, out any) (int, error) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		// A truncated or corrupted reply body: the server processed the
-		// request, but the caller has no usable answer.  Report the OK
-		// status so retryable() classifies it as a torn reply.
+	if err := decodeReply(resp.Body, out); err != nil {
+		// A truncated, corrupted or oversized reply body: the server
+		// processed the request, but the caller has no usable answer.
+		// Report the OK status so retryable() classifies it as a torn
+		// reply.
 		return resp.StatusCode, fmt.Errorf("%s %s: decoding reply: %w", req.Method, req.URL.Path, err)
 	}
 	return resp.StatusCode, nil
+}
+
+// decodeReply decodes one JSON reply, reading at most maxWireBody bytes: a
+// reply cut off at the cap fails to decode like any other torn body, so a
+// confused or hostile coordinator cannot make a shard read without bound.
+func decodeReply(body io.Reader, out any) error {
+	return json.NewDecoder(io.LimitReader(body, maxWireBody)).Decode(out)
 }

@@ -3,6 +3,7 @@ package library
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -201,11 +202,12 @@ func BuildCell(p *tech.Params, opt Options, tpl *cell.Template) (*Cell, error) {
 		}
 	}
 
-	if err := characterizeVersions(p, tpl, c.Versions); err != nil {
+	enum := enumerated{up: upCombos, down: downCombos}
+	if err := characterizeVersions(p, tpl, c.Versions, enum); err != nil {
 		return nil, err
 	}
 	slow := &Version{Index: -1, Name: tpl.Name + "_slow", Assign: tpl.SlowAssignment()}
-	if err := characterizeVersion(p, tpl, slow); err != nil {
+	if err := characterizeVersion(p, tpl, slow, enum); err != nil {
 		return nil, err
 	}
 	c.Slow = slow
@@ -459,9 +461,41 @@ func enumCombos(p *tech.Params, opt Options, tpl *cell.Template, up bool, state 
 	return combos, nil
 }
 
+// enumerated holds, per state, the network solves enumCombos made for one
+// cell, so that characterizing a version solves only the networks
+// enumeration never saw.  It lives for one cell build and is only read.
+type enumerated struct {
+	up, down [][]netCombo
+}
+
+// leakage returns what tpl.CharacterizeLeakage(p, state, a) returns, bit for
+// bit: the same two network solves and the same Igate addition.
+func (e enumerated) leakage(p *tech.Params, tpl *cell.Template, state uint, a cell.Assignment) (cell.Leakage, error) {
+	up, err := solved(p, tpl, true, state, a.Up, e.up[state])
+	if err != nil {
+		return cell.Leakage{}, err
+	}
+	down, err := solved(p, tpl, false, state, a.Down, e.down[state])
+	if err != nil {
+		return cell.Leakage{}, err
+	}
+	return cell.Leakage{IsubUp: up.Isub, IsubDown: down.Isub, Igate: up.Igate + down.Igate}, nil
+}
+
+// solved returns one network's leakage in one state: the enumerated combo's
+// when one has these corners, a fresh solve otherwise.
+func solved(p *tech.Params, tpl *cell.Template, up bool, state uint, corners []tech.Corner, combos []netCombo) (cell.NetworkLeak, error) {
+	for i := range combos {
+		if slices.Equal(combos[i].corners, corners) {
+			return combos[i].leak, nil
+		}
+	}
+	return tpl.CharacterizeNetwork(p, up, state, corners)
+}
+
 // characterizeVersions fills in the full characterization of each version,
 // concurrently (versions are independent).
-func characterizeVersions(p *tech.Params, tpl *cell.Template, versions []*Version) error {
+func characterizeVersions(p *tech.Params, tpl *cell.Template, versions []*Version, enum enumerated) error {
 	errs := make([]error, len(versions))
 	var wg sync.WaitGroup
 	for i, v := range versions {
@@ -469,7 +503,7 @@ func characterizeVersions(p *tech.Params, tpl *cell.Template, versions []*Versio
 		wg.Add(1)
 		go func(i int, v *Version) {
 			defer wg.Done()
-			errs[i] = characterizeVersion(p, tpl, v)
+			errs[i] = characterizeVersion(p, tpl, v, enum)
 		}(i, v)
 	}
 	wg.Wait()
@@ -481,12 +515,12 @@ func characterizeVersions(p *tech.Params, tpl *cell.Template, versions []*Versio
 	return nil
 }
 
-func characterizeVersion(p *tech.Params, tpl *cell.Template, v *Version) error {
+func characterizeVersion(p *tech.Params, tpl *cell.Template, v *Version, enum enumerated) error {
 	numStates := tpl.NumStates()
 	v.Leak = make([]float64, numStates)
 	v.Isub = make([]float64, numStates)
 	for s := 0; s < numStates; s++ {
-		lk, err := tpl.CharacterizeLeakage(p, uint(s), v.Assign)
+		lk, err := enum.leakage(p, tpl, uint(s), v.Assign)
 		if err != nil {
 			return err
 		}

@@ -437,3 +437,44 @@ func TestLibraryWideInvariants(t *testing.T) {
 		}
 	}
 }
+
+// BuildCell reuses the network solves enumeration already made when it
+// characterizes versions; every table entry must still equal a fresh
+// CharacterizeLeakage of the version, bit for bit, under every policy.
+func TestVersionLeakageMatchesFreshSolve(t *testing.T) {
+	uniform, vtOnly := DefaultOptions(), DefaultOptions()
+	uniform.UniformStack = true
+	vtOnly.VtOnly = true
+	policies := map[string]Options{"4-option": DefaultOptions(), "2-option": TwoOption(), "uniform-stack": uniform, "vt-only": vtOnly}
+	p := tech.Default()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, opt := range policies {
+		l, err := Cached(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cn := range l.Names {
+			c := l.Cell(cn)
+			for _, v := range append(append([]*Version{}, c.Versions...), c.Slow) {
+				for s := range v.Leak {
+					lk, err := c.Template.CharacterizeLeakage(p, uint(s), v.Assign)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !same(v.Leak[s], lk.Total()) || !same(v.Isub[s], lk.IsubUp+lk.IsubDown) {
+						t.Fatalf("%s %s state %d: Leak/Isub %v/%v, fresh solve %v/%v",
+							name, v.Name, s, v.Leak[s], v.Isub[s], lk.Total(), lk.IsubUp+lk.IsubDown)
+					}
+				}
+			}
+			for s, choices := range c.Choices {
+				for _, ch := range choices {
+					ts := ch.TemplateState
+					if !same(ch.Leak, ch.Version.Leak[ts]) || !same(ch.Isub, ch.Version.Isub[ts]) {
+						t.Fatalf("%s %s state %d: choice %s disagrees with its version", name, cn, s, ch.Version.Name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -32,8 +32,9 @@ type Element interface {
 	// current returns the channel current (nA) flowing from the element's
 	// top terminal to its bottom terminal.
 	current(ev *evalCtx, vtop, vbot float64) float64
-	// record re-solves internal nodes and records per-device biases.
-	record(ev *evalCtx, vtop, vbot float64, sol *Solution)
+	// record solves internal nodes, records per-device biases and returns
+	// the same current as current(ev, vtop, vbot), bit for bit.
+	record(ev *evalCtx, vtop, vbot float64, sol *Solution) float64
 	// conducts reports whether a fully-ON path exists through the element.
 	conducts(on []bool) bool
 	// visit calls f for every device reference beneath the element.
@@ -151,6 +152,8 @@ func (s *Solution) TotalIgate(p *tech.Params) float64 {
 
 // Solve computes the DC operating point of the network between terminal
 // voltages vtop and vbot, with per-device corners and per-slot gate voltages.
+// One pass both records the biases and yields the network current, so the
+// top-level bisection runs once.
 func (n *Network) Solve(p *tech.Params, corners []tech.Corner, gateV []float64, vtop, vbot float64) (*Solution, error) {
 	if len(corners) != len(n.Devices) {
 		return nil, fmt.Errorf("spnet: %d corners for %d devices", len(corners), len(n.Devices))
@@ -159,8 +162,8 @@ func (n *Network) Solve(p *tech.Params, corners []tech.Corner, gateV []float64, 
 		return nil, fmt.Errorf("spnet: %d gate voltages for %d slots", len(gateV), n.NumGates)
 	}
 	ev := &evalCtx{p: p, net: n, corners: corners, gateV: gateV}
-	sol := &Solution{Current: n.Root.current(ev, vtop, vbot)}
-	n.Root.record(ev, vtop, vbot, sol)
+	sol := &Solution{}
+	sol.Current = n.Root.record(ev, vtop, vbot, sol)
 	return sol, nil
 }
 
@@ -191,16 +194,18 @@ func (r DevRef) current(ev *evalCtx, vtop, vbot float64) float64 {
 	return ev.dev(r).ChannelCurrent(ev.p, ev.gateV[r.Gate], vtop, vbot)
 }
 
-func (r DevRef) record(ev *evalCtx, vtop, vbot float64, sol *Solution) {
+func (r DevRef) record(ev *evalCtx, vtop, vbot float64, sol *Solution) float64 {
 	d := ev.dev(r)
+	i := d.ChannelCurrent(ev.p, ev.gateV[r.Gate], vtop, vbot)
 	sol.Biases = append(sol.Biases, Bias{
 		Ref:     r,
 		Device:  d,
 		VG:      ev.gateV[r.Gate],
 		VTop:    vtop,
 		VBot:    vbot,
-		Channel: d.ChannelCurrent(ev.p, ev.gateV[r.Gate], vtop, vbot),
+		Channel: i,
 	})
+	return i
 }
 
 func (r DevRef) conducts(on []bool) bool { return on[r.Gate] }
@@ -258,14 +263,14 @@ func (s Series) balance(ev *evalCtx, vtop, vbot float64) float64 {
 	return (lo + hi) / 2
 }
 
-func (s Series) record(ev *evalCtx, vtop, vbot float64, sol *Solution) {
+func (s Series) record(ev *evalCtx, vtop, vbot float64, sol *Solution) float64 {
 	if len(s) == 1 {
-		s[0].record(ev, vtop, vbot, sol)
-		return
+		return s[0].record(ev, vtop, vbot, sol)
 	}
 	vmid := s.balance(ev, vtop, vbot)
-	s[0].record(ev, vtop, vmid, sol)
+	i := s[0].record(ev, vtop, vmid, sol)
 	s[1:].record(ev, vmid, vbot, sol)
+	return i
 }
 
 func (s Series) conducts(on []bool) bool {
@@ -322,10 +327,12 @@ func (pl Parallel) current(ev *evalCtx, vtop, vbot float64) float64 {
 	return total
 }
 
-func (pl Parallel) record(ev *evalCtx, vtop, vbot float64, sol *Solution) {
+func (pl Parallel) record(ev *evalCtx, vtop, vbot float64, sol *Solution) float64 {
+	total := 0.0
 	for _, e := range pl {
-		e.record(ev, vtop, vbot, sol)
+		total += e.record(ev, vtop, vbot, sol)
 	}
+	return total
 }
 
 func (pl Parallel) conducts(on []bool) bool {
