@@ -519,18 +519,6 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	}
 }
 
-// BenchmarkAverageRandomLeak measures the 10K-vector reference column on a
-// mid-size circuit.
-func BenchmarkAverageRandomLeak(b *testing.B) {
-	p := mustProblem(b, "c880", library.DefaultOptions(), core.ObjTotal)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.AverageRandomLeak(int64(i), 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBenchParse measures .bench round-trip of the multiplier.
 func BenchmarkBenchParse(b *testing.B) {
 	prof, err := gen.ByName("c6288")

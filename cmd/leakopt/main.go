@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -58,7 +59,7 @@ func main() {
 		ckResume  = flag.Bool("resume", false, "resume the search from the -checkpoint snapshot")
 		progress  = flag.Duration("progress", 0, "print search progress at this interval (e.g. 2s; 0 = off)")
 		libOpt    = flag.String("library", "4opt", "4opt | 2opt | 4opt-uniform | 2opt-uniform")
-		vectors   = flag.Int("vectors", 10000, "random vectors for the reference average")
+		vectors   = flag.Int("vectors", 10000, "random vectors for the reference average (0: no reference)")
 		showVec   = flag.Bool("show-vector", false, "print the sleep vector")
 		showStats = flag.Bool("stats", false, "print search statistics")
 		reportTop = flag.Int("report", 0, "print a leakage report with the top N gates")
@@ -80,6 +81,9 @@ func main() {
 	// flag parsing speaks the canonical core.Algorithm.String names — one
 	// parser (core.ParseAlgorithm) for the local flow, -submit and the wire.
 	methodName := normalizeMethod(*method)
+	if err := svto.CheckBaselineVectors(*vectors); err != nil {
+		fatal(fmt.Errorf("-vectors: %w", err))
+	}
 
 	if *submitURL != "" || *dumpReq != "" {
 		if *seqMode || *mcSamples > 0 || *timing || *ckPath != "" || *ckResume {
@@ -181,11 +185,10 @@ func main() {
 		circ.Name, st.Inputs, st.Outputs, st.Gates, st.Depth)
 	fmt.Printf("delay: Dmin=%.0fps Dmax=%.0fps budget(%.0f%%)=%.0fps\n",
 		p.Dmin, p.Dmax, *penalty, p.Budget(pen))
-	avg, err := p.AverageRandomLeak(2004, *vectors)
+	avg, err := referenceAverage(os.Stdout, p, *vectors)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("average leakage over %d random vectors: %.2f µA\n", *vectors, avg/1000)
 
 	report := func(prob *core.Problem, sol *core.Solution) {
 		if seqCut != nil {
@@ -283,8 +286,12 @@ func main() {
 		if sol.Stats.Interrupted {
 			note = " (interrupted)"
 		}
-		fmt.Printf("%-12s leak=%8.2f µA  (%.1fX)  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
-			label, sol.Leak/1000, avg/sol.Leak, sol.Isub/1000, sol.Delay, sol.Stats.Runtime.Round(time.Millisecond), note)
+		ratio := ""
+		if avg > 0 {
+			ratio = fmt.Sprintf("  (%.1fX)", avg/sol.Leak)
+		}
+		fmt.Printf("%-12s leak=%8.2f µA%s  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
+			label, sol.Leak/1000, ratio, sol.Isub/1000, sol.Delay, sol.Stats.Runtime.Round(time.Millisecond), note)
 		if *showStats {
 			fmt.Printf("             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
 				sol.Stats.StateNodes, sol.Stats.GateTrials, sol.Stats.Leaves, sol.Stats.Pruned)
@@ -376,6 +383,22 @@ func main() {
 		}
 		report(p, run(methodLabel(alg), solve(p, alg, limit)))
 	}
+}
+
+// referenceAverage prints and returns the random-vector average leakage
+// the run's reduction factors are quoted against.  vectors == 0 means no
+// reference: nothing is printed and the average is 0, as BaselineVectors 0
+// means in a -submit request.
+func referenceAverage(w io.Writer, p *core.Problem, vectors int) (float64, error) {
+	if vectors == 0 {
+		return 0, nil
+	}
+	avg, err := p.AverageRandomLeak(2004, vectors)
+	if err != nil {
+		return 0, err
+	}
+	fmt.Fprintf(w, "average leakage over %d random vectors: %.2f µA\n", vectors, avg/1000)
+	return avg, nil
 }
 
 // normalizeMethod maps the CLI's historical heu1/heu2 shorthands onto the

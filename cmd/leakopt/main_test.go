@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"svto/internal/core"
+	"svto/internal/library"
+	"svto/internal/sta"
+	"svto/internal/tech"
 	"svto/pkg/svto"
 )
 
@@ -74,5 +80,51 @@ func TestLoadCircuit(t *testing.T) {
 	}
 	if _, err := loadCircuit("", filepath.Join(dir, "missing.bench")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReferenceAverage: -vectors 0 means no reference, as BaselineVectors 0
+// means with -submit, and a positive count prints the seed-2004 average the
+// run's reduction factors divide.  Counts outside 0..MaxBaselineVectors are
+// refused by the rule the daemon applies to BaselineVectors.
+func TestReferenceAverage(t *testing.T) {
+	circ, err := loadCircuit("c432", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := library.Cached(tech.Default(), library.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(circ, lib, sta.DefaultConfig(), core.ObjTotal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if avg, err := referenceAverage(&out, p, 0); err != nil || avg != 0 || out.Len() != 0 {
+		t.Errorf("0 vectors: avg %v, err %v, printed %q", avg, err, out.String())
+	}
+	want, err := p.AverageRandomLeak(2004, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg, err := referenceAverage(&out, p, 100)
+	if err != nil || avg != want {
+		t.Errorf("100 vectors: avg %v (err %v), want %v", avg, err, want)
+	}
+	if !strings.HasPrefix(out.String(), "average leakage over 100 random vectors: ") {
+		t.Errorf("100 vectors printed %q", out.String())
+	}
+	for _, n := range []int{-1, svto.MaxBaselineVectors + 1} {
+		if err := svto.CheckBaselineVectors(n); err == nil {
+			t.Errorf("-vectors %d accepted", n)
+		}
+		req, err := buildRequest("c432", "", "heuristic1", "4opt", 5, 0, 1, 0, n, 0, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svto.Validate(req); err == nil {
+			t.Errorf("-submit with -vectors %d accepted", n)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"svto/internal/gen"
 	"svto/internal/dist"
+	"svto/internal/gen"
 	"svto/internal/jobs"
 	"svto/internal/netlist"
 	"svto/pkg/svto"
@@ -121,6 +121,9 @@ func TestJobAPIEndToEnd(t *testing.T) {
 		// budgets fail validation, so neither is queued.
 		`{"design":{"benchmark":"c432"},"search":{"portfolio":true}}`,
 		`{"design":{"benchmark":"c432"},"search":{"refine_passes":-1}}`,
+		// Baseline vector counts are bounded on both sides.
+		`{"design":{"benchmark":"c432"},"search":{"baseline_vectors":-1}}`,
+		`{"design":{"benchmark":"c432"},"search":{"baseline_vectors":2000000000}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
 		if err != nil {

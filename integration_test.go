@@ -92,13 +92,13 @@ func TestSolutionSimulationConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := sim.Eval(p.CC, sol.State)
-	if err != nil {
+	vals := make([]uint64, p.CC.NumNets())
+	if err := sim.EvalInto(p.CC, sol.State, vals); err != nil {
 		t.Fatal(err)
 	}
 	for gi := range p.CC.Gates {
 		g := &p.CC.Gates[gi]
-		instState := sim.GateState(g, vals)
+		instState := sim.GateState(g, vals, 0)
 		ch := sol.Choices[gi]
 		// Route the instance state through the permutation.
 		tplState := uint(0)

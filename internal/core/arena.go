@@ -17,7 +17,7 @@ import (
 // reused, so the steady-state leaf path allocates nothing.
 type leafArena struct {
 	state   []bool            // PI vector scratch
-	netVals []bool            // 2-valued simulation values, by net id
+	netVals []uint64          // 2-valued simulation words (lane 0), by net id
 	gateSt  []uint            // per-gate input state under the leaf's PI vector
 	order   []int32           // gate visit order (gain-descending)
 	gains   []float64         // per-gate ordering key for the current leaf
@@ -34,7 +34,7 @@ func (p *Problem) newLeafArena(base *sta.State) *leafArena {
 	n := len(p.CC.Gates)
 	a := &leafArena{
 		state:   make([]bool, len(p.CC.PI)),
-		netVals: make([]bool, p.CC.NumNets()),
+		netVals: make([]uint64, p.CC.NumNets()),
 		gateSt:  make([]uint, n),
 		order:   make([]int32, n),
 		gains:   make([]float64, n),
@@ -78,7 +78,7 @@ func (p *Problem) gateStatesInto(a *leafArena, state []bool) error {
 		return err
 	}
 	for gi := range p.CC.Gates {
-		a.gateSt[gi] = sim.GateState(&p.CC.Gates[gi], a.netVals)
+		a.gateSt[gi] = sim.GateState(&p.CC.Gates[gi], a.netVals, 0)
 	}
 	return nil
 }

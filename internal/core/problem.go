@@ -12,8 +12,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -306,13 +308,13 @@ type Solution struct {
 
 // gateStates simulates the circuit and returns each gate's input state.
 func (p *Problem) gateStates(state []bool) ([]uint, error) {
-	vals, err := sim.Eval(p.CC, state)
-	if err != nil {
+	vals := make([]uint64, p.CC.NumNets())
+	if err := sim.EvalInto(p.CC, state, vals); err != nil {
 		return nil, err
 	}
 	states := make([]uint, len(p.CC.Gates))
 	for gi := range p.CC.Gates {
-		states[gi] = sim.GateState(&p.CC.Gates[gi], vals)
+		states[gi] = sim.GateState(&p.CC.Gates[gi], vals, 0)
 	}
 	return states, nil
 }
@@ -329,18 +331,46 @@ func leakOf(choices []*library.Choice) (leak, isub float64) {
 // AverageRandomLeak estimates the expected standby leakage with no state,
 // Vt or Tox assignment at all (all-fast cells, random states) — the
 // reference column of the paper's tables.  Returns nA.
+//
+// The vectors are sim.RandomVectors(seed, inputs, vectors), simulated 64 at
+// a time, one per lane of the net words.  The sum runs in the order of a
+// per-vector loop (vector-major, gates in compiled order), so the result is
+// bit-identical to one; memory is O(nets + 64·gates) whatever the count.
 func (p *Problem) AverageRandomLeak(seed int64, vectors int) (float64, error) {
 	if vectors <= 0 {
 		return 0, fmt.Errorf("core: need at least one vector")
 	}
+	cc := p.CC
+	leak := make([][]float64, len(cc.Gates))
+	for gi := range leak {
+		leak[gi] = p.Timer.Cells[gi].Fast().Leak
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pi := make([]uint64, len(cc.PI))
+	vals := make([]uint64, cc.NumNets())
+	// states[lane*stride+gi] is gate gi's state in lane; rows are padded
+	// to whole 8-gate words.
+	stride := (len(cc.Gates) + 7) &^ 7
+	states := make([]uint8, 64*stride)
+	var lanes [64]uint64
 	total := 0.0
-	for _, vec := range sim.RandomVectors(seed, len(p.CC.PI), vectors) {
-		states, err := p.gateStates(vec)
-		if err != nil {
+	for done := 0; done < vectors; done += 64 {
+		n := min(64, vectors-done)
+		sim.RandomWords(rng, pi, n)
+		if err := sim.EvalWords(cc, pi, vals); err != nil {
 			return 0, err
 		}
-		for gi, s := range states {
-			total += p.Timer.Cells[gi].Fast().Leak[s]
+		for g0 := 0; g0 < len(cc.Gates); g0 += 8 {
+			sim.LaneStates(cc.Gates[g0:min(g0+8, len(cc.Gates))], vals, &lanes)
+			for lane, w := range lanes {
+				binary.LittleEndian.PutUint64(states[lane*stride+g0:], w)
+			}
+		}
+		for lane := range n {
+			row := states[lane*stride:]
+			for gi, tab := range leak {
+				total += tab[row[gi]]
+			}
 		}
 	}
 	return total / float64(vectors), nil

@@ -133,13 +133,13 @@ func (e *chaosError) Temporary() bool { return true }
 // ChaosStats counts the faults a transport or middleware actually
 // injected, for smoke assertions and logs.
 type ChaosStats struct {
-	Requests  int64 `json:"requests"`
-	Dropped   int64 `json:"dropped"`
+	Requests       int64 `json:"requests"`
+	Dropped        int64 `json:"dropped"`
 	RepliesDropped int64 `json:"replies_dropped"`
-	Dupes     int64 `json:"duplicated"`
-	Truncated int64 `json:"truncated"`
-	Errored   int64 `json:"errored"`
-	Delayed   int64 `json:"delayed"`
+	Dupes          int64 `json:"duplicated"`
+	Truncated      int64 `json:"truncated"`
+	Errored        int64 `json:"errored"`
+	Delayed        int64 `json:"delayed"`
 }
 
 // ChaosTransport is a fault-injecting http.RoundTripper: it wraps a real

@@ -89,8 +89,8 @@ func (s *stubRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{
 		StatusCode: http.StatusOK, Status: "200 OK",
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header),
-		Body:   io.NopCloser(strings.NewReader(body)),
+		Header:  make(http.Header),
+		Body:    io.NopCloser(strings.NewReader(body)),
 		Request: req, ContentLength: int64(len(body)),
 	}, nil
 }

@@ -73,48 +73,50 @@ func (o Op) FaninRange() (min, max int) {
 	}
 }
 
-// Eval computes the op over the given input values.
-func (o Op) Eval(in []bool) bool {
+// EvalWord computes the op lane by lane over 64-lane input words: bit j of
+// the result is the op applied to bit j of every in[k].  This is the one
+// definition of each op's logic; a single vector is lane 0.
+func (o Op) EvalWord(in []uint64) uint64 {
 	switch o {
 	case OpNot:
-		return !in[0]
+		return ^in[0]
 	case OpBuf:
 		return in[0]
 	case OpAnd, OpNand:
-		v := true
-		for _, b := range in {
-			v = v && b
+		v := ^uint64(0)
+		for _, w := range in {
+			v &= w
 		}
 		if o == OpNand {
-			return !v
+			return ^v
 		}
 		return v
 	case OpOr, OpNor:
-		v := false
-		for _, b := range in {
-			v = v || b
+		v := uint64(0)
+		for _, w := range in {
+			v |= w
 		}
 		if o == OpNor {
-			return !v
+			return ^v
 		}
 		return v
 	case OpXor, OpXnor:
-		v := false
-		for _, b := range in {
-			v = v != b
+		v := uint64(0)
+		for _, w := range in {
+			v ^= w
 		}
 		if o == OpXnor {
-			return !v
+			return ^v
 		}
 		return v
 	case OpAoi21:
-		return !(in[0] && in[1] || in[2])
+		return ^(in[0]&in[1] | in[2])
 	case OpOai21:
-		return !((in[0] || in[1]) && in[2])
+		return ^((in[0] | in[1]) & in[2])
 	case OpAoi22:
-		return !(in[0] && in[1] || in[2] && in[3])
+		return ^(in[0]&in[1] | in[2]&in[3])
 	case OpOai22:
-		return !((in[0] || in[1]) && (in[2] || in[3]))
+		return ^((in[0] | in[1]) & (in[2] | in[3]))
 	default:
 		// invariant: unreachable — every Op value is produced by ParseOp or
 		// the techmap rewrites, both of which only emit the cases above; an

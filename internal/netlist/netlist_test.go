@@ -130,8 +130,84 @@ func TestOpEval(t *testing.T) {
 		{OpOai21, []bool{true, true, false}, true},
 	}
 	for _, tc := range cases {
-		if got := tc.op.Eval(tc.in); got != tc.want {
+		in := make([]uint64, len(tc.in))
+		for k, v := range tc.in {
+			if v {
+				in[k] = 1
+			}
+		}
+		if got := tc.op.EvalWord(in)&1 == 1; got != tc.want {
 			t.Errorf("%s%v = %v, want %v", tc.op, tc.in, got, tc.want)
+		}
+	}
+}
+
+// truth is the per-vector definition of each op, written independently of
+// EvalWord.
+func truth(o Op, in []bool) bool {
+	some, every, odd := false, true, false
+	for _, b := range in {
+		some, every, odd = some || b, every && b, odd != b
+	}
+	switch o {
+	case OpNot:
+		return !in[0]
+	case OpBuf:
+		return in[0]
+	case OpAnd:
+		return every
+	case OpNand:
+		return !every
+	case OpOr:
+		return some
+	case OpNor:
+		return !some
+	case OpXor:
+		return odd
+	case OpXnor:
+		return !odd
+	case OpAoi21:
+		return !(in[0] && in[1] || in[2])
+	case OpOai21:
+		return !((in[0] || in[1]) && in[2])
+	case OpAoi22:
+		return !(in[0] && in[1] || in[2] && in[3])
+	case OpOai22:
+		return !((in[0] || in[1]) && (in[2] || in[3]))
+	}
+	panic("truth: unknown op")
+}
+
+// TestEvalWordLanes checks EvalWord lane by lane against the truth table of
+// every op at every legal fan-in: the 2^n input combinations are spread over
+// the lanes of as many words as they fill, and each lane must give the op of
+// its own combination.
+func TestEvalWordLanes(t *testing.T) {
+	for op := Op(0); op < NumOps; op++ {
+		lo, hi := op.FaninRange()
+		for n := lo; n <= hi; n++ {
+			combos := 1 << n
+			for base := 0; base < combos; base += 64 {
+				in := make([]uint64, n)
+				for lane := 0; lane < 64; lane++ {
+					combo := (base + lane) % combos
+					for k := range in {
+						in[k] |= uint64(combo>>k&1) << lane
+					}
+				}
+				got := op.EvalWord(in)
+				for lane := 0; lane < 64; lane++ {
+					combo := (base + lane) % combos
+					bits := make([]bool, n)
+					for k := range bits {
+						bits[k] = combo>>k&1 == 1
+					}
+					if want := truth(op, bits); (got>>lane&1 == 1) != want {
+						t.Errorf("%s/%d inputs %0*b (lane %d) = %v, want %v",
+							op, n, n, combo, lane, !want, want)
+					}
+				}
+			}
 		}
 	}
 }

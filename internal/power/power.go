@@ -57,8 +57,8 @@ type Report struct {
 
 // Analyze builds the report for a solution of the given problem.
 func Analyze(p *core.Problem, sol *core.Solution) (*Report, error) {
-	vals, err := sim.Eval(p.CC, sol.State)
-	if err != nil {
+	vals := make([]uint64, p.CC.NumNets())
+	if err := sim.EvalInto(p.CC, sol.State, vals); err != nil {
 		return nil, err
 	}
 	r := &Report{
@@ -76,7 +76,7 @@ func Analyze(p *core.Problem, sol *core.Solution) (*Report, error) {
 			Cell:      cell.Template.Name,
 			Version:   ch.Version.Name,
 			Kind:      ch.Kind,
-			State:     sim.GateState(g, vals),
+			State:     sim.GateState(g, vals, 0),
 			Leak:      ch.Leak,
 			Isub:      ch.Isub,
 			Reordered: ch.Perm != nil,

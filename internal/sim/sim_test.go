@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"svto/internal/gen"
 	"svto/internal/netlist"
 )
 
@@ -57,12 +59,12 @@ func TestEvalArity(t *testing.T) {
 
 func TestGateState(t *testing.T) {
 	cc := tiny(t)
-	vals, err := Eval(cc, []bool{true, false, true})
-	if err != nil {
+	vals := make([]uint64, cc.NumNets())
+	if err := EvalInto(cc, []bool{true, false, true}, vals); err != nil {
 		t.Fatal(err)
 	}
 	g := &cc.Gates[0] // NAND(a,b) with a=1,b=0
-	if s := GateState(g, vals); s != 0b01 {
+	if s := GateState(g, vals, 0); s != 0b01 {
 		t.Errorf("gate state = %02b, want 01", s)
 	}
 }
@@ -216,5 +218,115 @@ func TestRandomVectorsDeterministic(t *testing.T) {
 func TestValueString(t *testing.T) {
 	if False.String() != "0" || True.String() != "1" || X.String() != "X" {
 		t.Error("Value strings wrong")
+	}
+}
+
+// TestEvalWordsLanes: every lane of a word-wide simulation equals the
+// single-vector simulation of that lane's inputs.
+func TestEvalWordsLanes(t *testing.T) {
+	c, err := gen.RandomLogic("lanes", 3, 20, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := compile(t, c)
+	rng := rand.New(rand.NewSource(5))
+	pi := make([]uint64, len(cc.PI))
+	for i := range pi {
+		pi[i] = rng.Uint64()
+	}
+	words := make([]uint64, cc.NumNets())
+	if err := EvalWords(cc, pi, words); err != nil {
+		t.Fatal(err)
+	}
+	vec := make([]bool, len(cc.PI))
+	for lane := uint(0); lane < 64; lane++ {
+		for i := range vec {
+			vec[i] = pi[i]>>lane&1 == 1
+		}
+		vals, err := Eval(cc, vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for net, v := range vals {
+			if (words[net]>>lane&1 == 1) != v {
+				t.Fatalf("lane %d, net %s: word says %v, Eval %v", lane, cc.NetName[net], !v, v)
+			}
+		}
+	}
+	if err := EvalWords(cc, pi[1:], words); err == nil {
+		t.Error("wrong PI width accepted")
+	}
+	if err := EvalWords(cc, pi, words[1:]); err == nil {
+		t.Error("wrong value-buffer length accepted")
+	}
+}
+
+// TestLaneStates: each byte LaneStates packs is GateState of that gate in
+// that lane, at every fan-in up to 8 and every group size up to 8; bytes
+// past the group are zero.
+func TestLaneStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vals := make([]uint64, 32)
+	for i := range vals {
+		vals[i] = rng.Uint64()
+	}
+	var gates []netlist.CGate
+	for g := 0; g < 8; g++ {
+		gates = append(gates, netlist.CGate{In: rng.Perm(len(vals))[:1+g]})
+	}
+	for size := 1; size <= 8; size++ {
+		group := gates[8-size:]
+		var dst [64]uint64
+		LaneStates(group, vals, &dst)
+		for lane, w := range dst {
+			for g := 0; g < 8; g++ {
+				got := uint(w >> (8 * g) & 0xff)
+				want := uint(0)
+				if g < size {
+					want = GateState(&group[g], vals, uint(lane))
+				}
+				if got != want {
+					t.Errorf("size %d, lane %d, gate %d: state %08b, want %08b", size, lane, g, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomWordsMatchVectors: blocks of RandomWords replay the
+// RandomVectors sequence, which is one rng.Intn(2) draw per input, vector
+// by vector.
+func TestRandomWordsMatchVectors(t *testing.T) {
+	const width = 10
+	for _, count := range []int{1, 63, 64, 65, 130} {
+		want := RandomVectors(2004, width, count)
+		draw := rand.New(rand.NewSource(2004))
+		for _, vec := range want {
+			for i, v := range vec {
+				if v != (draw.Intn(2) == 1) {
+					t.Fatalf("RandomVectors left the Intn(2) sequence at input %d", i)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(2004))
+		pi := make([]uint64, width)
+		for done := 0; done < count; done += 64 {
+			n := min(64, count-done)
+			RandomWords(rng, pi, n)
+			for lane := 0; lane < 64; lane++ {
+				for i := range pi {
+					got := pi[i]>>lane&1 == 1
+					if lane >= n {
+						if got {
+							t.Fatalf("count %d: lane %d past the block is set", count, lane)
+						}
+						continue
+					}
+					if got != want[done+lane][i] {
+						t.Fatalf("count %d: vector %d input %d differs", count, done+lane, i)
+					}
+				}
+			}
+		}
 	}
 }

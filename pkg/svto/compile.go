@@ -69,6 +69,9 @@ func coreOptions(req Request) (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
+	if err := CheckBaselineVectors(req.Search.BaselineVectors); err != nil {
+		return core.Options{}, err
+	}
 	return core.Options{
 		Algorithm:    alg,
 		Penalty:      req.Search.Penalty,

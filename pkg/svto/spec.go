@@ -27,7 +27,8 @@ type Request struct {
 
 // Validate rejects a Request that could never run: no (or ambiguous)
 // design source, an unparsable netlist, an unknown library policy or
-// algorithm, or search options core rejects (a negative budget or count).
+// algorithm, a BaselineVectors count CheckBaselineVectors refuses, or
+// search options core rejects (a negative budget or count).
 // Serving layers call it at submission so a malformed job fails at the API
 // boundary instead of minutes later in a worker.
 func Validate(req Request) error {
@@ -135,8 +136,23 @@ type SearchSpec struct {
 	// Seed drives baseline vectors and parallel task shuffling.
 	Seed int64 `json:"seed,omitempty"`
 	// BaselineVectors, when > 0, estimates the unoptimized average leakage
-	// over that many random vectors (Result.BaselineNA, ReductionX).
+	// over that many random vectors (Result.BaselineNA, ReductionX).  It
+	// may not be negative or exceed MaxBaselineVectors.
 	BaselineVectors int `json:"baseline_vectors,omitempty"`
+}
+
+// MaxBaselineVectors caps SearchSpec.BaselineVectors at 100× the paper's
+// 10,000-vector average, so one request cannot occupy a worker for hours.
+const MaxBaselineVectors = 1_000_000
+
+// CheckBaselineVectors accepts a random-vector count for the baseline
+// average: 0 (no baseline) through MaxBaselineVectors.  Validate applies
+// it to SearchSpec.BaselineVectors, and leakopt to its -vectors flag.
+func CheckBaselineVectors(n int) error {
+	if n < 0 || n > MaxBaselineVectors {
+		return fmt.Errorf("svto: baseline vectors %d outside 0..%d", n, MaxBaselineVectors)
+	}
+	return nil
 }
 
 // TimeLimit converts TimeLimitSec to a Duration.

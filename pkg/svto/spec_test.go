@@ -65,6 +65,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateBaselineVectors: the baseline vector count is accepted from 0
+// (no baseline) through MaxBaselineVectors and refused outside it.
+func TestValidateBaselineVectors(t *testing.T) {
+	for n, ok := range map[int]bool{
+		-1: false, 0: true, 10000: true,
+		svto.MaxBaselineVectors: true, svto.MaxBaselineVectors + 1: false, 2e9: false,
+	} {
+		req := svto.Request{Design: svto.DesignSpec{Bench: tinyBench}, Search: svto.SearchSpec{BaselineVectors: n}}
+		if err := svto.Validate(req); (err == nil) != ok {
+			t.Errorf("BaselineVectors %d: Validate error %v, want accepted=%v", n, err, ok)
+		}
+	}
+}
+
 // TestBaselineSharing: a pre-characterized baseline is accepted for
 // matching requests and rejected for a different technology.
 func TestBaselineSharing(t *testing.T) {
