@@ -74,9 +74,6 @@ func main() {
 		shardMode = flag.Bool("shard", false, "shard mode: work for a coordinator instead of serving the job API")
 		coordURL  = flag.String("coordinator", "", "coordinator base URL (required with -shard)")
 		shardName = flag.String("shard-name", "", "shard name (default hostname-pid)")
-
-		chaosSpec  = flag.String("chaos", "", `inject seeded network faults into this shard's outbound RPCs, e.g. "seed=7,drop=0.1,dup=0.1,delay=0.2,maxdelay=20ms" (testing only)`)
-		chaosServe = flag.String("chaos-server", "", "inject seeded faults into the coordinator's cluster replies (testing only); same spec syntax as -chaos")
 	)
 	flag.Parse()
 
@@ -91,16 +88,6 @@ func main() {
 			Name:        *shardName,
 			Workers:     *workers,
 			Logf:        log.Printf,
-		}
-		if *chaosSpec != "" {
-			chaos, err := dist.ParseChaosSpec(*chaosSpec)
-			if err != nil {
-				log.Fatalf("leakoptd: -chaos: %v", err)
-			}
-			ct := dist.NewChaosTransport(chaos, nil)
-			cfg.Client = &http.Client{Transport: ct, Timeout: 30 * time.Second}
-			defer func() { log.Printf("leakoptd: chaos injected: %s", dist.FormatChaosStats(ct.Stats())) }()
-			log.Printf("leakoptd: shard transport chaos enabled: %q", *chaosSpec)
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
@@ -138,24 +125,12 @@ func main() {
 		log.Printf("leakoptd: %d orphan snapshot(s) in state dir: %v", len(orphans), orphans)
 	}
 
-	var serverChaos dist.ChaosConfig
-	if *chaosServe != "" {
-		if coord == nil {
-			log.Fatal("leakoptd: -chaos-server requires -cluster")
-		}
-		var perr error
-		if serverChaos, perr = dist.ParseChaosSpec(*chaosServe); perr != nil {
-			log.Fatalf("leakoptd: -chaos-server: %v", perr)
-		}
-		log.Printf("leakoptd: coordinator reply chaos enabled: %q", *chaosServe)
-	}
-
 	// Slowloris/resource hardening: bound how long a client may dribble
 	// headers or a body and how long idle keep-alives are held.  No
 	// WriteTimeout — artifact downloads and long GETs are legitimate.
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newHandler(mgr, coord, serverChaos, *debug),
+		Handler:           newHandler(mgr, coord, *debug),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
 		IdleTimeout:       120 * time.Second,
@@ -185,7 +160,7 @@ func main() {
 // newHandler wires the job API onto a mux; separated from main so tests
 // can serve a Manager through httptest.  coord (coordinator mode) mounts
 // the shard wire protocol; debug mounts pprof.
-func newHandler(mgr *jobs.Manager, coord *dist.Coordinator, serverChaos dist.ChaosConfig, debug bool) http.Handler {
+func newHandler(mgr *jobs.Manager, coord *dist.Coordinator, debug bool) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -197,9 +172,7 @@ func newHandler(mgr *jobs.Manager, coord *dist.Coordinator, serverChaos dist.Cha
 	})
 
 	if coord != nil {
-		// Chaos (when configured) wraps only the cluster endpoints: the
-		// shard protocol is built for a lossy network, the job API is not.
-		mux.Handle(dist.APIPrefix+"/", dist.ChaosMiddleware(serverChaos, coord.Handler()))
+		mux.Handle(dist.APIPrefix+"/", coord.Handler())
 	}
 	if debug {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)

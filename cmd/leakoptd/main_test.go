@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"svto/internal/dist"
 	"svto/internal/gen"
 	"svto/internal/jobs"
 	"svto/internal/netlist"
@@ -107,7 +106,7 @@ func TestJobAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	srv := httptest.NewServer(newHandler(mgr, nil, dist.ChaosConfig{}, false))
+	srv := httptest.NewServer(newHandler(mgr, nil, false))
 	defer srv.Close()
 
 	if resp, err := http.Get(srv.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
@@ -236,7 +235,7 @@ func TestRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(newHandler(mgr1, nil, dist.ChaosConfig{}, false))
+	srv1 := httptest.NewServer(newHandler(mgr1, nil, false))
 
 	v := postJob(t, srv1.URL, svto.Request{
 		Design: svto.DesignSpec{Bench: benchText(t, "restart", 11, 12, 90), Name: "restart"},
@@ -271,7 +270,7 @@ func TestRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr2.Close()
-	srv2 := httptest.NewServer(newHandler(mgr2, nil, dist.ChaosConfig{}, false))
+	srv2 := httptest.NewServer(newHandler(mgr2, nil, false))
 	defer srv2.Close()
 
 	done := waitDone(t, srv2.URL, v.ID, 120*time.Second)

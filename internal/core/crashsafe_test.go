@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,51 @@ import (
 	"svto/internal/library"
 	"svto/internal/sta"
 )
+
+// The leaf-fault hooks below are Problem.leafFault closures.  Each counts
+// the leaf attempts that every tree-search worker makes, so a hook fires at
+// the same attempt regardless of worker count.
+
+// errInjectedFault is the error failLeafEvery injects into leaf evaluation.
+var errInjectedFault = errors.New("core: injected leaf fault")
+
+// failLeafEvery fails every n-th leaf attempt with errInjectedFault,
+// exercising the worker-death path without a panic.
+func failLeafEvery(n int64) func() error {
+	var attempts atomic.Int64
+	return func() error {
+		if k := attempts.Add(1); k%n == 0 {
+			return fmt.Errorf("%w at leaf attempt %d", errInjectedFault, k)
+		}
+		return nil
+	}
+}
+
+// panicWorkerAfter panics the worker that makes the n-th leaf attempt (one
+// worker dies; survivors continue), exercising the recover/requeue/degrade
+// path.
+func panicWorkerAfter(n int64) func() error {
+	var attempts atomic.Int64
+	return func() error {
+		if k := attempts.Add(1); k == n {
+			panic(fmt.Sprintf("injected worker panic at leaf attempt %d", k))
+		}
+		return nil
+	}
+}
+
+// cancelAfterLeaves stops the search after n leaf attempts as if its
+// context had been canceled: a deterministic interruption point, where
+// wall-clock cancellation lands at a different leaf every run.
+func cancelAfterLeaves(n int64) func() error {
+	var attempts atomic.Int64
+	return func() error {
+		if attempts.Add(1) > n {
+			return context.Canceled
+		}
+		return nil
+	}
+}
 
 func TestOptionsValidate(t *testing.T) {
 	good := Options{Algorithm: AlgHeuristic2}
@@ -74,7 +121,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 
 	p := midCircuit(t)
-	p.Ablate.PanicWorkerAfter = 3
+	p.leafFault = panicWorkerAfter(3)
 	sol, err := p.Solve(context.Background(), Options{
 		Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 4,
 	})
@@ -106,7 +153,7 @@ func TestAllWorkersDying(t *testing.T) {
 	const penalty = 0.05
 	t.Run("sequential panic", func(t *testing.T) {
 		p := midCircuit(t)
-		p.Ablate.PanicWorkerAfter = 2
+		p.leafFault = panicWorkerAfter(2)
 		sol, err := p.Solve(context.Background(), Options{
 			Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1,
 		})
@@ -126,14 +173,14 @@ func TestAllWorkersDying(t *testing.T) {
 	})
 	t.Run("every parallel worker errors", func(t *testing.T) {
 		p := midCircuit(t)
-		p.Ablate.FailLeafEvery = 1 // every leaf attempt fails
+		p.leafFault = failLeafEvery(1) // every leaf attempt fails
 		sol, err := p.Solve(context.Background(), Options{
 			Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 3,
 		})
 		if !errors.Is(err, ErrWorkerPanic) {
 			t.Fatalf("want ErrWorkerPanic, got %v", err)
 		}
-		if !errors.Is(err, ErrInjectedFault) {
+		if !errors.Is(err, errInjectedFault) {
 			t.Errorf("joined error should carry the leaf faults: %v", err)
 		}
 		if sol == nil {
@@ -171,7 +218,7 @@ func TestSolveCancelAnywhere(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, n := range points {
 			p := midCircuit(t)
-			p.Ablate.CancelAfterLeaves = n
+			p.leafFault = cancelAfterLeaves(n)
 			var last Progress
 			sol, err := p.Solve(context.Background(), Options{
 				Algorithm: AlgHeuristic2, Penalty: penalty, Workers: workers,
@@ -196,17 +243,20 @@ func TestSolveCancelAnywhere(t *testing.T) {
 	}
 }
 
-// crashResume simulates a process death: the search is cut off after n leaf
-// attempts (final snapshot written on the way out, like a SIGTERM/cancel),
-// the Problem is rebuilt from scratch (new process: all pointers differ),
-// and the search resumes from the snapshot.  It loops until a resumed run
-// completes, then returns the final solution and the problem it ran on.
+// crashResume simulates a process death: the search is cut off after
+// cancelEvery leaf attempts (never when 0; final snapshot written on the
+// way out, like a SIGTERM/cancel), the Problem is rebuilt from scratch
+// (new process: all pointers differ), and the search resumes from the
+// snapshot.  It loops until a resumed run completes, then returns the
+// final solution and the problem it ran on.
 func crashResume(t *testing.T, build func(t *testing.T) *Problem, opt Options, cancelEvery int64) (*Problem, *Solution) {
 	t.Helper()
 	resume := false
 	for iter := 0; iter < 100; iter++ {
 		p := build(t)
-		p.Ablate.CancelAfterLeaves = cancelEvery
+		if cancelEvery > 0 {
+			p.leafFault = cancelAfterLeaves(cancelEvery)
+		}
 		o := opt
 		o.Checkpoint.Resume = resume
 		resume = true
@@ -333,7 +383,7 @@ func TestCheckpointResumeStatsEquivalence(t *testing.T) {
 		resume := false
 		for iter := 0; iter < 100; iter++ {
 			p := build(t)
-			p.Ablate.CancelAfterLeaves = 50
+			p.leafFault = cancelAfterLeaves(50)
 			o := opt
 			o.Checkpoint.Resume = resume
 			resume = true
@@ -463,7 +513,7 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	const penalty = 0.05
 	path := filepath.Join(t.TempDir(), "mm.ckpt")
 	p := midCircuit(t)
-	p.Ablate.CancelAfterLeaves = 5
+	p.leafFault = cancelAfterLeaves(5)
 	opt := Options{
 		Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1,
 		Checkpoint: CheckpointOptions{Path: path, Interval: time.Hour},
@@ -561,7 +611,7 @@ func (failCkFS) CreateTemp(dir, pattern string) (checkpoint.File, error) {
 func TestCheckpointWriteFailureIsNonFatal(t *testing.T) {
 	const penalty = 0.05
 	p := midCircuit(t)
-	p.Ablate.CancelAfterLeaves = 5 // force an interruption => a final write attempt
+	p.leafFault = cancelAfterLeaves(5) // force an interruption => a final write attempt
 	sol, err := p.Solve(context.Background(), Options{
 		Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1,
 		Checkpoint: CheckpointOptions{

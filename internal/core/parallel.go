@@ -53,11 +53,6 @@ type sharedSearch struct {
 	// Immutable once set, shared read-only by every worker.
 	relax *relax.Engine
 
-	// faultLeaves is the shared leaf-attempt counter the Ablation fault
-	// hooks key off; it only advances when a hook is armed, so production
-	// searches pay nothing for it.
-	faultLeaves atomic.Int64
-
 	// failMu guards the worker-death record: failures feeds
 	// SearchStats.WorkerFailures (and snapshots), deadErrs the joined
 	// all-workers-died error.
@@ -367,20 +362,13 @@ func (w *worker) dfs(depth int) error {
 // after warm-up (incumbent installs are the only allocation site, amortized
 // over the search).
 func (w *worker) leaf() error {
-	if ab := &w.sh.p.Ablate; ab.FailLeafEvery > 0 || ab.PanicWorkerAfter > 0 || ab.CancelAfterLeaves > 0 {
-		// Deterministic fault injection: the hooks key off one shared
-		// attempt counter, so fault points are reproducible across worker
-		// counts and runs.
-		n := w.sh.faultLeaves.Add(1)
-		if ab.PanicWorkerAfter > 0 && n == ab.PanicWorkerAfter {
-			panic(fmt.Sprintf("injected worker panic at leaf attempt %d", n))
-		}
-		if ab.FailLeafEvery > 0 && n%ab.FailLeafEvery == 0 {
-			return fmt.Errorf("%w at leaf attempt %d", ErrInjectedFault, n)
-		}
-		if ab.CancelAfterLeaves > 0 && n > ab.CancelAfterLeaves {
+	if fault := w.sh.p.leafFault; fault != nil {
+		switch err := fault(); {
+		case errors.Is(err, context.Canceled):
 			w.sh.markInterrupted()
 			return nil
+		case err != nil:
+			return err
 		}
 	}
 	if !w.sh.takeLeafTicket() {

@@ -57,25 +57,6 @@ type Ablation struct {
 	// admissible); only the explored node count and the RelaxBounds/
 	// RelaxPruned counters change.
 	NoRelaxBound bool
-
-	// The remaining fields are deterministic fault-injection hooks for the
-	// crash-safety tests.  They key off a shared leaf-attempt counter that
-	// every tree-search worker increments before evaluating a leaf, so a
-	// given hook value produces the same fault point regardless of worker
-	// count.  All are inert at zero.
-
-	// FailLeafEvery makes every n-th leaf attempt return ErrInjectedFault
-	// instead of evaluating, exercising the worker-death path without a
-	// panic.
-	FailLeafEvery int64
-	// PanicWorkerAfter panics the worker that performs the n-th leaf
-	// attempt (one worker dies; survivors continue), exercising the
-	// recover/requeue/degrade path.
-	PanicWorkerAfter int64
-	// CancelAfterLeaves stops the search after n leaf attempts as if the
-	// context had been cancelled, giving tests a deterministic interruption
-	// point (wall-clock cancellation lands at a different leaf every run).
-	CancelAfterLeaves int64
 }
 
 // Problem binds a mapped circuit to a library and timing environment.
@@ -88,6 +69,10 @@ type Problem struct {
 	Ablate Ablation
 	// Dmin and Dmax anchor the delay-penalty definition.
 	Dmin, Dmax float64
+	// leafFault, when set (tests only), runs before every tree-search
+	// leaf attempt: an error fails the worker, context.Canceled stops the
+	// search as interrupted, and a panic kills the worker.
+	leafFault func() error
 	// piOrder is the state-tree variable order (most influential first).
 	piOrder []int
 	// minChoice[g][s] is the minimum objective value over gate g's

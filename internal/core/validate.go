@@ -18,9 +18,6 @@ var (
 	// ErrCheckpointMismatch reports a resume snapshot whose fingerprint or
 	// contents disagree with the current (circuit, library, options).
 	ErrCheckpointMismatch = errors.New("core: checkpoint does not match this problem")
-	// ErrInjectedFault is the error the Ablation.FailLeafEvery fault hook
-	// injects into leaf evaluation (tests only).
-	ErrInjectedFault = errors.New("core: injected leaf fault")
 )
 
 // Validate checks Options for values that can never be meant: negative

@@ -24,11 +24,11 @@ func fastRetry(seed int64) RetryPolicy {
 	return RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: seed}
 }
 
-// startChaosShard runs a shard whose HTTP client rides a ChaosTransport,
+// startChaosShard runs a shard whose HTTP client rides a chaosTransport,
 // returning the transport so tests can flip partitions and read stats.
-func startChaosShard(t *testing.T, url, name string, workers int, cfg ChaosConfig) *ChaosTransport {
+func startChaosShard(t *testing.T, url, name string, workers int, cfg chaosConfig) *chaosTransport {
 	t.Helper()
-	ct := NewChaosTransport(cfg, nil)
+	ct := newChaosTransport(cfg, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -49,28 +49,6 @@ func startChaosShard(t *testing.T, url, name string, workers int, cfg ChaosConfi
 		<-done
 	})
 	return ct
-}
-
-func TestParseChaosSpec(t *testing.T) {
-	cfg, err := ParseChaosSpec("seed=7,drop=0.1,dropreply=0.05,dup=0.1,trunc=0.02,err=0.02,delay=0.1,maxdelay=20ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Seed != 7 || cfg.DropRequest != 0.1 || cfg.DropReply != 0.05 || cfg.DupRequest != 0.1 ||
-		cfg.TruncateReply != 0.02 || cfg.ErrorReply != 0.02 || cfg.Delay != 0.1 || cfg.MaxDelay != 20*time.Millisecond {
-		t.Errorf("parsed %+v", cfg)
-	}
-	if !cfg.active() {
-		t.Error("parsed profile not active")
-	}
-	if empty, err := ParseChaosSpec("  "); err != nil || empty.active() {
-		t.Errorf("blank spec: %+v, %v", empty, err)
-	}
-	for _, bad := range []string{"bogus=1", "drop=1.5", "drop", "maxdelay=fast", "seed=x"} {
-		if _, err := ParseChaosSpec(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
 }
 
 // stubRT fabricates numbered 200 replies so a fault sequence can be
@@ -97,9 +75,9 @@ func (s *stubRT) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // chaosTrace drives n requests through a fresh transport and returns one
 // signature per request (error text, or status plus what the body said).
-func chaosTrace(t *testing.T, cfg ChaosConfig, n int) []string {
+func chaosTrace(t *testing.T, cfg chaosConfig, n int) []string {
 	t.Helper()
-	ct := NewChaosTransport(cfg, &stubRT{})
+	ct := newChaosTransport(cfg, &stubRT{})
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		req, err := http.NewRequest(http.MethodGet, "http://stub/x", nil)
@@ -121,7 +99,7 @@ func chaosTrace(t *testing.T, cfg ChaosConfig, n int) []string {
 // TestChaosTransportDeterministic: the whole point of the harness — the
 // fault sequence is a pure function of the seed and the request order.
 func TestChaosTransportDeterministic(t *testing.T) {
-	cfg := ChaosConfig{Seed: 7, DropRequest: 0.15, DropReply: 0.1, DupRequest: 0.1,
+	cfg := chaosConfig{Seed: 7, DropRequest: 0.15, DropReply: 0.1, DupRequest: 0.1,
 		TruncateReply: 0.1, ErrorReply: 0.1, Delay: 0.2, MaxDelay: time.Millisecond}
 	a := chaosTrace(t, cfg, 200)
 	b := chaosTrace(t, cfg, 200)
@@ -299,31 +277,49 @@ func TestNonceFence(t *testing.T) {
 }
 
 // TestChaosLossyTwoShardsMatchLocal is the acceptance bar: two shards on
-// a seeded hostile network (well over 20% of RPCs dropped, delayed,
-// duplicated, truncated or errored) must still finish with CSV and
-// Verilog artifacts byte-identical to the undisturbed single-process run.
+// a seeded hostile network, with faults on both sides of the wire at once
+// (each shard's transport drops, duplicates, truncates or errors well
+// over 20% of its RPCs, and the coordinator's own replies are delayed,
+// errored, truncated or cut after processing), must still finish with
+// CSV and Verilog artifacts byte-identical to the undisturbed
+// single-process run.
 func TestChaosLossyTwoShardsMatchLocal(t *testing.T) {
 	req := treeRequest(t, "lossy", 9, 10, 70)
 	ref := localRun(t, req)
 	refCSV, refVlog := renderArtifacts(t, ref)
 
-	coord, url := newCluster(t, Config{MaxLeaseTasks: 2, LeaseTTL: 2 * time.Second, Tick: 25 * time.Millisecond})
-	chaos := ChaosConfig{
+	coord := New(Config{MaxLeaseTasks: 2, LeaseTTL: 2 * time.Second, Tick: 25 * time.Millisecond, Logf: t.Logf})
+	handler, serverStats := chaosMiddleware(chaosConfig{
+		Seed: 13, DropReply: 0.1, TruncateReply: 0.05, ErrorReply: 0.05,
+		Delay: 0.2, MaxDelay: 5 * time.Millisecond,
+	}, coord.Handler())
+	srv := httptest.NewServer(handler)
+	t.Cleanup(srv.Close)
+	chaos := chaosConfig{
 		DropRequest: 0.1, DropReply: 0.08, DupRequest: 0.08,
 		TruncateReply: 0.04, ErrorReply: 0.05,
 		Delay: 0.2, MaxDelay: 5 * time.Millisecond,
 	}
 	c1, c2 := chaos, chaos
 	c1.Seed, c2.Seed = 7, 11
-	ct1 := startChaosShard(t, url, "s1", 1, c1)
-	ct2 := startChaosShard(t, url, "s2", 1, c2)
+	ct1 := startChaosShard(t, srv.URL, "s1", 1, c1)
+	ct2 := startChaosShard(t, srv.URL, "s2", 1, c2)
 	res := runCluster(t, coord, "lossy", req, RunOptions{})()
 
-	s1, s2 := ct1.Stats(), ct2.Stats()
-	t.Logf("s1 chaos: %s", FormatChaosStats(s1))
-	t.Logf("s2 chaos: %s", FormatChaosStats(s2))
-	if s1.Dropped+s1.RepliesDropped+s1.Dupes+s1.Errored == 0 || s2.Dropped+s2.RepliesDropped+s2.Dupes+s2.Errored == 0 {
-		t.Error("chaos transports injected no faults — the test proved nothing")
+	for _, s := range []struct {
+		name  string
+		stats chaosStats
+	}{{"s1", ct1.Stats()}, {"s2", ct2.Stats()}} {
+		t.Logf("%s chaos: %+v", s.name, s.stats)
+		if share := float64(s.stats.disturbed()) / float64(s.stats.Requests); !(share > 0.20) {
+			t.Errorf("%s: %d of %d RPCs disturbed (%.0f%%), want over 20%%",
+				s.name, s.stats.disturbed(), s.stats.Requests, 100*share)
+		}
+	}
+	ss := serverStats()
+	t.Logf("coordinator chaos: %+v", ss)
+	if ss.disturbed() == 0 {
+		t.Error("coordinator middleware injected no faults")
 	}
 	if res.Interrupted {
 		t.Error("exhaustive lossy run reported Interrupted")
@@ -354,7 +350,7 @@ func TestChaosDuplicateEveryRPCCreditsOnce(t *testing.T) {
 	ref := localRun(t, req)
 
 	coord, url := newCluster(t, Config{MaxLeaseTasks: 3, Tick: 25 * time.Millisecond})
-	ct := startChaosShard(t, url, "s1", 1, ChaosConfig{Seed: 3, DupRequest: 1})
+	ct := startChaosShard(t, url, "s1", 1, chaosConfig{Seed: 3, DupRequest: 1})
 	res := runCluster(t, coord, "dupwire", req, RunOptions{})()
 
 	if s := ct.Stats(); s.Dupes == 0 {
@@ -384,7 +380,7 @@ func TestChaosHealedPartitionConverges(t *testing.T) {
 
 	coord, url := newCluster(t, Config{MaxLeaseTasks: 2, LeaseTTL: 2 * time.Second, Tick: 25 * time.Millisecond})
 	startShard(t, url, "steady", 1)
-	ct := startChaosShard(t, url, "flaky", 1, ChaosConfig{Seed: 5})
+	ct := startChaosShard(t, url, "flaky", 1, chaosConfig{Seed: 5})
 	wait := runCluster(t, coord, "partition", req, RunOptions{})
 
 	// Let the job get moving, then cut the flaky shard's inbound path for a
@@ -405,9 +401,9 @@ func TestChaosHealedPartitionConverges(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ct.SetPartition(PartitionInbound)
+	ct.SetPartition(partitionInbound)
 	time.Sleep(300 * time.Millisecond)
-	ct.SetPartition(PartitionNone)
+	ct.SetPartition(partitionNone)
 
 	res := wait()
 	if res.Interrupted {
@@ -430,10 +426,11 @@ func TestChaosServerMiddlewareLossy(t *testing.T) {
 	ref := localRun(t, req)
 
 	coord := New(Config{MaxLeaseTasks: 2, LeaseTTL: 2 * time.Second, Tick: 25 * time.Millisecond, Logf: t.Logf})
-	srv := httptest.NewServer(ChaosMiddleware(ChaosConfig{
+	handler, _ := chaosMiddleware(chaosConfig{
 		Seed: 13, DropReply: 0.12, ErrorReply: 0.08, TruncateReply: 0.05,
 		Delay: 0.2, MaxDelay: 5 * time.Millisecond,
-	}, coord.Handler()))
+	}, coord.Handler())
+	srv := httptest.NewServer(handler)
 	t.Cleanup(srv.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())

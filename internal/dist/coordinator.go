@@ -640,14 +640,11 @@ func (r *run) lease(req LeaseRequest) LeaseReply {
 	}
 
 	// Grant size: guided self-scheduling — a quarter of an even share of
-	// the pending work per live shard, clamped to the configured batch cap
-	// (and the shard's own).  Finer grants keep shards load-balanced
-	// through pruning imbalance without resorting to work stealing, which
-	// duplicates the victim's open tasks.
+	// the pending work per live shard, clamped to the configured batch cap.
+	// Finer grants keep shards load-balanced through pruning imbalance
+	// without resorting to work stealing, which duplicates the victim's
+	// open tasks.
 	max := r.c.cfg.MaxLeaseTasks
-	if req.Max > 0 && req.Max < max {
-		max = req.Max
-	}
 	n := (len(r.pending) + 4*liveShards - 1) / (4 * liveShards)
 	if n < 1 {
 		n = 1

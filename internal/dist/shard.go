@@ -17,11 +17,6 @@ import (
 	"svto/pkg/svto"
 )
 
-// shardBaselineCap bounds the shard's per-library baseline cache: a
-// long-lived shard serving many technologies keeps only the most recently
-// used characterizations instead of growing without limit.
-const shardBaselineCap = 4
-
 // ShardConfig configures one worker shard process.
 type ShardConfig struct {
 	// Coordinator is the coordinator's base URL (e.g. http://host:8080).
@@ -31,9 +26,6 @@ type ShardConfig struct {
 	// Workers is the local search width per batch; 0 adopts the job's own
 	// worker setting (falling back to GOMAXPROCS inside the engine).
 	Workers int
-	// MaxLeaseTasks caps the batch size this shard requests (0 = the
-	// coordinator decides).
-	MaxLeaseTasks int
 	// PollInterval is the idle cadence (no job, or all tasks leased
 	// elsewhere); 0 defaults to 500ms.
 	PollInterval time.Duration
@@ -43,8 +35,8 @@ type ShardConfig struct {
 	// Retry shapes the per-RPC backoff; the zero value uses the defaults
 	// documented on RetryPolicy.
 	Retry RetryPolicy
-	// Client overrides the HTTP client (e.g. to wrap its transport in a
-	// ChaosTransport).
+	// Client overrides the HTTP client (nil = a plain client with a 30s
+	// timeout).
 	Client *http.Client
 	// Logf, when non-nil, receives shard diagnostics.
 	Logf func(format string, args ...any)
@@ -81,7 +73,7 @@ func RunShard(ctx context.Context, cfg ShardConfig) error {
 	s := &shard{
 		cfg:       cfg,
 		cl:        newClient(strings.TrimRight(cfg.Coordinator, "/")+APIPrefix, cfg.Client, cfg.Retry),
-		baselines: newBaselineCache(shardBaselineCap),
+		baselines: make(map[string]*svto.Baseline),
 	}
 
 	registered := false
@@ -105,9 +97,14 @@ func RunShard(ctx context.Context, cfg ShardConfig) error {
 }
 
 type shard struct {
-	cfg       ShardConfig
-	cl        *client
-	baselines *baselineCache
+	cfg ShardConfig
+	cl  *client
+	// baselines caches characterized standby libraries by LibrarySpec.Key,
+	// so consecutive jobs on the same library skip re-characterization.
+	// Only built libraries are stored, and NewBaseline builds only the
+	// four leakage policies, so the map holds at most four entries.  Used
+	// only from the job loop's goroutine.
+	baselines map[string]*svto.Baseline
 }
 
 func (s *shard) logf(format string, args ...any) {
@@ -163,48 +160,19 @@ func (s *shard) pollJobs(ctx context.Context) {
 	}
 }
 
-// baselineCache is a tiny LRU over characterized standby libraries, keyed
-// by LibrarySpec.Key, so consecutive jobs on the same technology skip
-// re-characterization without letting a many-technology shard grow its
-// memory without bound.  Used only from the shard's job loop (single
-// goroutine).
-type baselineCache struct {
-	cap     int
-	entries map[string]*svto.Baseline
-	order   []string // LRU order, oldest first
-}
-
-func newBaselineCache(cap int) *baselineCache {
-	return &baselineCache{cap: cap, entries: make(map[string]*svto.Baseline)}
-}
-
-func (c *baselineCache) get(spec svto.LibrarySpec) (*svto.Baseline, error) {
+// baseline returns the characterized library for spec, building it on
+// first use.
+func (s *shard) baseline(spec svto.LibrarySpec) (*svto.Baseline, error) {
 	key := spec.Key()
-	if b := c.entries[key]; b != nil {
-		c.touch(key)
+	if b := s.baselines[key]; b != nil {
 		return b, nil
 	}
 	b, err := svto.NewBaseline(spec)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.order) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
-	}
-	c.entries[key] = b
-	c.order = append(c.order, key)
+	s.baselines[key] = b
 	return b, nil
-}
-
-func (c *baselineCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			return
-		}
-	}
 }
 
 // runJob drains one job's leases until the coordinator reports it done
@@ -213,7 +181,7 @@ func (c *baselineCache) touch(key string) {
 // restarted coordinator re-expanded its frontier from the checkpoint, so
 // nothing is lost) and the caller must re-register.
 func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
-	base, err := s.baselines.get(info.Request.Library)
+	base, err := s.baseline(info.Request.Library)
 	if err != nil {
 		s.logf("dist: shard %s: job %s: baseline: %v", s.cfg.Name, info.JobID, err)
 		sleepCtx(ctx, s.cfg.PollInterval)
@@ -258,7 +226,7 @@ func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
 		}
 		var lr LeaseReply
 		status, err := s.cl.postStatus(jobCtx, "/lease",
-			LeaseRequest{Shard: s.cfg.Name, JobID: info.JobID, Max: s.cfg.MaxLeaseTasks}, &lr)
+			LeaseRequest{Shard: s.cfg.Name, JobID: info.JobID}, &lr)
 		if err != nil {
 			if errors.Is(err, ErrCoordinatorRestarted) {
 				s.logf("dist: shard %s: job %s: %v; abandoning lease loop", s.cfg.Name, info.JobID, err)

@@ -33,23 +33,23 @@ var ErrCoordinatorRestarted = errors.New("dist: coordinator restarted (run nonce
 
 // RetryPolicy shapes the shard client's capped exponential backoff.  The
 // zero value picks defaults suitable for the default poll cadence; tests
-// shrink the delays to keep chaos runs fast.
+// shrink the delays to keep fault-injection runs fast.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per RPC (default 8).
 	MaxAttempts int
 	// BaseDelay is the first backoff (default 50ms); each retry doubles it
-	// (Multiplier) up to MaxDelay (default 2s).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// JitterFrac randomizes each delay by ±frac/2 of itself (default 0.2)
-	// so a fleet of shards retrying after one coordinator hiccup does not
-	// re-arrive in lockstep.
-	JitterFrac float64
+	// up to MaxDelay (default 2s).
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Seed seeds the jitter RNG (default 1); jitter is the only randomness
 	// in the client, so a fixed seed keeps retry schedules reproducible.
 	Seed int64
 }
+
+// retryJitter randomizes each backoff by ±retryJitter/2 of itself, so a
+// fleet of shards retrying after one coordinator hiccup does not re-arrive
+// in lockstep.
+const retryJitter = 0.2
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -60,12 +60,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -238,18 +232,18 @@ func (c *client) doRetry(ctx context.Context, build func() (*http.Request, error
 		if !sleepCtx(ctx, d) {
 			return status, err
 		}
-		delay = time.Duration(float64(delay) * c.retry.Multiplier)
+		delay *= 2
 		if delay > c.retry.MaxDelay {
 			delay = c.retry.MaxDelay
 		}
 	}
 }
 
-// jitter spreads d by ±JitterFrac/2, deterministically from the policy
+// jitter spreads d by ±retryJitter/2, deterministically from the policy
 // seed.
 func (c *client) jitter(d time.Duration) time.Duration {
 	c.mu.Lock()
-	f := 1 + c.retry.JitterFrac*(c.rng.Float64()-0.5)
+	f := 1 + retryJitter*(c.rng.Float64()-0.5)
 	c.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }

@@ -69,8 +69,6 @@ type JobInfo struct {
 type LeaseRequest struct {
 	Shard string `json:"shard"`
 	JobID string `json:"job_id"`
-	// Max caps the batch size (0 = coordinator decides).
-	Max int `json:"max,omitempty"`
 }
 
 // LeaseReply grants a batch (or tells the shard to wait / stop).  Tasks are

@@ -61,7 +61,7 @@ func FuzzWire(f *testing.F) {
 	inc := &checkpoint.Incumbent{State: []bool{true, false}, Choices: [][2]int32{{0, 1}}, Leak: 12.5, Isub: 3, Delay: 100}
 	for _, v := range []any{
 		RegisterRequest{Shard: "s1", Workers: 2, Health: &ShardHealth{Retries: 1}},
-		LeaseRequest{Shard: "s1", JobID: "j1", Max: 4},
+		LeaseRequest{Shard: "s1", JobID: "j1"},
 		CompleteRequest{Shard: "s1", JobID: "j1", LeaseID: 3, Remaining: []int64{7}, Incumbent: inc},
 		SyncRequest{Shard: "s1", JobID: "j1", Epoch: 2, Incumbent: inc},
 		JobInfo{JobID: "j1", Request: svto.Request{Design: svto.DesignSpec{Benchmark: "c432"}}, SplitDepth: 3, Fingerprint: 42},
