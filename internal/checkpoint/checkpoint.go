@@ -213,17 +213,31 @@ func (osFS) Remove(name string) error                     { return os.Remove(nam
 // OS is the real filesystem, used whenever no FS is injected.
 var OS FS = osFS{}
 
-// Save atomically writes the snapshot to path: temp file in the same
-// directory, write, fsync, close, rename.  On any error the temp file is
-// removed and the previous snapshot (if any) is left untouched.
+// Save atomically writes the snapshot to path (see WriteFile).
 func Save(fs FS, path string, snap *Snapshot) error {
+	data := snap.marshal()
+	err := WriteFile(fs, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}
+
+// WriteFile atomically replaces path with what write produces: temp file
+// in the same directory, write, fsync, close, rename.  On any error the
+// temp file is removed and the previous file (if any) is left untouched,
+// so a crash mid-write never leaves a torn file.  A nil fs is the real
+// filesystem.
+func WriteFile(fs FS, path string, write func(io.Writer) error) error {
 	if fs == nil {
 		fs = OS
 	}
-	data := snap.marshal()
 	f, err := fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("create temp: %w", err)
 	}
 	tmp := f.Name()
 	cleanup := func(err error) error {
@@ -231,19 +245,19 @@ func Save(fs FS, path string, snap *Snapshot) error {
 		fs.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(fmt.Errorf("checkpoint: write: %w", err))
+	if err := write(f); err != nil {
+		return cleanup(fmt.Errorf("write: %w", err))
 	}
 	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("checkpoint: fsync: %w", err))
+		return cleanup(fmt.Errorf("fsync: %w", err))
 	}
 	if err := f.Close(); err != nil {
 		fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: close: %w", err)
+		return fmt.Errorf("close: %w", err)
 	}
 	if err := fs.Rename(tmp, path); err != nil {
 		fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return fmt.Errorf("rename: %w", err)
 	}
 	return nil
 }

@@ -17,8 +17,8 @@ import (
 // When Path is set, the running search periodically serializes its frontier,
 // incumbent and counters to Path (atomically: temp file + fsync + rename),
 // writes a final snapshot if it is interrupted, and removes the file when it
-// runs to completion.  The snapshot's frontier is the pool's unexplored
-// subtree tasks.
+// runs to completion.  The snapshot's frontier is the drain's open subtree
+// tasks, so local and cluster runs resume each other's snapshots.
 type CheckpointOptions struct {
 	// Path is the snapshot file.
 	Path string
@@ -115,12 +115,10 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	return h.Sum64()
 }
 
-// ResumedSearch is the durable state of a tree search in search terms:
+// resumedSearch is the durable state of a tree search in search terms:
 // what a snapshot records, with the incumbent re-resolved against this
-// process's library.  LoadSearch returns it to every resuming caller — a
-// local Solve and the cluster coordinator alike — and BuildSnapshot turns
-// the same shape back into a snapshot.
-type ResumedSearch struct {
+// process's library.
+type resumedSearch struct {
 	// Seed is the incumbent.
 	Seed *Solution
 	// Tasks is the unexplored frontier: in-flight tasks count as
@@ -140,12 +138,12 @@ type ResumedSearch struct {
 	Failures []WorkerFailure
 }
 
-// LoadSearch reads the snapshot at path and validates it against the
+// loadSearch reads the snapshot at path and validates it against the
 // search (p, opt): fingerprint, incumbent, split depth and frontier tasks.
 // A missing file returns (nil, nil): there is nothing to resume and the run
 // starts fresh, which is what makes "-resume" safe to pass unconditionally.
 // Any disagreement fails with ErrCheckpointMismatch.
-func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*ResumedSearch, error) {
+func (p *Problem) loadSearch(fs checkpoint.FS, path string, opt Options) (*resumedSearch, error) {
 	snap, err := checkpoint.Load(fs, path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -164,7 +162,7 @@ func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*Resum
 	if err != nil {
 		return nil, mismatch("%v", err)
 	}
-	rs := &ResumedSearch{
+	rs := &resumedSearch{
 		Seed:       seed,
 		SplitDepth: snap.SplitDepth,
 		Elapsed:    snap.Elapsed,
@@ -185,30 +183,6 @@ func (p *Problem) LoadSearch(fs checkpoint.FS, path string, opt Options) (*Resum
 		rs.Tasks = append(rs.Tasks, task)
 	}
 	return rs, nil
-}
-
-// BuildSnapshot encodes st as the snapshot of the search fingerprinted
-// fprint (see SearchFingerprint).
-func (p *Problem) BuildSnapshot(fprint uint64, st *ResumedSearch) (*checkpoint.Snapshot, error) {
-	inc, err := p.EncodeIncumbent(st.Seed)
-	if err != nil {
-		return nil, err
-	}
-	snap := &checkpoint.Snapshot{
-		Fingerprint: fprint,
-		Elapsed:     st.Elapsed,
-		SplitDepth:  st.SplitDepth,
-		LeavesUsed:  st.LeavesUsed,
-		Stats:       st.Stats,
-		Incumbent:   inc,
-	}
-	for _, f := range st.Failures {
-		snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack})
-	}
-	for _, t := range st.Tasks {
-		snap.Frontier = append(snap.Frontier, TaskBytes(t))
-	}
-	return snap, nil
 }
 
 // EncodeIncumbent serializes a solution into the pointer-free form
@@ -297,21 +271,32 @@ func (p *Problem) checkTask(t []sim.Value, depth int) error {
 }
 
 // writeCheckpoint serializes and atomically writes one snapshot of the
-// running search.  Failures are recorded in the stats but never abort the
-// search: losing a snapshot costs redo work after a crash, aborting would
-// cost the whole run now.
-func (sh *sharedSearch) writeCheckpoint(tp *taskPool) {
+// running search: the drain's open tasks, the incumbent, the counters,
+// budgets and failures.  Failures are recorded in the stats but never abort
+// the search: losing a snapshot costs redo work after a crash, aborting
+// would cost the whole run now.
+func (sh *Search) writeCheckpoint(d Drain) {
 	sh.ckWrites.Add(1)
-	snap, err := sh.p.BuildSnapshot(sh.fprint, &ResumedSearch{
-		Seed:       sh.inc.Best(),
-		Tasks:      tp.remaining(),
-		SplitDepth: sh.splitDepth,
-		Elapsed:    sh.priorElapsed + time.Since(sh.start),
-		LeavesUsed: sh.leafTickets.Load(),
-		Stats:      sh.counters.Load(),
-		Failures:   sh.failuresCopy(),
-	})
+	// The tasks are read first: a task leaves the open list only after its
+	// improvements reached the incumbent, so the incumbent read next covers
+	// every task the snapshot no longer lists.
+	tasks := d.Open()
+	inc, err := sh.p.EncodeIncumbent(sh.inc.Best())
 	if err == nil {
+		snap := &checkpoint.Snapshot{
+			Fingerprint: sh.fprint,
+			Elapsed:     sh.elapsed(),
+			SplitDepth:  sh.splitDepth,
+			LeavesUsed:  sh.leafTickets.Load(),
+			Stats:       sh.counters.Load(),
+			Incumbent:   inc,
+		}
+		for _, f := range sh.failuresCopy() {
+			snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack})
+		}
+		for _, t := range tasks {
+			snap.Frontier = append(snap.Frontier, TaskBytes(t))
+		}
 		err = checkpoint.Save(sh.ck.fs(), sh.ck.Path, snap)
 	}
 	if err != nil {

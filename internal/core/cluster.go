@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"svto/internal/library"
 	"svto/internal/sim"
@@ -17,9 +16,10 @@ import (
 // This file is the search engine's distribution surface: the hooks a
 // cluster coordinator and its worker shards use to run one tree search
 // across processes.  The unit of distribution is the same 3-valued subtree
-// task vector the checkpoint format persists — a coordinator expands the
-// root frontier once (ExpandFrontier), hands task batches to shards, and
-// each shard drains its batch with the ordinary pool engine (SolveTasks).
+// task vector the checkpoint format persists — a coordinator runs the
+// search through SolveWith with its lease table as the Drain, hands task
+// batches to shards, and each shard drains its batch with the ordinary
+// pool engine (SolveTasks).
 // Every search's incumbent is a SharedIncumbent, which a network pump can
 // also publish into and subscribe from; monotonicity makes late, duplicate
 // or crossing broadcasts harmless.
@@ -195,9 +195,8 @@ func (s *SharedIncumbent) install(origin int, sol *Solution) {
 	}
 }
 
-// SeedSolution runs the Heuristic 1 descent that seeds every tree search —
-// exported so a coordinator can compute the incumbent a distributed run
-// starts from (identical to the seed a local Solve would derive).
+// SeedSolution runs the Heuristic 1 descent that seeds every tree search:
+// the incumbent a fresh Solve or SolveWith starts from.
 func (p *Problem) SeedSolution(penalty float64) (*Solution, error) {
 	return p.heuristic1(p.Budget(penalty))
 }
@@ -209,20 +208,11 @@ func (p *Problem) SeedSolution(penalty float64) (*Solution, error) {
 // distributed runs interchangeably because both use this same hash.
 func (p *Problem) SearchFingerprint(opt Options) uint64 { return p.fingerprint(opt) }
 
-// DefaultSplitDepth picks the frontier depth for a distributed run: the
-// same surplus heuristic the local pool uses, floored at the checkpoint
-// depth (a coordinator always snapshots, and finer tasks both bound the
-// requeue loss when a shard dies and give work stealing something to take).
-func DefaultSplitDepth(parallelism, inputs int) int {
-	d := autoSplitDepth(parallelism, inputs)
-	if d < ckSplitDepth {
-		d = ckSplitDepth
-	}
-	if d > inputs {
-		d = inputs
-	}
-	return d
-}
+// DefaultSplitDepth is the frontier depth SolveWith picks for a fresh
+// search whose tasks are handed on — checkpointed, or drained by a
+// caller's Drain such as a cluster coordinator — when the drain explores
+// parallelism tasks at once.
+func DefaultSplitDepth(parallelism, inputs int) int { return splitDepth(parallelism, inputs, true) }
 
 // ExpandFrontier expands the state tree to depth under seed's bound and
 // returns the surviving subtree tasks plus the counters the expansion
@@ -240,7 +230,7 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 	zero := *seed
 	zero.Stats = SearchStats{}
 	opt.Share = nil
-	sh := newSharedSearch(p, opt, p.Budget(opt.Penalty), &zero)
+	sh := newSearch(p, opt, p.Budget(opt.Penalty), &zero)
 	tasks, err := sh.frontier(depth, opt.Seed)
 	if err != nil {
 		return nil, SearchStats{}, err
@@ -276,7 +266,6 @@ type TaskResult struct {
 // Checkpointing is rejected: in a distributed run the coordinator owns the
 // snapshot, and a shard's unfinished tasks are its Remaining return.
 func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, tasks [][]sim.Value) (*TaskResult, error) {
-	start := time.Now()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,26 +290,21 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	sh := newSharedSearch(p, opt, p.Budget(opt.Penalty), seed)
-	sh.start = start
+	sh := newSearch(p, opt, p.Budget(opt.Penalty), seed)
 	sh.splitDepth = opt.SplitDepth
 	sh.handOff = true
-	// Shards run the same bound cascade a local pool would, so a 1-shard
-	// cluster run explores (and prunes) bit-identically to the local search.
-	// The engine is cached on the Problem, so repeated leases pay the build
-	// once.
-	var err error
-	sh.relax, err = p.relaxEngine(ctx, sh.budget)
-	if err != nil {
-		return nil, err
-	}
-	remaining, searchErr := sh.runPool(ctx, tasks, opt.Workers)
+	// Shards drain with the same pool (and bound cascade) a local Solve
+	// uses, so a 1-shard cluster run explores and prunes bit-identically to
+	// the local search.
+	pool := &poolDrain{workers: opt.Workers}
+	pool.Load(sh, tasks)
+	searchErr := pool.Explore(ctx)
 	if searchErr != nil && !errors.Is(searchErr, ErrWorkerPanic) {
 		return nil, searchErr
 	}
 	return &TaskResult{
-		Best:       sh.finish(start),
-		Remaining:  remaining,
+		Best:       sh.finish(),
+		Remaining:  pool.Open(),
 		LeavesUsed: sh.leafTickets.Load(),
 	}, searchErr
 }

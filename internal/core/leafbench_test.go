@@ -31,7 +31,7 @@ func benchRandomProblem(b *testing.B, name string, seed int64, inputs, gates int
 
 // benchWorker builds a single search worker with a heuristic-1-seeded
 // incumbent, mirroring the state every tree-search leaf evaluation runs in.
-func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *sharedSearch, []bool) {
+func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *Search, []bool) {
 	b.Helper()
 	budget := p.Budget(0.05)
 	seed, err := p.heuristic1(budget)
@@ -42,7 +42,7 @@ func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *sharedSearc
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh := newSharedSearch(p, Options{Algorithm: alg}, budget, seed)
+	sh := newSearch(p, Options{Algorithm: alg}, budget, seed)
 	w, err := sh.newWorker(base)
 	if err != nil {
 		b.Fatal(err)
@@ -117,7 +117,7 @@ func TestLeafEvalAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := newSharedSearch(p, Options{Algorithm: alg}, budget, seed)
+		sh := newSearch(p, Options{Algorithm: alg}, budget, seed)
 		w, err := sh.newWorker(base)
 		if err != nil {
 			t.Fatal(err)

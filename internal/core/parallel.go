@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -18,11 +17,13 @@ import (
 	"svto/internal/sta"
 )
 
-// sharedSearch is the state shared by every worker of one tree search: the
-// incumbent cell (read lock-free on the hot pruning path, tightened globally
-// whenever any worker improves it), the stop flag, the optional leaf
-// budget, and the aggregated counters behind Progress snapshots.
-type sharedSearch struct {
+// Search is one running tree search: the state shared by every worker that
+// explores it, local or remote — the incumbent cell (read lock-free on the
+// hot pruning path, tightened globally whenever any worker improves it),
+// the stop flag, the optional leaf budget, the exactly-once counters behind
+// Progress snapshots and checkpoints, and the recorded worker failures.
+// SolveWith owns it; a Drain reaches it through the exported methods.
+type Search struct {
 	p      *Problem
 	alg    Algorithm
 	budget float64
@@ -40,8 +41,9 @@ type sharedSearch struct {
 	splitDepth int
 
 	// handOff reports that an interrupted drain hands its unexplored
-	// frontier on — to a checkpoint snapshot, or as SolveTasks' Remaining
-	// — so whoever takes a stopped task next re-explores and re-counts it.
+	// frontier on — to a checkpoint snapshot, to a caller's drain, or as
+	// SolveTasks' Remaining — so whoever takes a stopped task next
+	// re-explores and re-counts it.
 	handOff bool
 
 	// counters are the exactly-once totals: workers add their deltas at
@@ -60,77 +62,117 @@ type sharedSearch struct {
 	failures []WorkerFailure
 	deadErrs []error
 
-	// Checkpointing state (zero when Options.Checkpoint is unset).
-	ck           CheckpointOptions
-	fprint       uint64
+	// Lifecycle state: the wall clock of this run and of the runs it
+	// resumed, and the checkpoint settings and tallies (zero when
+	// Options.Checkpoint is unset).
 	start        time.Time
 	priorElapsed time.Duration
+	ck           CheckpointOptions
+	fprint       uint64
 	ckWrites     atomic.Int64
 	ckErrors     atomic.Int64
 }
 
-// newSharedSearch seeds the incumbent with seed — Heuristic 1's solution
-// (the paper's "good bound during the first downward traversal") or a
-// resumed incumbent — and folds its counters into the shared totals.  The
-// seed descent is free: its leaf does not count against the MaxLeaves
-// budget, so MaxLeaves == n explores up to n tree leaves beyond the seed.
-// With Options.Share set the search uses that cell directly, so external
+// newSearch seeds the incumbent with seed — Heuristic 1's solution (the
+// paper's "good bound during the first downward traversal") or a resumed
+// incumbent — and folds its counters into the shared totals.  The seed
+// descent is free: its leaf does not count against the MaxLeaves budget, so
+// MaxLeaves == n explores up to n tree leaves beyond the seed.  With
+// Options.Share set the search uses that cell directly, so external
 // improvements tighten its pruning bound and its own publish outward.
-func newSharedSearch(p *Problem, opt Options, budget float64, seed *Solution) *sharedSearch {
+func newSearch(p *Problem, opt Options, budget float64, seed *Solution) *Search {
 	inc := opt.Share
 	if inc == nil {
 		inc = NewSharedIncumbent(p)
 	}
-	sh := &sharedSearch{
+	sh := &Search{
 		p:         p,
 		alg:       opt.Algorithm,
 		budget:    budget,
 		inc:       inc,
 		maxLeaves: opt.MaxLeaves,
+		start:     time.Now(),
 	}
 	inc.Offer(seed)
 	sh.counters.Add(seed.Stats.Counters)
 	return sh
 }
 
-// bestObj returns the incumbent's objective value — the units every bound
-// comparison and pruning decision uses.
-func (sh *sharedSearch) bestObj() float64 { return sh.inc.Obj() }
+// Incumbent returns the search's incumbent cell.
+func (sh *Search) Incumbent() *SharedIncumbent { return sh.inc }
 
-func (sh *sharedSearch) markInterrupted() {
+// SplitDepth is the depth the frontier was expanded at: every task forces
+// the first SplitDepth inputs of the search order.
+func (sh *Search) SplitDepth() int { return sh.splitDepth }
+
+// Credit adds the counters of work explored outside this process (a
+// shard's finished batch) to the exactly-once totals.
+func (sh *Search) Credit(c Counters) { sh.counters.Add(c) }
+
+// ChargeLeaves charges n leaf-budget tickets spent outside this process and
+// returns the tickets MaxLeaves still allows: 0 with ok when the search has
+// no leaf budget, ok false once it is spent.
+func (sh *Search) ChargeLeaves(n int64) (left int64, ok bool) {
+	used := sh.leafTickets.Add(n)
+	if sh.maxLeaves <= 0 {
+		return 0, true
+	}
+	left = sh.maxLeaves - used
+	return left, left > 0
+}
+
+// RecordFailure records a failure outside this process (a dead shard, a
+// returned batch) in SearchStats.WorkerFailures and in snapshots.
+func (sh *Search) RecordFailure(wf WorkerFailure) {
+	sh.failMu.Lock()
+	sh.failures = append(sh.failures, wf)
+	sh.failMu.Unlock()
+}
+
+// Interrupt stops the search: workers stop at their next poll, the result
+// reports Interrupted, and a checkpointed search snapshots the drain's open
+// tasks on its way out.
+func (sh *Search) Interrupt() {
 	sh.interrupted.Store(true)
 	sh.stop.Store(true)
 }
+
+// bestObj returns the incumbent's objective value — the units every bound
+// comparison and pruning decision uses.
+func (sh *Search) bestObj() float64 { return sh.inc.Obj() }
 
 // takeLeafTicket enforces the MaxLeaves work budget across workers.  The
 // counter always advances (one atomic add per leaf) so checkpoints can
 // record how much of the budget a crashed run had consumed even when no
 // budget is set.
-func (sh *sharedSearch) takeLeafTicket() bool {
+func (sh *Search) takeLeafTicket() bool {
 	n := sh.leafTickets.Add(1)
 	if sh.maxLeaves > 0 && n > sh.maxLeaves {
-		sh.markInterrupted()
+		sh.Interrupt()
 		return false
 	}
 	return true
 }
 
+// elapsed is the search's wall clock, including the runs it resumed.
+func (sh *Search) elapsed() time.Duration { return sh.priorElapsed + time.Since(sh.start) }
+
 // snapshot reads the shared counters for a Progress callback.
-func (sh *sharedSearch) snapshot(start time.Time) Progress {
+func (sh *Search) snapshot() Progress {
 	return Progress{
 		Counters: sh.counters.Load(),
 		BestLeak: sh.inc.Best().Leak,
-		Elapsed:  sh.priorElapsed + time.Since(start),
+		Elapsed:  sh.elapsed(),
 	}
 }
 
 // finish packages the incumbent with the aggregated stats, as a fresh
 // Solution: the cell's own may be shared with other searches.
-func (sh *sharedSearch) finish(start time.Time) *Solution {
+func (sh *Search) finish() *Solution {
 	sol := *sh.inc.Best()
 	sol.Stats = SearchStats{
 		Counters:         sh.counters.Load(),
-		Runtime:          sh.priorElapsed + time.Since(start),
+		Runtime:          sh.elapsed(),
 		Interrupted:      sh.interrupted.Load(),
 		WorkerFailures:   sh.failuresCopy(),
 		CheckpointWrites: sh.ckWrites.Load(),
@@ -139,9 +181,9 @@ func (sh *sharedSearch) finish(start time.Time) *Solution {
 	return &sol
 }
 
-// recordFailure logs one worker death for SearchStats, snapshots, and the
-// potential all-workers-died error.
-func (sh *sharedSearch) recordFailure(workerID int, err error) {
+// recordFailure logs one local worker death for SearchStats, snapshots,
+// and the potential all-workers-died error.
+func (sh *Search) recordFailure(workerID int, err error) {
 	wf := WorkerFailure{Worker: workerID, Err: err.Error()}
 	var pe *panicError
 	if errors.As(err, &pe) {
@@ -153,7 +195,7 @@ func (sh *sharedSearch) recordFailure(workerID int, err error) {
 	sh.failMu.Unlock()
 }
 
-func (sh *sharedSearch) failuresCopy() []WorkerFailure {
+func (sh *Search) failuresCopy() []WorkerFailure {
 	sh.failMu.Lock()
 	defer sh.failMu.Unlock()
 	if len(sh.failures) == 0 {
@@ -164,7 +206,7 @@ func (sh *sharedSearch) failuresCopy() []WorkerFailure {
 
 // allDeadError wraps every recorded death into the sentinel callers match
 // on when a search lost all its workers.
-func (sh *sharedSearch) allDeadError(workers int) error {
+func (sh *Search) allDeadError(workers int) error {
 	sh.failMu.Lock()
 	n := len(sh.deadErrs)
 	joined := errors.Join(sh.deadErrs...)
@@ -186,7 +228,7 @@ func (e *panicError) Error() string { return fmt.Sprintf("worker panic: %v", e.v
 // the shared totals at leaf granularity, keeping the hot path free of
 // atomic traffic).
 type worker struct {
-	sh *sharedSearch
+	sh *Search
 	pi []sim.Value
 	// inc is the incremental bound engine (nil when bounds are ablated).
 	inc *sim.Inc3
@@ -207,7 +249,7 @@ type worker struct {
 // newWorker builds a worker around base, the drain's all-fast timing
 // state, which every worker clones (an O(nets) copy) instead of paying a
 // full analysis of its own.
-func (sh *sharedSearch) newWorker(base *sta.State) (*worker, error) {
+func (sh *Search) newWorker(base *sta.State) (*worker, error) {
 	inc, err := sh.p.newBoundEngine()
 	if err != nil {
 		return nil, err
@@ -365,7 +407,7 @@ func (w *worker) leaf() error {
 	if fault := w.sh.p.leafFault; fault != nil {
 		switch err := fault(); {
 		case errors.Is(err, context.Canceled):
-			w.sh.markInterrupted()
+			w.sh.Interrupt()
 			return nil
 		case err != nil:
 			return err
@@ -549,7 +591,7 @@ func (tp *taskPool) remaining() [][]sim.Value {
 // runTask explores one subtree task (already copied into w.pi) under panic
 // isolation: a panic anywhere in the descent surfaces as a *panicError
 // instead of tearing down the process.
-func (sh *sharedSearch) runTask(w *worker) (err error) {
+func (sh *Search) runTask(w *worker) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: r, stack: debug.Stack()}
@@ -563,29 +605,49 @@ func (sh *sharedSearch) runTask(w *worker) (err error) {
 	return nil
 }
 
-// runPool drains tasks with a pool of isolated workers: the one tree-search
-// driver behind a local Solve (whose tasks come from the frontier
-// expansion or a resume snapshot) and a cluster shard's SolveTasks.  With
-// one worker and a single root task it is the plain depth-first search.
-// The pool is the load-balancing mechanism — a worker that lands on
-// heavily-pruned subtrees immediately picks up the next task — and the
-// failure-isolation boundary: a panicking or erroring worker records a
-// WorkerFailure, returns its task to the pool and dies, while survivors
-// keep draining.  Only when every worker has died does the search fail,
-// and even then the caller still gets the incumbent alongside the error.
-// ctx cancellation stops the drain; the unexplored tasks are returned.
-func (sh *sharedSearch) runPool(ctx context.Context, tasks [][]sim.Value, workers int) ([][]sim.Value, error) {
-	tp := newTaskPool(tasks)
+// poolDrain is the in-process Drain: a pool of isolated workers, behind a
+// local Solve (whose tasks come from the frontier expansion or a resume
+// snapshot) and a cluster shard's SolveTasks.  With one worker and a
+// single root task it is the plain depth-first search.  The pool is the
+// load-balancing mechanism — a worker that lands on heavily-pruned subtrees
+// immediately picks up the next task — and the failure-isolation boundary:
+// a panicking or erroring worker records a WorkerFailure, returns its task
+// to the pool and dies, while survivors keep draining.  Only when every
+// worker has died does the search fail, and even then the caller still
+// gets the incumbent alongside the error.
+type poolDrain struct {
+	workers int
+	sh      *Search
+	tp      *taskPool
+}
+
+func (d *poolDrain) Parallelism() int { return d.workers }
+
+func (d *poolDrain) Load(sh *Search, tasks [][]sim.Value) error {
+	d.sh, d.tp = sh, newTaskPool(tasks)
+	return nil
+}
+
+func (d *poolDrain) Open() [][]sim.Value { return d.tp.remaining() }
+
+// Explore builds the bound cascade's relaxation engine (cached on the
+// Problem, so repeated drains pay for it once) and the workers, then
+// drains the pool.  ctx cancellation stops the drain.
+func (d *poolDrain) Explore(ctx context.Context) error {
+	sh, tp := d.sh, d.tp
+	var err error
+	if sh.relax, err = sh.p.relaxEngine(ctx, sh.budget); err != nil {
+		return err
+	}
 	// Never spawn more workers than tasks: when the frontier pruned every
 	// subtree there is nothing to do, and each idle worker would still pay
 	// for a baseline clone and a bound engine.
-	workers = min(workers, len(tasks))
+	workers := min(d.workers, len(tp.pending))
 	ws := make([]*worker, workers)
 	var base *sta.State
 	if workers > 0 {
-		var err error
 		if base, err = sh.p.Timer.NewState(sh.p.Timer.FastChoices()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := range ws {
@@ -593,37 +655,18 @@ func (sh *sharedSearch) runPool(ctx context.Context, tasks [][]sim.Value, worker
 		if err != nil {
 			// Infrastructure failure (baseline STA / bound engine), not a
 			// search fault: abort before any worker runs.
-			return nil, err
+			return err
 		}
 		ws[i] = w
 	}
 
-	// The checkpoint ticker runs for the duration of the drain; the final
-	// write (or removal) below happens only after it has stopped, so two
-	// writers never race on the snapshot file.
-	var ckDone, ckStop chan struct{}
-	if sh.ck.Path != "" {
-		ckDone, ckStop = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(ckDone)
-			t := time.NewTicker(sh.ck.Interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					sh.writeCheckpoint(tp)
-				case <-ckStop:
-					return
-				}
-			}
-		}()
-	}
 	// ctx cancellation becomes the lock-free stop flag the workers poll.
 	// An already-done ctx stops the drain before any task is taken.
 	if ctx.Err() != nil {
-		sh.markInterrupted()
+		sh.Interrupt()
 	}
-	stopWatch := context.AfterFunc(ctx, sh.markInterrupted)
+	stopWatch := context.AfterFunc(ctx, sh.Interrupt)
+	defer stopWatch()
 
 	var (
 		wg   sync.WaitGroup
@@ -672,45 +715,31 @@ func (sh *sharedSearch) runPool(ctx context.Context, tasks [][]sim.Value, worker
 		}(i, w)
 	}
 	wg.Wait()
-	stopWatch()
 
-	var err error
 	if workers > 0 && int(dead.Load()) == workers {
-		sh.markInterrupted()
-		err = sh.allDeadError(workers)
+		sh.Interrupt()
+		return sh.allDeadError(workers)
 	}
-	if ckStop != nil {
-		close(ckStop)
-		<-ckDone
-		if sh.interrupted.Load() {
-			// Interrupted (cancellation, budget, or total worker loss):
-			// persist the final frontier so a resume continues from here.
-			sh.writeCheckpoint(tp)
-		} else {
-			// Ran to completion: the snapshot would only invite a bogus
-			// resume, so remove it.  Failure to remove is as non-fatal as
-			// any other checkpoint I/O error.
-			if rerr := checkpoint.Remove(sh.ck.fs(), sh.ck.Path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				sh.ckErrors.Add(1)
-			}
-		}
-	}
-	return tp.remaining(), err
+	return nil
 }
 
-// autoSplitDepth picks the shallowest depth giving a comfortable task
+// splitDepth picks a fresh search's frontier depth for a drain exploring
+// parallelism tasks at once: the shallowest depth giving a comfortable task
 // surplus (≈4 subtrees per worker), so pruning imbalance load-balances.
 // One worker has nothing to balance: depth 0 makes its single task the
-// root, which it searches in the plain depth-first order.
-func autoSplitDepth(workers, piCount int) int {
-	if workers <= 1 {
-		return 0
-	}
+// root, which it searches in the plain depth-first order.  A frontier that
+// is handed on (checkpointed, or leased to shards) is split at least
+// ckSplitDepth deep: finer tasks bound the work re-run after a crash or a
+// shard death, and give work stealing something to take.
+func splitDepth(parallelism, piCount int, handOff bool) int {
 	d := 0
-	for (1<<d) < 4*workers && d < piCount && d < 12 {
+	for parallelism > 1 && (1<<d) < 4*parallelism && d < piCount && d < 12 {
 		d++
 	}
-	return d
+	if handOff {
+		d = max(d, ckSplitDepth)
+	}
+	return min(d, piCount)
 }
 
 // frontier builds the task list of a fresh search: it expands the state
@@ -722,7 +751,7 @@ func autoSplitDepth(workers, piCount int) int {
 // still reach the queue earlier; the incumbent cannot tighten during
 // expansion (no leaf is evaluated here), so the surviving task set is
 // exactly the breadth-first one, and the expansion is never cut short.
-func (sh *sharedSearch) frontier(depth int, seed int64) ([][]sim.Value, error) {
+func (sh *Search) frontier(depth int, seed int64) ([][]sim.Value, error) {
 	p := sh.p
 	depth = min(max(depth, 0), len(p.piOrder))
 	sh.splitDepth = depth

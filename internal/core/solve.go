@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/sim"
 )
 
@@ -156,6 +158,41 @@ type Options struct {
 // that only check the error keep their existing behavior; callers that want
 // the partial result can take it.
 func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
+	return p.SolveWith(ctx, opt, nil)
+}
+
+// Drain explores the subtree tasks of a tree search: the one part of the
+// search lifecycle that differs between a local Solve, whose in-process
+// worker pool drains them, and a cluster run, whose coordinator leases them
+// to shards.  SolveWith runs the rest of the lifecycle around it.
+type Drain interface {
+	// Parallelism is how many tasks the drain explores at once; a fresh
+	// frontier is split into about four tasks per worker.
+	Parallelism() int
+	// Load hands the drain the running search and its frontier.  It must
+	// not block: from its return on, Open may be called from another
+	// goroutine.
+	Load(s *Search, tasks [][]sim.Value) error
+	// Explore explores the loaded tasks until they are exhausted or the
+	// search is interrupted; ctx ending must interrupt it.  An error
+	// wrapping ErrWorkerPanic keeps the incumbent; any other aborts the
+	// search.
+	Explore(ctx context.Context) error
+	// Open lists the tasks not yet fully explored, in-flight ones
+	// included: the frontier a snapshot records.
+	Open() [][]sim.Value
+}
+
+// SolveWith is Solve with the tree search's subtree tasks explored by
+// drain; a nil drain is Solve's in-process worker pool.  Everything else
+// is the one lifecycle every tree search follows, local or distributed:
+// options validation, resume or seed, frontier expansion, the time limit
+// net of prior runtime, the checkpoint and progress tickers, the final
+// snapshot (or its removal), refinement and the returned stats.  A
+// caller's drain takes the tasks out of this process, so its frontier is
+// split at least as finely as a checkpointed one.  The one-pass
+// algorithms ignore drain.
+func (p *Problem) SolveWith(ctx context.Context, opt Options, drain Drain) (*Solution, error) {
 	start := time.Now()
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -169,10 +206,10 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 	}
 	// Load any resume snapshot before arming the time limit: the remaining
 	// budget must account for the wall clock the crashed run already spent.
-	var rs *ResumedSearch
+	var rs *resumedSearch
 	if opt.Checkpoint.Resume {
 		var err error
-		rs, err = p.LoadSearch(opt.Checkpoint.fs(), opt.Checkpoint.Path, opt)
+		rs, err = p.loadSearch(opt.Checkpoint.fs(), opt.Checkpoint.Path, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +236,7 @@ func (p *Problem) Solve(ctx context.Context, opt Options) (*Solution, error) {
 	case AlgStateOnly:
 		sol, err = p.stateOnly()
 	case AlgHeuristic2, AlgExact:
-		sol, err = p.treeSearch(ctx, opt, start, rs)
+		sol, err = p.treeSearch(ctx, opt, start, rs, drain)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
 	}
@@ -247,9 +284,10 @@ func emitFinalProgress(opt Options, sol *Solution) {
 // treeSearch runs the bounded state-tree search (Heuristic 2 or Exact):
 // Heuristic 1 seeds the shared incumbent (or, on resume, the snapshot's
 // incumbent re-seeds it), the state tree is expanded to the split depth (or
-// the snapshot's frontier is reloaded), and a pool of isolated workers
-// drains the subtree tasks — the same three steps a cluster shard runs.
-func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, rs *ResumedSearch) (*Solution, error) {
+// the snapshot's frontier is reloaded), and the drain explores the subtree
+// tasks while the tickers report progress and snapshot the drain's open
+// tasks.
+func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, rs *resumedSearch, d Drain) (*Solution, error) {
 	budget := p.Budget(opt.Penalty)
 	var seed *Solution
 	if rs != nil {
@@ -261,18 +299,15 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		}
 	}
 
-	sh := newSharedSearch(p, opt, budget, seed)
+	sh := newSearch(p, opt, budget, seed)
 	sh.start = start
+	sh.handOff = d != nil || opt.Checkpoint.Path != ""
 	if opt.Checkpoint.Path != "" {
 		sh.ck = opt.Checkpoint
 		sh.fprint = p.fingerprint(opt)
-		sh.handOff = true
 	}
-	// Workers pick the Lagrangian bound engine up when they are created.
-	var err error
-	sh.relax, err = p.relaxEngine(ctx, budget)
-	if err != nil {
-		return nil, err
+	if d == nil {
+		d = &poolDrain{workers: opt.Workers}
 	}
 	var tasks [][]sim.Value
 	if rs != nil {
@@ -286,67 +321,98 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 		tasks = rs.Tasks
 		if sh.maxLeaves > 0 && rs.LeavesUsed >= sh.maxLeaves {
 			// The leaf budget was exhausted before the crash.
-			sh.markInterrupted()
+			sh.Interrupt()
 		}
 	}
 	if ctx.Err() != nil {
 		// Already canceled: the incumbent is the answer (the legacy
 		// Heuristic2 behaved this way for a zero time budget).  Any
 		// existing snapshot file is left in place, still resumable.
-		sh.markInterrupted()
-		return sh.finish(start), nil
+		sh.Interrupt()
+		return sh.finish(), nil
 	}
 	if rs == nil {
 		depth := opt.SplitDepth
 		if depth <= 0 {
-			depth = autoSplitDepth(opt.Workers, len(p.piOrder))
-			if sh.ck.Path != "" && depth < ckSplitDepth {
-				// Finer tasks bound the re-run loss when a crashed run's
-				// in-flight tasks are re-explored on resume.
-				depth = ckSplitDepth
-			}
+			depth = splitDepth(d.Parallelism(), len(p.piOrder), sh.handOff)
 		}
+		var err error
 		if tasks, err = sh.frontier(depth, opt.Seed); err != nil {
 			return nil, err
 		}
 	}
+	if err := d.Load(sh, tasks); err != nil {
+		return nil, err
+	}
 
-	var progressDone, progressStop chan struct{}
+	// The tickers run for the duration of the drain; the final write (or
+	// removal) below happens only after they have stopped, so two writers
+	// never race on the snapshot file.
+	stopTickers := sh.startTickers(opt, d)
+	var err error
+	if len(tasks) > 0 && !sh.stop.Load() {
+		err = d.Explore(ctx)
+	}
+	stopTickers()
+	if err != nil && !errors.Is(err, ErrWorkerPanic) {
+		return nil, err
+	}
+	if sh.ck.Path != "" {
+		if sh.interrupted.Load() {
+			// Interrupted (cancellation, budget, or total worker loss):
+			// persist the final frontier so a resume continues from here.
+			sh.writeCheckpoint(d)
+		} else if rerr := checkpoint.Remove(sh.ck.fs(), sh.ck.Path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			// Ran to completion: the snapshot would only invite a bogus
+			// resume, so remove it.  Failure to remove is as non-fatal as
+			// any other checkpoint I/O error.
+			sh.ckErrors.Add(1)
+		}
+	}
+	// Every worker dying still leaves the incumbent a valid (often useful)
+	// solution: it degrades alongside the error instead of being discarded.
+	return sh.finish(), err
+}
+
+// startTickers runs the progress and checkpoint tickers in one goroutine
+// and returns the function that stops them and waits for it.
+func (sh *Search) startTickers(opt Options, d Drain) (stop func()) {
+	var tickers []*time.Ticker
+	tick := func(interval time.Duration) <-chan time.Time {
+		t := time.NewTicker(interval)
+		tickers = append(tickers, t)
+		return t.C
+	}
+	var progress, ck <-chan time.Time
 	if opt.Progress != nil {
-		progressDone, progressStop = make(chan struct{}), make(chan struct{})
 		interval := opt.ProgressInterval
 		if interval <= 0 {
 			interval = 100 * time.Millisecond
 		}
-		tick := time.NewTicker(interval)
-		go func() {
-			defer close(progressDone)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					opt.Progress(sh.snapshot(start))
-				case <-progressStop:
-					return
-				}
+		progress = tick(interval)
+	}
+	if sh.ck.Path != "" {
+		ck = tick(sh.ck.Interval)
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-progress:
+				opt.Progress(sh.snapshot())
+			case <-ck:
+				sh.writeCheckpoint(d)
+			case <-quit:
+				return
 			}
-		}()
-	}
-
-	_, searchErr := sh.runPool(ctx, tasks, opt.Workers)
-	if progressDone != nil {
-		// Wait out the ticker goroutine; the final snapshot is emitted by
-		// Solve after refinement.
-		close(progressStop)
-		<-progressDone
-	}
-	if searchErr != nil {
-		if errors.Is(searchErr, ErrWorkerPanic) {
-			// Every worker died, but the incumbent is still a valid (often
-			// useful) solution: degrade instead of discarding it.
-			return sh.finish(start), searchErr
 		}
-		return nil, searchErr
+	}()
+	return func() {
+		close(quit)
+		<-done
+		for _, t := range tickers {
+			t.Stop()
+		}
 	}
-	return sh.finish(start), nil
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,24 +33,24 @@ type Config struct {
 	LeaseTTL time.Duration
 	// MaxLeaseTasks caps one lease's batch size; 0 defaults to 64.
 	MaxLeaseTasks int
-	// Tick is the maintenance cadence (lease expiry scan, progress
-	// delivery, checkpoint interval check); 0 defaults to 200ms.
+	// Tick is the lease expiry scan's cadence; 0 defaults to 200ms.
 	Tick time.Duration
-	// FS overrides snapshot I/O (fault injection in tests); nil uses the
-	// real filesystem.
+	// FS overrides the jobs' snapshot I/O (fault injection in tests); nil
+	// uses the real filesystem.
 	FS checkpoint.FS
 	// Logf, when non-nil, receives coordinator diagnostics.
 	Logf func(format string, args ...any)
 }
 
 // Coordinator owns the distributed half of a sharded search: the shard
-// registry and, per running job, the task pool, lease table, merged
-// counters and checkpoint file.  It is driven from two sides — Run (one
-// call per job, blocking like svto.Run) and the HTTP handlers shards talk
-// to — and is safe for concurrent use.
+// registry and, per running job, the lease table.  It is driven from two
+// sides — Run (one call per job, blocking like svto.Run) and the HTTP
+// handlers shards talk to — and is safe for concurrent use.
 //
 // Lock order: Coordinator.mu and run.mu are never held together; a run may
-// touch its SharedIncumbent's lock while holding run.mu, never the reverse.
+// touch its core.Search's locks (the incumbent cell, the failure record)
+// while holding run.mu, never the reverse — the search's snapshot ticker
+// reads the lease table through Open holding no lock of its own.
 type Coordinator struct {
 	cfg   Config
 	nonce string // per-process run nonce, fencing restarts
@@ -147,13 +146,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *Coordinator) fs() checkpoint.FS {
-	if c.cfg.FS != nil {
-		return c.cfg.FS
-	}
-	return checkpoint.OS
-}
-
 // touch registers or refreshes a shard; workers < 0 keeps the recorded
 // count, a nil health keeps the last reported snapshot.
 func (c *Coordinator) touch(shard string, workers int, health *ShardHealth) {
@@ -216,7 +208,7 @@ func (c *Coordinator) liveShards() map[string]bool {
 }
 
 // parallelism sums the live shards' worker counts (at least 1), the input
-// DefaultSplitDepth scales the frontier from.
+// the search scales its frontier from.
 func (c *Coordinator) parallelism() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,22 +229,17 @@ func (c *Coordinator) parallelism() int {
 	return total
 }
 
-// run is one distributed job: the coordinator-side task pool and counters.
+// run is one distributed job: the lease table core.SolveWith drains the
+// search's frontier through.  Everything else about the search — seed or
+// resume, budgets, counters, failures, snapshots — is the core.Search the
+// lifecycle hands to Load.
 type run struct {
-	c     *Coordinator
-	jobID string
-	req   svto.Request
-	comp  *svto.Compiled
-	opt   core.Options
-
-	fprint     uint64
-	splitDepth int
-	start      time.Time
-	prior      time.Duration // wall clock spent by resumed prior runs
-	ckPath     string
-	ckInterval time.Duration
-
-	inc *core.SharedIncumbent
+	c      *Coordinator
+	jobID  string
+	req    svto.Request
+	comp   *svto.Compiled
+	fprint uint64
+	s      *core.Search // set by Load, before the run is registered
 
 	mu         sync.Mutex
 	tasks      [][]sim.Value // frontier vector per task id (index = id)
@@ -264,16 +251,9 @@ type run struct {
 	// a duplicated /complete delivery (the client retries replies it never
 	// saw) is recognized as a duplicate rather than a late completion.
 	doneLeases map[int64]bool
-	stats      checkpoint.Stats
-	leavesUsed int64
-	failures   []core.WorkerFailure
-	ckWrites   int64
-	ckErrors   int64
-	lastCk     time.Time
 
-	interrupted bool
-	finished    bool
-	doneCh      chan struct{}
+	finished bool
+	doneCh   chan struct{}
 }
 
 type lease struct {
@@ -282,191 +262,96 @@ type lease struct {
 	ids   []int64
 }
 
-// RunOptions mirrors svto.RunOptions for the distributed entry point.
-type RunOptions struct {
-	Baseline   *svto.Baseline
-	Progress   func(svto.Progress)
-	Checkpoint svto.Checkpoint
-}
+// RunOptions are the execution options of a distributed run: the same
+// ones a local svto.Run takes.
+type RunOptions = svto.RunOptions
 
 // Run executes one job across the registered shards and blocks until it
 // completes, the context cancels, or a budget expires — the distributed
-// counterpart of svto.Run, returning the identical Result shape built by
-// the same svto.Compiled.BuildResult.  Non-tree algorithms (heuristic1,
-// state-only) have no frontier to shard and fall through to svto.Run.
+// counterpart of svto.Run, and the same search lifecycle: both call
+// svto.Compiled.Solve, this one with the job's lease table as the drain.
+// Non-tree algorithms (heuristic1, state-only) have no frontier to shard
+// and run in-process.
 //
-// Checkpoints are owned here: the coordinator periodically snapshots the
-// merged counters, incumbent and un-finished frontier to
-// opts.Checkpoint.Path, and a snapshot written by a local run resumes
-// distributed (and vice versa) because both share one fingerprint and
-// format.
+// A snapshot written by a local run resumes distributed (and vice versa)
+// because both share one lifecycle, fingerprint and format.
 func (c *Coordinator) Run(ctx context.Context, jobID string, req svto.Request, opts RunOptions) (*svto.Result, error) {
-	start := time.Now()
 	comp, err := svto.Compile(req, opts.Baseline)
 	if err != nil {
 		return nil, err
 	}
-	coreOpt, err := comp.CoreOptions(req)
+	opt, err := comp.CoreOptions(req, opts)
 	if err != nil {
 		return nil, err
 	}
-	if coreOpt.Algorithm != core.AlgHeuristic2 && coreOpt.Algorithm != core.AlgExact {
-		return svto.Run(ctx, req, svto.RunOptions{
-			Baseline: opts.Baseline, Progress: opts.Progress, Checkpoint: opts.Checkpoint,
-		})
+	opt.Checkpoint.FS = c.cfg.FS
+	if opt.Algorithm != core.AlgHeuristic2 && opt.Algorithm != core.AlgExact {
+		return comp.Solve(ctx, req, opt, nil)
 	}
-	if coreOpt.Algorithm == core.AlgExact && len(comp.Prob.CC.PI) > core.MaxExactInputs {
-		return nil, fmt.Errorf("dist: exact search is limited to %d primary inputs, circuit has %d",
-			core.MaxExactInputs, len(comp.Prob.CC.PI))
-	}
-	fprint := comp.Prob.SearchFingerprint(coreOpt)
-
 	r := &run{
 		c:          c,
 		jobID:      jobID,
 		req:        req,
 		comp:       comp,
-		opt:        coreOpt,
-		fprint:     fprint,
-		start:      start,
-		ckPath:     opts.Checkpoint.Path,
-		ckInterval: opts.Checkpoint.Interval,
-		inc:        core.NewSharedIncumbent(comp.Prob),
+		fprint:     comp.Prob.SearchFingerprint(opt),
 		pendingSet: make(map[int64]bool),
 		done:       make(map[int64]bool),
 		leases:     make(map[int64]*lease),
 		doneLeases: make(map[int64]bool),
 		doneCh:     make(chan struct{}),
-		lastCk:     start,
 	}
-	if r.ckInterval <= 0 {
-		r.ckInterval = 30 * time.Second
-	}
+	defer c.removeRun(r)
+	return comp.Solve(ctx, req, opt, r)
+}
 
-	var seed *core.Solution
-	var rs *core.ResumedSearch
-	if r.ckPath != "" && opts.Checkpoint.Resume {
-		if rs, err = comp.Prob.LoadSearch(c.fs(), r.ckPath, coreOpt); err != nil {
-			return nil, err
-		}
-	}
-	if rs != nil {
-		seed = rs.Seed
-		r.splitDepth = rs.SplitDepth
-		r.prior = rs.Elapsed
-		r.stats = rs.Stats
-		r.leavesUsed = rs.LeavesUsed
-		r.failures = rs.Failures
-		r.tasks = rs.Tasks
-	} else {
-		if seed, err = comp.Prob.SeedSolution(coreOpt.Penalty); err != nil {
-			return nil, err
-		}
-		r.splitDepth = core.DefaultSplitDepth(c.parallelism(), len(comp.Prob.CC.PI))
-		frontier, expStats, ferr := comp.Prob.ExpandFrontier(coreOpt, seed, r.splitDepth)
-		if ferr != nil {
-			return nil, ferr
-		}
-		r.stats = seed.Stats.Counters
-		r.stats.Add(expStats.Counters)
-		r.tasks = frontier
-	}
-	for id := range r.tasks {
+// Parallelism is the live shards' total worker count.
+func (r *run) Parallelism() int { return r.c.parallelism() }
+
+// Load queues the frontier in order and registers the run, which makes it
+// visible to shards.
+func (r *run) Load(s *core.Search, tasks [][]sim.Value) error {
+	r.s = s
+	r.tasks = tasks
+	for id := range tasks {
 		r.pending = append(r.pending, int64(id))
 		r.pendingSet[int64(id)] = true
 	}
-	r.inc.Offer(seed)
+	return r.c.addRun(r)
+}
 
-	if err := c.addRun(r); err != nil {
-		return nil, err
-	}
-	defer c.removeRun(r)
-
-	// A drained-at-start frontier (everything pruned under the seed bound)
-	// completes immediately; a resumed run whose leaf budget is already
-	// exhausted goes straight back to "interrupted".
-	r.mu.Lock()
-	if r.openCount() == 0 {
-		r.finishLocked()
-	} else if coreOpt.MaxLeaves > 0 && r.leavesUsed >= coreOpt.MaxLeaves {
-		r.interrupted = true
-		r.finishLocked()
-	}
-	r.mu.Unlock()
-
-	if coreOpt.TimeLimit > 0 {
-		left := coreOpt.TimeLimit - r.prior
-		if left < 0 {
-			left = 0
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, left)
-		defer cancel()
-	}
-
-	stopMaint := make(chan struct{})
-	var maintWG sync.WaitGroup
-	maintWG.Add(1)
-	go func() {
-		defer maintWG.Done()
-		r.maintain(stopMaint, opts.Progress)
-	}()
-
-	select {
-	case <-r.doneCh:
-	case <-ctx.Done():
-		r.mu.Lock()
-		r.interrupted = true
-		r.finishLocked()
-		r.mu.Unlock()
-	}
-	close(stopMaint)
-	maintWG.Wait()
-
-	// Final snapshot on interruption, removal on clean completion — the
-	// same lifecycle a local checkpointed search follows.
-	r.mu.Lock()
-	interrupted := r.interrupted
-	r.mu.Unlock()
-	if r.ckPath != "" {
-		if interrupted {
-			r.writeSnapshot()
-		} else if rerr := checkpoint.Remove(c.fs(), r.ckPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-			c.logf("dist: job %s: removing snapshot: %v", jobID, rerr)
+// Explore serves leases until the last task is done, the budget
+// interrupts the run, or ctx ends, re-queueing expired leases every Tick.
+func (r *run) Explore(ctx context.Context) error {
+	t := time.NewTicker(r.c.cfg.Tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-r.doneCh:
+			return nil
+		case <-ctx.Done():
+			r.mu.Lock()
+			r.s.Interrupt()
+			r.finishLocked()
+			r.mu.Unlock()
+			return nil
+		case <-t.C:
+			r.expireLeases()
 		}
 	}
+}
 
-	final := new(core.Solution)
-	*final = *r.inc.Best()
+// Open lists the tasks not yet done; leased ones count as unexplored,
+// exactly like the in-process pool's in-flight tasks.
+func (r *run) Open() [][]sim.Value {
 	r.mu.Lock()
-	final.Stats = core.SearchStats{
-		Counters:         r.stats,
-		Interrupted:      r.interrupted,
-		WorkerFailures:   append([]core.WorkerFailure(nil), r.failures...),
-		CheckpointWrites: r.ckWrites,
-		CheckpointErrors: r.ckErrors,
-	}
-	r.mu.Unlock()
-
-	if coreOpt.RefinePasses > 0 {
-		if final, err = comp.Prob.Refine(final, coreOpt.Penalty, coreOpt.RefinePasses); err != nil {
-			return nil, err
+	defer r.mu.Unlock()
+	var open [][]sim.Value
+	for id, t := range r.tasks {
+		if !r.done[int64(id)] {
+			open = append(open, t)
 		}
 	}
-	final.Stats.Runtime = r.prior + time.Since(start)
-	final.Stats.Resumed = rs != nil
-	final.Stats.PriorRuntime = r.prior
-
-	res, err := comp.BuildResult(req, final)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Progress != nil {
-		opts.Progress(svto.ProgressOf(core.Progress{
-			Counters: final.Stats.Counters, BestLeak: final.Leak, Elapsed: final.Stats.Runtime,
-		}))
-	}
-	return res, nil
+	return open
 }
 
 func (c *Coordinator) addRun(r *run) error {
@@ -516,36 +401,6 @@ func (r *run) finishLocked() {
 // openCount is the number of tasks not yet done; callers hold r.mu.
 func (r *run) openCount() int { return len(r.tasks) - len(r.done) }
 
-// maintain drives the periodic duties: lease-expiry re-queue, checkpoint
-// writes, and progress delivery.
-func (r *run) maintain(stop <-chan struct{}, progress func(svto.Progress)) {
-	t := time.NewTicker(r.c.cfg.Tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		r.expireLeases()
-		if r.ckPath != "" {
-			r.mu.Lock()
-			due := time.Since(r.lastCk) >= r.ckInterval
-			r.mu.Unlock()
-			if due {
-				r.writeSnapshot()
-			}
-		}
-		if progress != nil {
-			best := r.inc.Best()
-			r.mu.Lock()
-			pr := core.Progress{Counters: r.stats, BestLeak: best.Leak, Elapsed: r.prior + time.Since(r.start)}
-			r.mu.Unlock()
-			progress(svto.ProgressOf(pr))
-		}
-	}
-}
-
 // expireLeases re-queues the un-finished tasks of every lease whose shard
 // has been silent past the TTL.  The lease record is dropped: a late
 // completion from a shard that was merely slow is still merged for its
@@ -572,49 +427,11 @@ func (r *run) expireLeases() {
 		r.c.leaseExpiries.Add(1)
 		r.c.logf("dist: job %s: shard %s lease %d expired, %d tasks re-queued", r.jobID, l.shard, id, requeued)
 		if requeued > 0 {
-			r.failures = append(r.failures, core.WorkerFailure{
+			r.s.RecordFailure(core.WorkerFailure{
 				Worker: -1,
 				Err:    fmt.Sprintf("shard %s died or stalled: lease %d expired, %d tasks re-queued", l.shard, id, requeued),
 			})
 		}
-	}
-}
-
-// writeSnapshot persists one consistent point: merged counters, the shared
-// incumbent, and every not-yet-done task (leased tasks count as unexplored,
-// exactly like the in-process pool's in-flight tasks).
-func (r *run) writeSnapshot() {
-	r.mu.Lock()
-	st := &core.ResumedSearch{
-		Seed:       r.inc.Best(),
-		SplitDepth: r.splitDepth,
-		Elapsed:    r.prior + time.Since(r.start),
-		LeavesUsed: r.leavesUsed,
-		Stats:      r.stats,
-		Failures:   append([]core.WorkerFailure(nil), r.failures...),
-	}
-	for id, t := range r.tasks {
-		if !r.done[int64(id)] {
-			st.Tasks = append(st.Tasks, t)
-		}
-	}
-	r.lastCk = time.Now()
-	r.mu.Unlock()
-
-	snap, err := r.comp.Prob.BuildSnapshot(r.fprint, st)
-	if err != nil {
-		r.c.logf("dist: job %s: snapshot incumbent: %v", r.jobID, err)
-		return
-	}
-	werr := checkpoint.Save(r.c.fs(), r.ckPath, snap)
-	r.mu.Lock()
-	r.ckWrites++
-	if werr != nil {
-		r.ckErrors++
-	}
-	r.mu.Unlock()
-	if werr != nil {
-		r.c.logf("dist: job %s: snapshot write: %v", r.jobID, werr)
 	}
 }
 
@@ -629,14 +446,11 @@ func (r *run) lease(req LeaseRequest) LeaseReply {
 	if r.finished {
 		return LeaseReply{Done: true}
 	}
-	remainingBudget := int64(0)
-	if r.opt.MaxLeaves > 0 {
-		remainingBudget = r.opt.MaxLeaves - r.leavesUsed
-		if remainingBudget <= 0 {
-			r.interrupted = true
-			r.finishLocked()
-			return LeaseReply{Done: true}
-		}
+	remainingBudget, ok := r.s.ChargeLeaves(0)
+	if !ok {
+		r.s.Interrupt()
+		r.finishLocked()
+		return LeaseReply{Done: true}
 	}
 
 	// Grant size: guided self-scheduling — a quarter of an even share of
@@ -763,6 +577,11 @@ func (r *run) complete(req CompleteRequest) {
 	}
 	delete(r.leases, req.LeaseID)
 	r.doneLeases[req.LeaseID] = true
+	if r.finished {
+		// The search has ended and taken its result and final snapshot:
+		// crediting now would count tasks the snapshot still lists as open.
+		return
+	}
 	rem := make(map[int64]bool, len(req.Remaining))
 	for _, id := range req.Remaining {
 		rem[id] = true
@@ -776,7 +595,7 @@ func (r *run) complete(req CompleteRequest) {
 		credited = true
 	}
 	if credited {
-		r.stats.Add(req.Stats)
+		r.s.Credit(req.Stats)
 	}
 	// Budget tickets are charged for every live-lease completion, credited
 	// or not: an interrupted batch rolls its unfinished work out of the
@@ -785,7 +604,7 @@ func (r *run) complete(req CompleteRequest) {
 	// for the remaining budget would roll back to a zero-leaf delta and be
 	// re-leased forever.  Stolen duplicates may double-charge tickets; the
 	// budget is a global upper bound, never a precise counter.
-	r.leavesUsed += req.LeavesUsed
+	_, budgetLeft := r.s.ChargeLeaves(req.LeavesUsed)
 	for _, id := range req.Remaining {
 		if !r.done[id] && !r.pendingSet[id] {
 			r.pending = append(r.pending, id)
@@ -793,13 +612,13 @@ func (r *run) complete(req CompleteRequest) {
 		}
 	}
 	if req.Failure != "" {
-		r.failures = append(r.failures, core.WorkerFailure{
+		r.s.RecordFailure(core.WorkerFailure{
 			Worker: -1,
 			Err:    fmt.Sprintf("shard %s: %s", req.Shard, req.Failure),
 		})
 	}
-	if r.opt.MaxLeaves > 0 && r.leavesUsed >= r.opt.MaxLeaves && r.openCount() > 0 {
-		r.interrupted = true
+	if !budgetLeft && r.openCount() > 0 {
+		r.s.Interrupt()
 		r.finishLocked()
 		return
 	}
@@ -815,13 +634,13 @@ func (r *run) offerWire(w *checkpoint.Incumbent) {
 		r.c.logf("dist: job %s: rejecting wire incumbent: %v", r.jobID, err)
 		return
 	}
-	r.inc.Offer(sol)
+	r.s.Incumbent().Offer(sol)
 }
 
 // wireBest encodes the current incumbent (never nil: the seed is offered
 // before the run is registered).
 func (r *run) wireBest() *checkpoint.Incumbent {
-	w, err := r.comp.Prob.EncodeIncumbent(r.inc.Best())
+	w, err := r.comp.Prob.EncodeIncumbent(r.s.Incumbent().Best())
 	if err != nil {
 		r.c.logf("dist: job %s: encoding incumbent: %v", r.jobID, err)
 		return nil
@@ -830,7 +649,7 @@ func (r *run) wireBest() *checkpoint.Incumbent {
 }
 
 func (r *run) bestEpoch() int64 {
-	_, epoch := r.inc.BestEpoch()
+	_, epoch := r.s.Incumbent().BestEpoch()
 	return epoch
 }
 
@@ -840,7 +659,7 @@ func (r *run) sync(req SyncRequest) SyncReply {
 	if req.Incumbent != nil {
 		r.offerWire(req.Incumbent)
 	}
-	sol, epoch := r.inc.BestEpoch()
+	sol, epoch := r.s.Incumbent().BestEpoch()
 	reply := SyncReply{Epoch: epoch}
 	if epoch > req.Epoch && sol != nil {
 		if w, err := r.comp.Prob.EncodeIncumbent(sol); err == nil {
@@ -919,7 +738,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, rq *http.Request) {
 	writeJSON(w, JobInfo{
 		JobID:       pick.jobID,
 		Request:     pick.req,
-		SplitDepth:  pick.splitDepth,
+		SplitDepth:  pick.s.SplitDepth(),
 		Fingerprint: pick.fprint,
 		Workers:     pick.req.Search.Workers,
 	})

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/core"
 	"svto/internal/gen"
 	"svto/internal/netlist"
@@ -252,14 +254,10 @@ func TestShardDeathRequeuesLeases(t *testing.T) {
 	// expiry path would go untested.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r := coord.getRun("death")
-		if r == nil {
+		if coord.getRun("death") == nil {
 			t.Fatal("run disappeared before the lease expired")
 		}
-		r.mu.Lock()
-		expired := len(r.failures) > 0
-		r.mu.Unlock()
-		if expired {
+		if coord.Health().LeaseExpiries > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -498,6 +496,46 @@ func TestClusterResumesLocalSnapshot(t *testing.T) {
 	gotCSV, _ := renderArtifacts(t, res2)
 	if !bytes.Equal(gotCSV, refCSV) {
 		t.Errorf("cross-mode resumed CSV differs from local run (%d vs %d bytes)", len(gotCSV), len(refCSV))
+	}
+}
+
+// failRemoveFS is the real filesystem except that every Remove fails.
+type failRemoveFS struct{ checkpoint.FS }
+
+func (failRemoveFS) Remove(string) error { return errors.New("injected remove error") }
+
+// TestClusterCountsFailedSnapshotRemoval: a cluster job that completes but
+// cannot remove its snapshot counts the failure in CheckpointErrors, as the
+// local engine does — both run the one search lifecycle.
+func TestClusterCountsFailedSnapshotRemoval(t *testing.T) {
+	req := treeRequest(t, "rmfail", 5, 10, 60)
+	coord, url := newCluster(t, Config{MaxLeaseTasks: 3, FS: failRemoveFS{checkpoint.OS}})
+	startShard(t, url, "s1", 1)
+	res := runCluster(t, coord, "rmfail", req, RunOptions{
+		Checkpoint: svto.Checkpoint{Path: filepath.Join(t.TempDir(), "rmfail.ckpt"), Interval: time.Hour},
+	})()
+	if res.Interrupted {
+		t.Error("run reported Interrupted")
+	}
+	if res.Stats.CheckpointErrors != 1 {
+		t.Errorf("CheckpointErrors = %d, want 1 (the failed removal)", res.Stats.CheckpointErrors)
+	}
+}
+
+// TestCoordinatorRejectsInvalidOptions: a distributed run validates its
+// options like a local one, failing fast instead of waiting for shards.
+func TestCoordinatorRejectsInvalidOptions(t *testing.T) {
+	req := treeRequest(t, "badopts", 5, 10, 60)
+	req.Search.MaxLeaves = -1
+	coord, _ := newCluster(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err := coord.Run(ctx, "badopts", req, RunOptions{})
+	if !errors.Is(err, core.ErrInvalidOptions) {
+		t.Fatalf("Run with MaxLeaves -1 returned %v, want ErrInvalidOptions", err)
+	}
+	if ctx.Err() != nil {
+		t.Error("Run blocked until its context ended")
 	}
 }
 

@@ -193,7 +193,7 @@ func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
 		sleepCtx(ctx, s.cfg.PollInterval)
 		return false
 	}
-	coreOpt, err := comp.CoreOptions(info.Request)
+	coreOpt, err := comp.CoreOptions(info.Request, svto.RunOptions{})
 	if err != nil {
 		s.logf("dist: shard %s: job %s: options: %v", s.cfg.Name, info.JobID, err)
 		sleepCtx(ctx, s.cfg.PollInterval)

@@ -1,16 +1,19 @@
 // Package dist runs one branch-and-bound search across processes: a
-// coordinator expands the root frontier into 3-valued subtree task vectors
-// (the same unit the checkpoint format persists), leases task batches to
-// worker shards over HTTP, steals work back from loaded shards when others
-// drain, and merges incumbents monotonically so late, duplicate or crossing
-// broadcasts are harmless.
+// coordinator leases 3-valued subtree task vectors (the same unit the
+// checkpoint format persists) in batches to worker shards over HTTP,
+// steals work back from loaded shards when others drain, and merges
+// incumbents monotonically so late, duplicate or crossing broadcasts are
+// harmless.
 //
 // The split of responsibilities mirrors the in-process pool engine:
 //
-//   - the coordinator owns the task pool (pending/leased/done), the
-//     aggregated counters, the leaf/time budgets and the checkpoint file —
-//     exactly the state internal/core's taskPool plus sharedSearch own
-//     locally;
+//   - the coordinator owns only the lease table (pending/leased/done) with
+//     lease expiry and stealing — exactly the state internal/core's
+//     taskPool owns locally.  It is the core.Drain of the ordinary search
+//     lifecycle (core.Problem.SolveWith, reached through
+//     svto.Compiled.Solve), which owns the seed or resume, the frontier
+//     expansion, the counters, the leaf/time budgets, the failures and the
+//     checkpoint file, as it does for a local run;
 //   - each shard owns nothing durable: it drains leased batches with
 //     core.SolveTasks and reports the batch's counters plus its unfinished
 //     remainder, so a shard dying mid-batch costs only a lease re-queue.
@@ -18,13 +21,13 @@
 // The durable search state has one definition, shared with the local pool
 // and the checkpoint file: counters are core.Counters (checkpoint.Stats),
 // incumbents travel as checkpoint.Incumbent, task vectors use
-// core.TaskBytes / Problem.TaskFromBytes, and snapshots are built by
-// Problem.BuildSnapshot and read back by Problem.LoadSearch.
+// core.TaskBytes / Problem.TaskFromBytes, and snapshots are written and
+// read by the one lifecycle in internal/core.
 //
 // Determinism contract: with one shard and Workers=1 the grant order is the
 // frontier order, every batch continues from the previous batch's
-// incumbent, and artifacts are built by the same svto.Compiled.BuildResult
-// a local run uses — so a 1-shard cluster run is byte-identical to a local
+// incumbent, and artifacts are built by the same svto.Compiled.Solve a
+// local run uses — so a 1-shard cluster run is byte-identical to a local
 // run (enforced by TestClusterOneShardMatchesLocal).
 package dist
 

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -616,31 +617,15 @@ func readRecord(path string) (Record, error) {
 	return rec, nil
 }
 
-// writeRecord persists a record atomically (temp + rename) so a crash
-// mid-write leaves the previous record, never a torn one.
+// writeRecord persists a record atomically (temp + fsync + rename) so a
+// crash mid-write leaves the previous record, never a torn one.
 func (m *Manager) writeRecord(rec *Record) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := m.recordPath(rec.ID)
-	tmp, err := os.CreateTemp(m.dir, rec.ID+".json.tmp*")
-	if err != nil {
+	return checkpoint.WriteFile(nil, m.recordPath(rec.ID), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }

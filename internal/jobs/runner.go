@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"svto/internal/checkpoint"
 	"svto/internal/core"
-	"svto/internal/dist"
 	"svto/pkg/svto"
 )
 
@@ -90,11 +90,7 @@ func (m *Manager) execute(ctx context.Context, j *job) (*svto.Result, error) {
 	// whichever mode the daemon is in when it restarts.
 	run := func() (*svto.Result, error) {
 		if m.cfg.Cluster != nil && m.cfg.Cluster.Ready() && opts.Checkpoint.Path != "" {
-			return m.cfg.Cluster.Run(ctx, j.rec.ID, req, dist.RunOptions{
-				Baseline:   opts.Baseline,
-				Progress:   opts.Progress,
-				Checkpoint: opts.Checkpoint,
-			})
+			return m.cfg.Cluster.Run(ctx, j.rec.ID, req, opts)
 		}
 		return svto.Run(ctx, req, opts)
 	}
@@ -161,8 +157,8 @@ func (m *Manager) finalize(j *job, res *svto.Result, err error) {
 }
 
 // writeArtifacts renders every artifact into the job's directory.  Each
-// artifact is written atomically (temp + rename) so a crash mid-render
-// never leaves a half file that a client could fetch.
+// artifact is written atomically (temp + fsync + rename) so a crash
+// mid-render never leaves a half file that a client could fetch.
 func (m *Manager) writeArtifacts(j *job, res *svto.Result) error {
 	dir := filepath.Join(m.dir, j.rec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -170,25 +166,7 @@ func (m *Manager) writeArtifacts(j *job, res *svto.Result) error {
 	}
 	out := j.rec.Request.Output
 	write := func(name string, render func(w io.Writer) error) error {
-		tmp, err := os.CreateTemp(dir, name+".tmp*")
-		if err != nil {
-			return err
-		}
-		if err := render(tmp); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		return os.Rename(tmp.Name(), filepath.Join(dir, name))
+		return checkpoint.WriteFile(nil, filepath.Join(dir, name), render)
 	}
 	var firstErr error
 	keep := func(err error) {

@@ -125,15 +125,6 @@ func (o Op) EvalWord(in []uint64) uint64 {
 	}
 }
 
-// Inverting reports whether the op is one of the inverting library forms.
-func (o Op) Inverting() bool {
-	switch o {
-	case OpNot, OpNand, OpNor, OpXnor, OpAoi21, OpOai21, OpAoi22, OpOai22:
-		return true
-	}
-	return false
-}
-
 // Gate is one single-output gate: its output net name, operation and input
 // net names (order significant for AOI21/OAI21).
 type Gate struct {

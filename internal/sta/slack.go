@@ -26,11 +26,6 @@ type SlackReport struct {
 	Critical []int
 }
 
-// Required returns the effective (worse-transition) required time of a net.
-func (r *SlackReport) Required(net int) float64 {
-	return math.Min(r.RequiredRise[net], r.RequiredFall[net])
-}
-
 // Slacks computes transition-aware required times backward from the given
 // required time at every primary output (use state.Delay() for zero worst
 // slack, or the optimizer's budget).  Because the library cells are

@@ -1,7 +1,9 @@
 package svto
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"svto/internal/core"
 	"svto/internal/library"
@@ -13,12 +15,12 @@ import (
 // Compiled is a Request resolved into its executable parts: the mapped
 // (and optionally fused) circuit, the characterized standby library, and
 // the search problem over them.  It exists so execution engines other than
-// [Run] — the cluster coordinator handing out frontier shards, a worker
-// shard re-deriving the identical problem from the same wire Request —
-// compile once and share the exact solve/report code path Run uses.  That
-// sharing is what makes a distributed run's artifacts byte-identical to a
-// local run's: both sides build their Result through the same
-// [Compiled.BuildResult].
+// [Run] — the cluster coordinator leasing frontier tasks, a worker shard
+// re-deriving the identical problem from the same wire Request — compile
+// once and share the exact solve/report code path Run uses.  That sharing
+// is what makes a distributed run's artifacts byte-identical to a local
+// run's: both sides solve and build their Result through the same
+// [Compiled.Solve].
 type Compiled struct {
 	Circ *netlist.Circuit
 	Lib  *library.Library
@@ -53,12 +55,43 @@ func Compile(req Request, base *Baseline) (*Compiled, error) {
 	return &Compiled{Circ: circ, Lib: lib, Prob: prob}, nil
 }
 
-// CoreOptions maps the request's SearchSpec onto core.Options.  Only the
-// search-defining knobs are set; execution-side concerns — checkpointing,
-// progress delivery, incumbent sharing — stay with the caller, because a
-// coordinator, a shard and a local Run all wire them differently.
-func (c *Compiled) CoreOptions(req Request) (core.Options, error) {
-	return coreOptions(req)
+// CoreOptions maps the request's SearchSpec and the execution options
+// opts onto core.Options: the search-defining knobs from the request, the
+// checkpoint (its Interval defaulting to 30s) and the progress callback
+// from opts.  A shard, which neither checkpoints nor reports progress,
+// passes zero RunOptions.
+func (c *Compiled) CoreOptions(req Request, opts RunOptions) (core.Options, error) {
+	opt, err := coreOptions(req)
+	if err != nil {
+		return core.Options{}, err
+	}
+	if ck := opts.Checkpoint; ck.Path != "" || ck.Resume {
+		if ck.Interval == 0 {
+			ck.Interval = 30 * time.Second
+		}
+		opt.Checkpoint = core.CheckpointOptions{Path: ck.Path, Interval: ck.Interval, Resume: ck.Resume}
+	}
+	if opts.Progress != nil {
+		opt.Progress = func(p core.Progress) { opts.Progress(progressOf(p)) }
+	}
+	return opt, nil
+}
+
+// Solve runs the compiled search under opt and packages its Result: the
+// one execution path behind Run and the cluster coordinator.  drain
+// explores a tree search's subtree tasks; nil runs them on the in-process
+// worker pool.  Like Run, Solve can return a Result alongside an error
+// when every search worker died.
+func (c *Compiled) Solve(ctx context.Context, req Request, opt core.Options, drain core.Drain) (*Result, error) {
+	sol, solveErr := c.Prob.SolveWith(ctx, opt, drain)
+	if sol == nil {
+		return nil, solveErr
+	}
+	res, err := c.buildResult(req, sol)
+	if err != nil {
+		return nil, err
+	}
+	return res, solveErr
 }
 
 // coreOptions is the one SearchSpec → core.Options mapping, shared by
@@ -83,11 +116,11 @@ func coreOptions(req Request) (core.Options, error) {
 	}, nil
 }
 
-// BuildResult packages a finished search solution into the public Result,
+// buildResult packages a finished search solution into the public Result,
 // including the per-gate assignment table and the optional random-vector
-// baseline.  Every execution path — local Run, distributed coordinator —
-// must build its Result here so the artifact writers see identical inputs.
-func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error) {
+// baseline.  Every execution path goes through Solve, so the artifact
+// writers of local and distributed runs see identical inputs.
+func (c *Compiled) buildResult(req Request, sol *core.Solution) (*Result, error) {
 	prob, circ := c.Prob, c.Circ
 	res := &Result{
 		Design:       circ.Name,
@@ -149,10 +182,9 @@ func (c *Compiled) BuildResult(req Request, sol *core.Solution) (*Result, error)
 	return res, nil
 }
 
-// ProgressOf converts a core progress snapshot to the public shape — the
-// one conversion every execution path (local Run, distributed coordinator)
-// reports progress through.
-func ProgressOf(p core.Progress) Progress {
+// progressOf converts a core progress snapshot to the public shape — the
+// one conversion every execution path reports progress through.
+func progressOf(p core.Progress) Progress {
 	return Progress{
 		StateNodes:  p.StateNodes,
 		GateTrials:  p.GateTrials,

@@ -205,33 +205,11 @@ func Run(ctx context.Context, req Request, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	coreOpts, err := comp.CoreOptions(req)
+	opt, err := comp.CoreOptions(req, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Checkpoint.Path != "" || opts.Checkpoint.Resume {
-		interval := opts.Checkpoint.Interval
-		if interval == 0 {
-			interval = 30 * time.Second
-		}
-		coreOpts.Checkpoint = core.CheckpointOptions{
-			Path:     opts.Checkpoint.Path,
-			Interval: interval,
-			Resume:   opts.Checkpoint.Resume,
-		}
-	}
-	if opts.Progress != nil {
-		coreOpts.Progress = func(p core.Progress) { opts.Progress(ProgressOf(p)) }
-	}
-	sol, solveErr := comp.Prob.Solve(ctx, coreOpts)
-	if sol == nil {
-		return nil, solveErr
-	}
-	res, err := comp.BuildResult(req, sol)
-	if err != nil {
-		return nil, err
-	}
-	return res, solveErr
+	return comp.Solve(ctx, req, opt, nil)
 }
 
 // isMapped reports whether every gate is directly library-backed.
