@@ -10,6 +10,8 @@
 //	leakopt -bench c880 -method heu2 -checkpoint c880.ckpt
 //	leakopt -bench c880 -method heu2 -checkpoint c880.ckpt -resume
 //
+// Every run builds the svto.Request that -submit would post and solves it
+// in-process, so a local run and a daemon job quote the same result.
 // Ctrl-C interrupts a running search and reports the best solution found
 // so far.  With -checkpoint the interrupted (or killed and restarted)
 // search also leaves a crash-safe snapshot behind that -resume continues
@@ -23,100 +25,113 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
 	"svto/internal/core"
-	"svto/internal/gen"
 	"svto/internal/library"
-	"svto/internal/netlist"
-	"svto/internal/power"
 	"svto/internal/seq"
 	"svto/internal/sta"
-	"svto/internal/standby"
 	"svto/internal/tech"
-	"svto/internal/techmap"
 	"svto/internal/variation"
-	"svto/internal/verilog"
 	"svto/pkg/svto"
 )
 
-func main() {
-	var (
-		benchName = flag.String("bench", "", "built-in benchmark name (c432..c7552, alu64)")
-		inFile    = flag.String("in", "", "read an ISCAS .bench netlist instead")
-		penalty   = flag.Float64("penalty", 5, "delay penalty in percent of the max penalty range")
-		method    = flag.String("method", "heu1", "heuristic1 | heuristic2 | exact | state-only | vt-state | compare (heu1/heu2 accepted as aliases)")
-		heu2sec   = flag.Float64("heu2sec", 5, "heuristic 2 time budget (seconds)")
-		workers   = flag.Int("workers", 1, "parallel search workers (0 = all CPUs)")
-		maxLeaves = flag.Int64("max-leaves", 0, "stop after this many complete states (0 = unlimited)")
-		ckPath    = flag.String("checkpoint", "", "write crash-safe search snapshots to this file (heu2/exact)")
-		ckEvery   = flag.Duration("checkpoint-interval", 30*time.Second, "periodic snapshot cadence for -checkpoint")
-		ckResume  = flag.Bool("resume", false, "resume the search from the -checkpoint snapshot")
-		progress  = flag.Duration("progress", 0, "print search progress at this interval (e.g. 2s; 0 = off)")
-		libOpt    = flag.String("library", "4opt", "4opt | 2opt | 4opt-uniform | 2opt-uniform")
-		vectors   = flag.Int("vectors", 10000, "random vectors for the reference average (0: no reference)")
-		showVec   = flag.Bool("show-vector", false, "print the sleep vector")
-		showStats = flag.Bool("stats", false, "print search statistics")
-		reportTop = flag.Int("report", 0, "print a leakage report with the top N gates")
-		csvOut    = flag.String("report-csv", "", "write the per-gate leakage report as CSV")
-		emitWrap  = flag.String("emit-standby", "", "write the circuit with sleep-vector gating inserted (.bench)")
-		fuse      = flag.Bool("fuse", false, "run the AOI/OAI peephole fusion pass before optimizing")
-		seqMode   = flag.Bool("seq", false, "treat -in as a sequential .bench (DFFs cut at the register boundary)")
-		timing    = flag.Bool("timing", false, "print the critical path of the optimized circuit")
-		mcSamples = flag.Int("mc", 0, "run an N-sample process-variation Monte Carlo on the result")
-		mcSigma   = flag.Float64("mc-sigma", 30, "threshold-voltage sigma for -mc, millivolts")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		submitURL = flag.String("submit", "", "run remotely: submit the job to a leakoptd base URL (e.g. http://localhost:8080)")
-		dumpReq   = flag.String("dump-request", "", "print the job request JSON for these flags and exit ('-' for stdout)")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	bench, in, method, library string
+	penalty, heu2sec           float64
+	workers                    int
+	maxLeaves                  int64
+	ckPath                     string
+	ckEvery                    time.Duration
+	resume                     bool
+	progress                   time.Duration
+	vectors                    int
+	showVec, stats             bool
+	reportTop                  int
+	csvOut, emitWrap           string
+	fuse, seq, timing          bool
+	mcSamples                  int
+	mcSigma                    float64
+	cpuProf, memProf           string
+	submitURL, dumpReq         string
+}
 
-	// The CLI keeps the historical heu1/heu2 shorthands, but everything past
-	// flag parsing speaks the canonical core.Algorithm.String names — one
-	// parser (core.ParseAlgorithm) for the local flow, -submit and the wire.
-	methodName := normalizeMethod(*method)
-	if err := svto.CheckBaselineVectors(*vectors); err != nil {
-		fatal(fmt.Errorf("-vectors: %w", err))
+// parseFlags parses the command line.  The CLI keeps the historical
+// heu1/heu2 shorthands, but everything past flag parsing speaks the
+// canonical svto.Algorithm names.
+func parseFlags(args []string) *options {
+	o := &options{}
+	fs := flag.NewFlagSet("leakopt", flag.ExitOnError)
+	fs.StringVar(&o.bench, "bench", "", "built-in benchmark name (c432..c7552, alu64)")
+	fs.StringVar(&o.in, "in", "", "read an ISCAS .bench (or structural Verilog .v) netlist instead")
+	fs.Float64Var(&o.penalty, "penalty", 5, "delay penalty in percent of the max penalty range")
+	fs.StringVar(&o.method, "method", "heu1", "heuristic1 | heuristic2 | exact | state-only | vt-state | compare (heu1/heu2 accepted as aliases)")
+	fs.Float64Var(&o.heu2sec, "heu2sec", 5, "heuristic 2 time budget (seconds)")
+	fs.IntVar(&o.workers, "workers", 1, "parallel search workers (0 = all CPUs)")
+	fs.Int64Var(&o.maxLeaves, "max-leaves", 0, "stop after this many complete states (0 = unlimited)")
+	fs.StringVar(&o.ckPath, "checkpoint", "", "write crash-safe search snapshots to this file (heu2/exact)")
+	fs.DurationVar(&o.ckEvery, "checkpoint-interval", 30*time.Second, "periodic snapshot cadence for -checkpoint")
+	fs.BoolVar(&o.resume, "resume", false, "resume the search from the -checkpoint snapshot")
+	fs.DurationVar(&o.progress, "progress", 0, "print search progress at this interval (e.g. 2s; 0 = off)")
+	fs.StringVar(&o.library, "library", "4opt", "4opt | 2opt | 4opt-uniform | 2opt-uniform")
+	fs.IntVar(&o.vectors, "vectors", 10000, "random vectors for the reference average (0: no reference)")
+	fs.BoolVar(&o.showVec, "show-vector", false, "print the sleep vector")
+	fs.BoolVar(&o.stats, "stats", false, "print search statistics")
+	fs.IntVar(&o.reportTop, "report", 0, "print a leakage report with the top N gates")
+	fs.StringVar(&o.csvOut, "report-csv", "", "write the per-gate leakage report as CSV")
+	fs.StringVar(&o.emitWrap, "emit-standby", "", "write the circuit with sleep-vector gating inserted (.bench)")
+	fs.BoolVar(&o.fuse, "fuse", false, "run the AOI/OAI peephole fusion pass before optimizing")
+	fs.BoolVar(&o.seq, "seq", false, "treat -in as a sequential .bench (DFFs cut at the register boundary)")
+	fs.BoolVar(&o.timing, "timing", false, "print the critical path of the optimized circuit")
+	fs.IntVar(&o.mcSamples, "mc", 0, "run an N-sample process-variation Monte Carlo on the result")
+	fs.Float64Var(&o.mcSigma, "mc-sigma", 30, "threshold-voltage sigma for -mc, millivolts")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.submitURL, "submit", "", "run remotely: submit the job to a leakoptd base URL (e.g. http://localhost:8080)")
+	fs.StringVar(&o.dumpReq, "dump-request", "", "print the job request JSON for these flags and exit ('-' for stdout)")
+	fs.Parse(args)
+	switch o.method {
+	case "heu1":
+		o.method = string(svto.Heuristic1)
+	case "heu2":
+		o.method = string(svto.Heuristic2)
 	}
+	return o
+}
 
-	if *submitURL != "" || *dumpReq != "" {
-		if *seqMode || *mcSamples > 0 || *timing || *ckPath != "" || *ckResume {
-			fatal(fmt.Errorf("-submit/-dump-request run the portable job flow; -seq, -mc, -timing and -checkpoint are local-only"))
+func main() {
+	o := parseFlags(os.Args[1:])
+	// Ctrl-C cancels the search (the engine returns the incumbent) or the
+	// remote job.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	if o.submitURL != "" || o.dumpReq != "" {
+		if o.method == "compare" || o.method == "vt-state" || o.mcSamples > 0 || o.timing || o.ckPath != "" || o.resume {
+			fatal(fmt.Errorf("-submit/-dump-request send only what a job request carries; -method compare and vt-state, -mc, -timing and -checkpoint are local-only"))
 		}
-		req, err := buildRequest(*benchName, *inFile, methodName, *libOpt, *penalty, *heu2sec,
-			*workers, *maxLeaves, *vectors, *reportTop, *fuse, *emitWrap != "")
+		req, cut, err := buildRequest(o)
 		if err != nil {
 			fatal(err)
 		}
-		if *dumpReq != "" {
-			if err := dumpRequest(req, *dumpReq); err != nil {
+		if o.dumpReq != "" {
+			if err := dumpRequest(req, o.dumpReq); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := submit(ctx, *submitURL, req, *csvOut, *emitWrap, *showStats); err != nil {
+		if err := submit(ctx, o, req, cut); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	if (*ckPath != "" || *ckResume) && methodName != "heuristic2" && methodName != "exact" {
-		fatal(fmt.Errorf("-checkpoint/-resume require -method heuristic2 or exact (got %q)", *method))
-	}
-	if *ckResume && *ckPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,330 +141,246 @@ func main() {
 		}
 		cpuProfFile = f
 	}
-	memProfPath = *memProf
+	memProfPath = o.memProf
 	defer stopProfiles()
+	if _, err := run(ctx, os.Stdout, o); err != nil {
+		fatal(err)
+	}
+}
 
-	var seqCut *seq.Circuit
-	var circ *netlist.Circuit
-	var err error
-	if *seqMode {
-		if *inFile == "" {
-			fatal(fmt.Errorf("-seq requires -in"))
-		}
-		f, ferr := os.Open(*inFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		seqCut, err = seq.ReadBench(f, strings.TrimSuffix(filepath.Base(*inFile), ".bench"))
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		circ, err = techmap.Map(seqCut.Comb)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sequential cut: %d PIs, %d POs, %d flip-flops\n", seqCut.PIs, seqCut.POs, seqCut.NumState())
-	} else {
-		circ, err = loadCircuit(*benchName, *inFile)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *fuse {
-		before := len(circ.Gates)
-		circ, err = techmap.Optimize(circ)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("fusion pass: %d -> %d gates\n", before, len(circ.Gates))
-	}
-	opt, err := svto.LibraryOptions(svto.Library(*libOpt))
+// run is the local flow: compile the request buildRequest describes, solve
+// it (compare: as state-only, heuristic1 and heuristic2; vt-state: over the
+// Vt-only library with the Isub-only objective of [12]), print each result
+// and render the local reports from the last one, which it returns.
+func run(ctx context.Context, w io.Writer, o *options) (*svto.Result, error) {
+	req, cut, err := buildRequest(o)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	lib, err := library.Cached(tech.Default(), opt)
+	if cut != nil {
+		fmt.Fprintf(w, "sequential cut: %d PIs, %d POs, %d flip-flops\n", cut.PIs, cut.POs, cut.NumState())
+	}
+	comp, err := svto.Compile(req, nil)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	p, err := core.NewProblem(circ, lib, sta.DefaultConfig(), core.ObjTotal)
+	st, err := comp.Circ.Stats()
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	st, err := circ.Stats()
-	if err != nil {
-		fatal(err)
-	}
-	pen := *penalty / 100
-	fmt.Printf("circuit %s: %d inputs, %d outputs, %d gates, depth %d\n",
-		circ.Name, st.Inputs, st.Outputs, st.Gates, st.Depth)
-	fmt.Printf("delay: Dmin=%.0fps Dmax=%.0fps budget(%.0f%%)=%.0fps\n",
-		p.Dmin, p.Dmax, *penalty, p.Budget(pen))
-	avg, err := referenceAverage(os.Stdout, p, *vectors)
-	if err != nil {
-		fatal(err)
-	}
+	fmt.Fprintf(w, "circuit %s: %d inputs, %d outputs, %d gates, depth %d\n",
+		comp.Circ.Name, st.Inputs, st.Outputs, st.Gates, st.Depth)
+	fmt.Fprintf(w, "delay: Dmin=%.0fps Dmax=%.0fps budget(%.0f%%)=%.0fps\n",
+		comp.Prob.Dmin, comp.Prob.Dmax, o.penalty, comp.Prob.Budget(req.Search.Penalty))
 
-	report := func(prob *core.Problem, sol *core.Solution) {
-		if seqCut != nil {
-			piBits, ffBits, err := seqCut.SleepVector(sol.State)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("sleep vector: %d primary-input bits, %d flip-flop bits (load via modified FFs):\n", len(piBits), len(ffBits))
-			for i, ff := range seqCut.FFs {
-				v := 0
-				if ffBits[i] {
-					v = 1
-				}
-				fmt.Printf("  %s=%d", ff.Out, v)
-			}
-			fmt.Println()
-		}
-		if *emitWrap != "" {
-			wrapped, err := standby.Wrap(circ, sol.State)
-			if err != nil {
-				fatal(err)
-			}
-			f, err := os.Create(*emitWrap)
-			if err != nil {
-				fatal(err)
-			}
-			if err := netlist.WriteBench(f, wrapped); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s (+%d gating gates)\n", *emitWrap, standby.Overhead(len(circ.Inputs)))
-		}
-		if *timing {
-			st, err := prob.Timer.NewState(sol.Choices)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-			fmt.Print(st.FormatCritical(st.Slacks(prob.Budget(pen))))
-		}
-		if *mcSamples > 0 {
-			model := variation.DefaultModel()
-			model.SigmaVtMV = *mcSigma
-			st, err := variation.MonteCarlo(prob, sol, model, *mcSamples)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-			fmt.Print(st.Format())
-		}
-		if *reportTop <= 0 && *csvOut == "" {
-			return
-		}
-		rep, err := power.Analyze(prob, sol)
+	var ro svto.RunOptions
+	if o.ckPath != "" || o.resume {
+		ro.Checkpoint = svto.Checkpoint{Path: o.ckPath, Interval: o.ckEvery, Resume: o.resume}
+	}
+	if o.progress > 0 {
+		ro.Progress = func(p svto.Progress) { printProgress(w, p) }
+	}
+	solves := []svto.Request{req}
+	switch o.method {
+	case "vt-state":
+		libOpt, err := svto.LibraryOptions(req.Library.Policy)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		if *reportTop > 0 {
-			fmt.Println()
-			fmt.Print(rep.Format(*reportTop))
+		libOpt.VtOnly = true
+		lib, err := library.Cached(tech.Default(), libOpt)
+		if err != nil {
+			return nil, err
 		}
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.WriteCSV(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *csvOut)
+		prob, err := core.NewProblem(comp.Circ, lib, sta.DefaultConfig(), core.ObjIsubOnly)
+		if err != nil {
+			return nil, err
 		}
+		comp = &svto.Compiled{Circ: comp.Circ, Lib: lib, Prob: prob}
+	case "compare":
+		// The reference solves carry no time limit, and only the first
+		// computes the baseline; the later results reuse it.
+		stateOnly, heu1 := req, req
+		stateOnly.Search.Algorithm, stateOnly.Search.TimeLimitSec = svto.StateOnly, 0
+		heu1.Search.Algorithm, heu1.Search.TimeLimitSec = svto.Heuristic1, 0
+		heu1.Search.BaselineVectors, req.Search.BaselineVectors = 0, 0
+		solves = []svto.Request{stateOnly, heu1, req}
 	}
 
-	run := func(label string, f func() (*core.Solution, error)) *core.Solution {
-		sol, err := f()
+	var res *svto.Result
+	for _, r := range solves {
+		opt, err := comp.CoreOptions(r, ro)
 		if err != nil {
-			if sol == nil {
-				fatal(err)
+			return nil, err
+		}
+		opt.ProgressInterval = o.progress
+		next, err := comp.Solve(ctx, r, opt, nil)
+		if err != nil {
+			if next == nil {
+				return nil, err
 			}
 			// Degraded run (e.g. every worker died): report the incumbent
 			// but make the failure visible.
 			fmt.Fprintf(os.Stderr, "leakopt: warning: %v (reporting best solution found)\n", err)
 		}
-		for _, wf := range sol.Stats.WorkerFailures {
-			fmt.Fprintf(os.Stderr, "leakopt: warning: search worker %d died: %s\n", wf.Worker, wf.Err)
+		if res != nil && r.Search.BaselineVectors == 0 {
+			next.BaselineNA = res.BaselineNA
 		}
-		note := ""
-		if sol.Stats.Interrupted {
-			note = " (interrupted)"
+		res = next
+		label := string(r.Search.Algorithm)
+		if o.method == "vt-state" {
+			label = "vt+state[12]"
 		}
-		ratio := ""
-		if avg > 0 {
-			ratio = fmt.Sprintf("  (%.1fX)", avg/sol.Leak)
-		}
-		fmt.Printf("%-12s leak=%8.2f µA%s  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
-			label, sol.Leak/1000, ratio, sol.Isub/1000, sol.Delay, sol.Stats.Runtime.Round(time.Millisecond), note)
-		if *showStats {
-			fmt.Printf("             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
-				sol.Stats.StateNodes, sol.Stats.GateTrials, sol.Stats.Leaves, sol.Stats.Pruned)
-			if sol.Stats.RelaxBounds > 0 {
-				fmt.Printf("             relax probes %d (pruned %d)\n",
-					sol.Stats.RelaxBounds, sol.Stats.RelaxPruned)
-			}
-			if sol.Stats.Resumed {
-				fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",
-					sol.Stats.PriorRuntime.Round(time.Millisecond))
-			}
-			if sol.Stats.CheckpointWrites > 0 || sol.Stats.CheckpointErrors > 0 {
-				fmt.Printf("             checkpoint writes %d (errors %d)\n",
-					sol.Stats.CheckpointWrites, sol.Stats.CheckpointErrors)
-			}
-		}
-		if *showVec {
-			fmt.Print("             sleep vector: ")
-			for i, v := range sol.State {
-				if v {
-					fmt.Print("1")
-				} else {
-					fmt.Print("0")
-				}
-				if i%8 == 7 {
-					fmt.Print(" ")
-				}
-			}
-			fmt.Println()
-		}
-		return sol
+		printResult(w, label, r, res, o)
 	}
+	return res, report(w, comp, res, o, cut)
+}
 
-	// Ctrl-C cancels the search; the engine returns the incumbent.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	solve := func(prob *core.Problem, alg core.Algorithm, limit time.Duration) func() (*core.Solution, error) {
-		o := core.Options{
-			Algorithm: alg,
-			Penalty:   pen,
-			TimeLimit: limit,
-			Workers:   *workers,
-			MaxLeaves: *maxLeaves,
+// report renders what only a local run can: the -seq sleep-vector split,
+// the -emit-standby netlist, the -timing critical path, the -mc variation
+// statistics and the -report/-report-csv power breakdown.
+func report(w io.Writer, comp *svto.Compiled, res *svto.Result, o *options, cut *seq.Circuit) error {
+	if cut != nil {
+		if err := printSeqVector(w, cut, res.SleepVector); err != nil {
+			return err
 		}
-		if *ckPath != "" && (alg == core.AlgHeuristic2 || alg == core.AlgExact) {
-			o.Checkpoint = core.CheckpointOptions{
-				Path:     *ckPath,
-				Interval: *ckEvery,
-				Resume:   *ckResume,
-			}
-		}
-		if *progress > 0 {
-			o.ProgressInterval = *progress
-			o.Progress = func(pr core.Progress) {
-				fmt.Printf("  [%6.1fs] best=%8.2f µA  nodes=%d leaves=%d pruned=%d\n",
-					pr.Elapsed.Seconds(), pr.BestLeak/1000, pr.StateNodes, pr.Leaves, pr.Pruned)
-			}
-		}
-		return func() (*core.Solution, error) { return prob.Solve(ctx, o) }
 	}
+	if o.emitWrap != "" {
+		if err := writeFile(w, o.emitWrap, res.WriteStandbyBench); err != nil {
+			return err
+		}
+	}
+	if o.timing {
+		st, err := comp.Prob.Timer.NewState(res.Solution().Choices)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		fmt.Fprint(w, st.FormatCritical(st.Slacks(res.BudgetPS)))
+	}
+	if o.mcSamples > 0 {
+		model := variation.DefaultModel()
+		model.SigmaVtMV = o.mcSigma
+		st, err := variation.MonteCarlo(comp.Prob, res.Solution(), model, o.mcSamples)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		fmt.Fprint(w, st.Format())
+	}
+	if o.reportTop > 0 {
+		text, err := res.Report(o.reportTop)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		fmt.Fprint(w, text)
+	}
+	if o.csvOut != "" {
+		return writeFile(w, o.csvOut, res.WritePowerCSV)
+	}
+	return nil
+}
 
-	heu2Limit := time.Duration(*heu2sec * float64(time.Second))
-	switch methodName {
-	case "vt-state":
-		vtOpt := opt
-		vtOpt.VtOnly = true
-		vtLib, err := library.Cached(tech.Default(), vtOpt)
-		if err != nil {
-			fatal(err)
+// printProgress writes one live search snapshot: local -progress ticks and
+// a submitted job's status polls.
+func printProgress(w io.Writer, p svto.Progress) {
+	fmt.Fprintf(w, "  [%6.1fs] best=%8.2f µA  nodes=%d leaves=%d pruned=%d\n",
+		p.Elapsed.Seconds(), p.BestLeakNA/1000, p.StateNodes, p.Leaves, p.Pruned)
+}
+
+// printResult writes a result's summary for local runs and -submit alike:
+// the random-vector reference when req computed one, the result line, the
+// -stats search counters, the -show-vector bits, and a warning per search
+// worker that died.
+func printResult(w io.Writer, label string, req svto.Request, res *svto.Result, o *options) {
+	if n := req.Search.BaselineVectors; n > 0 {
+		fmt.Fprintf(w, "average leakage over %d random vectors: %.2f µA\n", n, res.BaselineNA/1000)
+	}
+	note := ""
+	if res.Interrupted {
+		note = " (interrupted)"
+	}
+	if res.Resumed {
+		note += fmt.Sprintf(" (resumed, %v prior)", res.PriorRuntime.Round(time.Millisecond))
+	}
+	ratio := ""
+	if x := res.ReductionX(); x > 0 {
+		ratio = fmt.Sprintf("  (%.1fX)", x)
+	}
+	fmt.Fprintf(w, "%-12s leak=%8.2f µA%s  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
+		label, res.LeakNA/1000, ratio, res.IsubNA/1000,
+		res.DelayPS, res.Stats.Runtime.Round(time.Millisecond), note)
+	if o.stats {
+		// In cluster mode the daemon's counters are merged across every
+		// shard.
+		fmt.Fprintf(w, "             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
+			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves, res.Stats.Pruned)
+		if res.Stats.RelaxBounds > 0 {
+			fmt.Fprintf(w, "             relax probes %d (pruned %d)\n",
+				res.Stats.RelaxBounds, res.Stats.RelaxPruned)
 		}
-		pvt, err := core.NewProblem(circ, vtLib, sta.DefaultConfig(), core.ObjIsubOnly)
-		if err != nil {
-			fatal(err)
+		if res.Resumed {
+			fmt.Fprintf(w, "             resumed run: %v of runtime carried from prior run(s)\n",
+				res.PriorRuntime.Round(time.Millisecond))
 		}
-		report(pvt, run("vt+state[12]", solve(pvt, core.AlgHeuristic1, 0)))
-	case "compare":
-		run("state-only", solve(p, core.AlgStateOnly, 0))
-		run("heuristic-1", solve(p, core.AlgHeuristic1, 0))
-		report(p, run("heuristic-2", solve(p, core.AlgHeuristic2, heu2Limit)))
-	default:
-		alg, err := core.ParseAlgorithm(methodName)
-		if err != nil {
-			fatal(fmt.Errorf("unknown method %q", *method))
+		if res.Stats.CheckpointWrites > 0 || res.Stats.CheckpointErrors > 0 {
+			fmt.Fprintf(w, "             checkpoint writes %d (errors %d)\n",
+				res.Stats.CheckpointWrites, res.Stats.CheckpointErrors)
 		}
-		limit := time.Duration(0)
-		if alg == core.AlgHeuristic2 {
-			limit = heu2Limit
+	}
+	if o.showVec {
+		fmt.Fprint(w, "             sleep vector: ")
+		for i, v := range res.SleepVector {
+			fmt.Fprint(w, bit(v))
+			if i%8 == 7 {
+				fmt.Fprint(w, " ")
+			}
 		}
-		report(p, run(methodLabel(alg), solve(p, alg, limit)))
+		fmt.Fprintln(w)
+	}
+	for _, wf := range res.WorkerFailures {
+		fmt.Fprintf(os.Stderr, "leakopt: warning: search %s\n", wf)
 	}
 }
 
-// referenceAverage prints and returns the random-vector average leakage
-// the run's reduction factors are quoted against.  vectors == 0 means no
-// reference: nothing is printed and the average is 0, as BaselineVectors 0
-// means in a -submit request.
-func referenceAverage(w io.Writer, p *core.Problem, vectors int) (float64, error) {
-	if vectors == 0 {
-		return 0, nil
-	}
-	avg, err := p.AverageRandomLeak(2004, vectors)
+// printSeqVector splits a -seq sleep vector into its primary-input and
+// flip-flop parts and lists the flip-flop bits.
+func printSeqVector(w io.Writer, cut *seq.Circuit, state []bool) error {
+	piBits, ffBits, err := cut.SleepVector(state)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	fmt.Fprintf(w, "average leakage over %d random vectors: %.2f µA\n", vectors, avg/1000)
-	return avg, nil
+	fmt.Fprintf(w, "sleep vector: %d primary-input bits, %d flip-flop bits (load via modified FFs):\n", len(piBits), len(ffBits))
+	for i, ff := range cut.FFs {
+		fmt.Fprintf(w, "  %s=%d", ff.Out, bit(ffBits[i]))
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
-// normalizeMethod maps the CLI's historical heu1/heu2 shorthands onto the
-// canonical core.Algorithm.String names; every other method string passes
-// through unchanged.
-func normalizeMethod(m string) string {
-	switch m {
-	case "heu1":
-		return "heuristic1"
-	case "heu2":
-		return "heuristic2"
+func bit(v bool) int {
+	if v {
+		return 1
 	}
-	return m
+	return 0
 }
 
-// methodLabel is the report label of an algorithm (the historical hyphenated
-// spellings, kept stable for script consumers).
-func methodLabel(alg core.Algorithm) string {
-	switch alg {
-	case core.AlgHeuristic1:
-		return "heuristic-1"
-	case core.AlgHeuristic2:
-		return "heuristic-2"
-	default:
-		return alg.String()
+// writeFile writes path through write and reports it.
+func writeFile(w io.Writer, path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-}
-
-func loadCircuit(benchName, inFile string) (*netlist.Circuit, error) {
-	switch {
-	case benchName != "" && inFile != "":
-		return nil, fmt.Errorf("use only one of -bench and -in")
-	case benchName != "":
-		prof, err := gen.ByName(benchName)
-		if err != nil {
-			return nil, err
-		}
-		return prof.Build()
-	case inFile != "":
-		f, err := os.Open(inFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(inFile, ".v") {
-			return verilog.Read(f, strings.TrimSuffix(filepath.Base(inFile), ".v"))
-		}
-		return netlist.ReadBench(f, inFile)
-	default:
-		return nil, fmt.Errorf("one of -bench or -in is required")
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }
 
 // Profile state lives at package scope so fatal (which exits without

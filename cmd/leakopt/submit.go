@@ -14,57 +14,85 @@ import (
 
 	"svto/internal/core"
 	"svto/internal/jobs"
+	"svto/internal/netlist"
+	"svto/internal/seq"
 	"svto/pkg/svto"
 )
 
-// buildRequest assembles the daemon wire request from the same flags the
-// local flow uses, so `leakopt -submit` and a local run describe identical
-// work.  The -in netlist is inlined into the spec: the request is
-// self-contained and the daemon never needs the client's filesystem.
-// The method has already been normalized by normalizeMethod, so validation
-// is exactly core.ParseAlgorithm — the same parser the daemon applies on
-// the other side of the wire.
-func buildRequest(benchName, inFile, method, libOpt string, penalty, heu2sec float64,
-	workers int, maxLeaves int64, vectors, reportTop int, fuse, standby bool) (svto.Request, error) {
-
-	coreAlg, err := core.ParseAlgorithm(method)
-	if err != nil {
-		return svto.Request{}, fmt.Errorf("method %q cannot run remotely (use heuristic1|heuristic2|exact|state-only)", method)
+// buildRequest assembles the job request the flags describe: the work a
+// local run solves in-process and -submit posts to a daemon.  The -in
+// netlist is inlined into the spec, so the request is self-contained and
+// the daemon never needs the client's filesystem; with -seq the inlined
+// netlist is the combinational cut, returned alongside for splitting the
+// sleep vector.  The local-only methods ride on a request too: compare is
+// a heuristic2 request that run also solves as state-only and heuristic1,
+// vt-state a heuristic1 request that run solves over the Vt-only library.
+func buildRequest(o *options) (svto.Request, *seq.Circuit, error) {
+	if err := svto.CheckBaselineVectors(o.vectors); err != nil {
+		return svto.Request{}, nil, fmt.Errorf("-vectors: %w", err)
+	}
+	alg := svto.Algorithm(o.method)
+	switch o.method {
+	case "compare":
+		alg = svto.Heuristic2
+	case "vt-state":
+		alg = svto.Heuristic1
+	default:
+		if _, err := core.ParseAlgorithm(o.method); err != nil {
+			return svto.Request{}, nil, fmt.Errorf("unknown method %q", o.method)
+		}
 	}
 	var limitSec float64
-	if coreAlg == core.AlgHeuristic2 {
-		limitSec = heu2sec
+	if alg == svto.Heuristic2 {
+		limitSec = o.heu2sec
 	}
-	alg := svto.Algorithm(coreAlg.String())
-
 	req := svto.Request{
-		Design:  svto.DesignSpec{Benchmark: benchName, Fuse: fuse},
-		Library: svto.LibrarySpec{Policy: svto.Library(libOpt)},
+		Design:  svto.DesignSpec{Benchmark: o.bench, Fuse: o.fuse},
+		Library: svto.LibrarySpec{Policy: svto.Library(o.library)},
 		Search: svto.SearchSpec{
 			Algorithm:       alg,
-			Penalty:         penalty / 100,
+			Penalty:         o.penalty / 100,
 			TimeLimitSec:    limitSec,
-			Workers:         workers,
-			MaxLeaves:       maxLeaves,
-			BaselineVectors: vectors,
+			Workers:         o.workers,
+			MaxLeaves:       o.maxLeaves,
+			BaselineVectors: o.vectors,
 		},
-		Output: svto.OutputSpec{ReportTop: reportTop, StandbyBench: standby},
+		Output: svto.OutputSpec{ReportTop: o.reportTop, StandbyBench: o.emitWrap != ""},
 	}
-	if inFile != "" {
-		data, err := os.ReadFile(inFile)
+	switch {
+	case (o.bench == "") == (o.in == ""):
+		return svto.Request{}, nil, fmt.Errorf("set exactly one of -bench and -in")
+	case o.seq && o.in == "":
+		return svto.Request{}, nil, fmt.Errorf("-seq requires -in")
+	case o.in == "":
+		return req, nil, nil
+	}
+	data, err := os.ReadFile(o.in)
+	if err != nil {
+		return svto.Request{}, nil, err
+	}
+	name := filepath.Base(o.in)
+	switch {
+	case o.seq:
+		req.Design.Name = strings.TrimSuffix(name, ".bench")
+		cut, err := seq.ReadBench(bytes.NewReader(data), req.Design.Name)
 		if err != nil {
-			return svto.Request{}, err
+			return svto.Request{}, nil, err
 		}
-		name := filepath.Base(inFile)
-		if strings.HasSuffix(inFile, ".v") {
-			req.Design.Verilog = string(data)
-			req.Design.Name = strings.TrimSuffix(name, ".v")
-		} else {
-			req.Design.Bench = string(data)
-			req.Design.Name = strings.TrimSuffix(name, ".bench")
+		var comb strings.Builder
+		if err := netlist.WriteBench(&comb, cut.Comb); err != nil {
+			return svto.Request{}, nil, err
 		}
+		req.Design.Bench = comb.String()
+		return req, cut, nil
+	case strings.HasSuffix(name, ".v"):
+		req.Design.Verilog = string(data)
+		req.Design.Name = strings.TrimSuffix(name, ".v")
+	default:
+		req.Design.Bench = string(data)
+		req.Design.Name = strings.TrimSuffix(name, ".bench")
 	}
-	return req, nil
+	return req, nil, nil
 }
 
 // dumpRequest writes the wire JSON for req to path ("-" = stdout), so a
@@ -86,10 +114,10 @@ func dumpRequest(req svto.Request, path string) error {
 
 // submit POSTs the request to a leakoptd instance, polls the job to
 // completion (canceling it server-side if ctx is interrupted), prints the
-// result summary (plus -stats search counters when showStats is set), and
-// downloads any requested artifacts.
-func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitWrap string, showStats bool) error {
-	baseURL = strings.TrimRight(baseURL, "/")
+// result through the summary a local run uses (plus the cluster health
+// with -stats), and downloads any requested artifacts.
+func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit) error {
+	baseURL := strings.TrimRight(o.submitURL, "/")
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -132,9 +160,8 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 		if v, err = decodeView(resp); err != nil {
 			return err
 		}
-		if p := v.Progress; p != nil && v.Status == jobs.StatusRunning {
-			fmt.Printf("  [%6.1fs] best=%8.2f µA  nodes=%d leaves=%d pruned=%d\n",
-				p.Elapsed.Seconds(), p.BestLeakNA/1000, p.StateNodes, p.Leaves, p.Pruned)
+		if v.Progress != nil && v.Status == jobs.StatusRunning {
+			printProgress(os.Stdout, *v.Progress)
 		}
 	}
 	if v.Status != jobs.StatusDone {
@@ -145,42 +172,14 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		return fmt.Errorf("result document: %w", err)
 	}
-	note := ""
-	if res.Interrupted {
-		note = " (interrupted)"
-	}
-	if res.Resumed {
-		note += fmt.Sprintf(" (resumed, %v prior)", res.PriorRuntime.Round(time.Millisecond))
-	}
-	ratio := ""
-	if x := res.ReductionX(); x > 0 {
-		ratio = fmt.Sprintf("  (%.1fX)", x)
-	}
-	fmt.Printf("%-12s leak=%8.2f µA%s  Isub=%7.2f µA  delay=%6.0f ps  [%v]%s\n",
-		string(req.Search.Algorithm), res.LeakNA/1000, ratio, res.IsubNA/1000,
-		res.DelayPS, res.Stats.Runtime.Round(time.Millisecond), note)
-	if showStats {
-		// Same shape the local -stats print uses, fed from the daemon's
-		// result document — which in cluster mode carries the counters
-		// merged across every shard.
-		fmt.Printf("             state nodes %d, gate trials %d, leaves %d, pruned %d\n",
-			res.Stats.StateNodes, res.Stats.GateTrials, res.Stats.Leaves, res.Stats.Pruned)
-		if res.Stats.RelaxBounds > 0 {
-			fmt.Printf("             relax probes %d (pruned %d)\n",
-				res.Stats.RelaxBounds, res.Stats.RelaxPruned)
-		}
-		if res.Resumed {
-			fmt.Printf("             resumed run: %v of runtime carried from prior run(s)\n",
-				res.PriorRuntime.Round(time.Millisecond))
-		}
-		if res.Stats.CheckpointWrites > 0 || res.Stats.CheckpointErrors > 0 {
-			fmt.Printf("             checkpoint writes %d (errors %d)\n",
-				res.Stats.CheckpointWrites, res.Stats.CheckpointErrors)
-		}
+	printResult(os.Stdout, string(req.Search.Algorithm), req, &res, o)
+	if o.stats {
 		printClusterHealth(ctx, baseURL)
 	}
-	for _, wf := range res.WorkerFailures {
-		fmt.Fprintf(os.Stderr, "leakopt: warning: %s\n", wf)
+	if cut != nil {
+		if err := printSeqVector(os.Stdout, cut, res.SleepVector); err != nil {
+			return err
+		}
 	}
 
 	fetch := func(kind, path string) error {
@@ -198,27 +197,18 @@ func submit(ctx context.Context, baseURL string, req svto.Request, csvOut, emitW
 			raw, _ := io.ReadAll(resp.Body)
 			return fmt.Errorf("artifact %s: %s: %s", kind, resp.Status, raw)
 		}
-		f, err := os.Create(path)
-		if err != nil {
+		return writeFile(os.Stdout, path, func(w io.Writer) error {
+			_, err := io.Copy(w, resp.Body)
 			return err
-		}
-		if _, err := io.Copy(f, resp.Body); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
+		})
 	}
-	if csvOut != "" {
-		if err := fetch("csv", csvOut); err != nil {
+	if o.csvOut != "" {
+		if err := fetch("csv", o.csvOut); err != nil {
 			return err
 		}
 	}
-	if emitWrap != "" {
-		if err := fetch("standby-bench", emitWrap); err != nil {
+	if o.emitWrap != "" {
+		if err := fetch("standby-bench", o.emitWrap); err != nil {
 			return err
 		}
 	}

@@ -48,11 +48,11 @@ func (o Options) Validate() error {
 	}
 	ck := o.Checkpoint
 	if ck.Path == "" {
-		if ck.Interval != 0 {
-			return bad("Checkpoint.Interval %v without Checkpoint.Path", ck.Interval)
-		}
 		if ck.Resume {
 			return bad("Checkpoint.Resume without Checkpoint.Path")
+		}
+		if ck.Interval != 0 {
+			return bad("Checkpoint.Interval %v without Checkpoint.Path", ck.Interval)
 		}
 		return nil
 	}

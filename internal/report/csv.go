@@ -7,6 +7,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 )
 
@@ -133,7 +134,7 @@ func Figure5CSV(w io.Writer, name string, pts []Fig5Point) error {
 
 // WriteCSVFile is a small helper used by cmd/repro.
 func WriteCSVFile(path string, write func(io.Writer) error) error {
-	f, err := createFile(path)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}

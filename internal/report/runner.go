@@ -19,24 +19,21 @@ import (
 	"svto/internal/tech"
 )
 
-// Runner holds the shared experiment environment.
+// seed drives the random-vector averages and the searches of every
+// experiment (DATE 2004).
+const seed = 2004
+
+// Runner holds the shared experiment environment.  Its searches run one
+// worker with no leaf budget under the default timing configuration.
 type Runner struct {
 	Tech *tech.Params
-	Cfg  sta.Config
 	// Vectors is the random-vector count for the average-leakage column
 	// (the paper uses 10000).
 	Vectors int
-	Seed    int64
 	// Heu2Limit is heuristic 2's search budget per (circuit, penalty).
 	// The paper used 1800s; the default here is far smaller so the full
 	// evaluation completes in minutes.
 	Heu2Limit time.Duration
-	// Workers is the parallel search width passed to core.Solve; 0 or 1
-	// keeps the runs sequential and deterministic.
-	Workers int
-	// MaxLeaves bounds each tree search's complete-state evaluations
-	// (0 = unlimited); useful for fixed-effort experiment sweeps.
-	MaxLeaves int64
 
 	circuits map[string]*netlist.Circuit
 	problems map[problemKey]*core.Problem
@@ -52,9 +49,7 @@ type problemKey struct {
 func NewRunner() *Runner {
 	return &Runner{
 		Tech:      tech.Default(),
-		Cfg:       sta.DefaultConfig(),
 		Vectors:   10000,
-		Seed:      2004, // DATE 2004
 		Heu2Limit: 2 * time.Second,
 	}
 }
@@ -94,7 +89,7 @@ func (r *Runner) Problem(name string, opt library.Options, obj core.Objective) (
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewProblem(circ, lib, r.Cfg, obj)
+	p, err := core.NewProblem(circ, lib, sta.DefaultConfig(), obj)
 	if err != nil {
 		return nil, err
 	}
@@ -106,21 +101,16 @@ func (r *Runner) Problem(name string, opt library.Options, obj core.Objective) (
 }
 
 // Solve runs one search through the redesigned entry point under the
-// runner's environment (worker count, seed); limit only matters for the
-// tree-searching algorithms.  A degraded search (worker failures with a
-// usable incumbent) is accepted: tables report the best solution found.
+// runner's environment; limit only matters for the tree-searching
+// algorithms.  A degraded search (worker failures with a usable incumbent)
+// is accepted: tables report the best solution found.
 func (r *Runner) Solve(p *core.Problem, alg core.Algorithm, penalty float64, limit time.Duration) (*core.Solution, error) {
-	workers := r.Workers
-	if workers == 0 {
-		workers = 1
-	}
 	sol, err := p.Solve(context.Background(), core.Options{
 		Algorithm: alg,
 		Penalty:   penalty,
 		TimeLimit: limit,
-		Workers:   workers,
-		Seed:      r.Seed,
-		MaxLeaves: r.MaxLeaves,
+		Workers:   1,
+		Seed:      seed,
 	})
 	if err != nil && sol != nil {
 		fmt.Fprintf(os.Stderr, "report: warning: %s degraded: %v\n", p.CC.Circuit.Name, err)
@@ -147,6 +137,3 @@ func microamps(nA float64) float64 { return nA / 1000 }
 
 // fmtX formats a reduction factor like the paper ("3.6").
 func fmtX(x float64) string { return fmt.Sprintf("%.1f", x) }
-
-// createFile wraps os.Create so the csv helpers stay io-focused.
-func createFile(path string) (*os.File, error) { return os.Create(path) }

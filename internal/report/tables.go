@@ -188,7 +188,7 @@ func (r *Runner) Table3(names []string, penalties []float64) ([]Table3Row, error
 		if err != nil {
 			return nil, err
 		}
-		avg, err := p.AverageRandomLeak(r.Seed, r.Vectors)
+		avg, err := p.AverageRandomLeak(seed, r.Vectors)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +286,7 @@ func (r *Runner) Table4(names []string, penalties []float64) ([]Table4Row, error
 		if err != nil {
 			return nil, err
 		}
-		avg, err := p.AverageRandomLeak(r.Seed, r.Vectors)
+		avg, err := p.AverageRandomLeak(seed, r.Vectors)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +394,7 @@ func (r *Runner) Table5(names []string, penalty float64) ([]Table5Row, error) {
 				return nil, err
 			}
 			if pi == 0 {
-				avg, err := p.AverageRandomLeak(r.Seed, r.Vectors)
+				avg, err := p.AverageRandomLeak(seed, r.Vectors)
 				if err != nil {
 					return nil, err
 				}
@@ -458,7 +458,7 @@ func (r *Runner) Figure5(name string, penalties []float64) ([]Fig5Point, error) 
 	if err != nil {
 		return nil, err
 	}
-	avg, err := p.AverageRandomLeak(r.Seed, r.Vectors)
+	avg, err := p.AverageRandomLeak(seed, r.Vectors)
 	if err != nil {
 		return nil, err
 	}

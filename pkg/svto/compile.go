@@ -34,7 +34,7 @@ func Compile(req Request, base *Baseline) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !isMapped(circ) {
+	if !circ.Mapped() {
 		if circ, err = techmap.Map(circ); err != nil {
 			return nil, fmt.Errorf("svto: technology mapping: %w", err)
 		}

@@ -191,6 +191,11 @@ func (r *Result) ReductionX() float64 {
 	return r.BaselineNA / r.LeakNA
 }
 
+// Solution returns the in-process search solution behind r, for analyses
+// that need the engine's own view of it (critical-path timing, variation
+// Monte Carlo).  It is nil for a Result decoded from JSON.
+func (r *Result) Solution() *core.Solution { return r.sol }
+
 // Run loads the design, characterizes (or reuses the shared) standby cell
 // library, and runs the requested search under ctx.
 //
@@ -212,16 +217,6 @@ func Run(ctx context.Context, req Request, opts RunOptions) (*Result, error) {
 	return comp.Solve(ctx, req, opt, nil)
 }
 
-// isMapped reports whether every gate is directly library-backed.
-func isMapped(c *netlist.Circuit) bool {
-	for i := range c.Gates {
-		if c.Gates[i].CellName() == "" {
-			return false
-		}
-	}
-	return true
-}
-
 func coreAlgorithm(a Algorithm) (core.Algorithm, error) {
 	if a == "" {
 		return core.AlgHeuristic1, nil
@@ -235,7 +230,7 @@ func coreAlgorithm(a Algorithm) (core.Algorithm, error) {
 
 // LibraryOptions resolves a library policy into build options; "" means
 // Lib4Option.  It is the one parser of the policy names, shared by request
-// validation and the leakopt CLI's -library flag.
+// validation and leakopt's vt-state library.
 func LibraryOptions(l Library) (library.Options, error) {
 	switch l {
 	case "", Lib4Option:
