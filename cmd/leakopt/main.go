@@ -124,7 +124,7 @@ func main() {
 			}
 			return
 		}
-		if err := submit(ctx, o, req, cut); err != nil {
+		if err := submit(ctx, os.Stdout, o, req, cut); err != nil {
 			fatal(err)
 		}
 		return

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"svto/internal/jobs"
 	"svto/internal/netlist"
 	"svto/internal/seq"
 	"svto/internal/techmap"
@@ -336,5 +340,41 @@ func TestBuildRequest(t *testing.T) {
 		if err := svto.Validate(req); err != nil {
 			t.Errorf("-method %s: %v", tc.method, err)
 		}
+	}
+}
+
+// TestSubmitPrintsReport: -submit with -report N prints the table the
+// daemon rendered as the job's report artifact, after the result line.
+func TestSubmitPrintsReport(t *testing.T) {
+	const table = "top 3 gates by leakage\n  g1 12.5 nA\n"
+	doc, err := json.Marshal(svto.Result{LeakNA: 1234, DelayPS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := jobs.View{Record: jobs.Record{ID: "j1", Status: jobs.StatusDone}, Result: doc}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(done)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1/artifacts/report", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, table)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	o := parseFlags([]string{"-bench", "c432", "-vectors", "0", "-submit", srv.URL, "-report", "3"})
+	req, cut, err := buildRequest(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := submit(context.Background(), &out, o, req, cut); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	result := strings.Index(got, "heuristic1")
+	report := strings.Index(got, table)
+	if !strings.HasPrefix(got, "submitted job j1 (done)\n") || result < 0 || report < result {
+		t.Errorf("submit printed:\n%s\nwant the result line, then the report artifact:\n%s", got, table)
 	}
 }

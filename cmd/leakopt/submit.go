@@ -114,9 +114,10 @@ func dumpRequest(req svto.Request, path string) error {
 
 // submit POSTs the request to a leakoptd instance, polls the job to
 // completion (canceling it server-side if ctx is interrupted), prints the
-// result through the summary a local run uses (plus the cluster health
-// with -stats), and downloads any requested artifacts.
-func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit) error {
+// result to w through the summary a local run uses (plus the cluster
+// health with -stats), and fetches the -report table and any requested
+// files from the job's artifacts.
+func submit(ctx context.Context, w io.Writer, o *options, req svto.Request, cut *seq.Circuit) error {
 	baseURL := strings.TrimRight(o.submitURL, "/")
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -136,7 +137,7 @@ func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit)
 	if err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
-	fmt.Printf("submitted job %s (%s)\n", v.ID, v.Status)
+	fmt.Fprintf(w, "submitted job %s (%s)\n", v.ID, v.Status)
 
 	for !v.Status.Terminal() {
 		select {
@@ -161,7 +162,7 @@ func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit)
 			return err
 		}
 		if v.Progress != nil && v.Status == jobs.StatusRunning {
-			printProgress(os.Stdout, *v.Progress)
+			printProgress(w, *v.Progress)
 		}
 	}
 	if v.Status != jobs.StatusDone {
@@ -172,17 +173,18 @@ func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit)
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		return fmt.Errorf("result document: %w", err)
 	}
-	printResult(os.Stdout, string(req.Search.Algorithm), req, &res, o)
+	printResult(w, string(req.Search.Algorithm), req, &res, o)
 	if o.stats {
-		printClusterHealth(ctx, baseURL)
+		printClusterHealth(ctx, w, baseURL)
 	}
 	if cut != nil {
-		if err := printSeqVector(os.Stdout, cut, res.SleepVector); err != nil {
+		if err := printSeqVector(w, cut, res.SleepVector); err != nil {
 			return err
 		}
 	}
 
-	fetch := func(kind, path string) error {
+	// fetch hands one of the job's artifacts to deliver.
+	fetch := func(kind string, deliver func(io.Reader) error) error {
 		get, err := http.NewRequestWithContext(ctx, http.MethodGet,
 			fmt.Sprintf("%s/v1/jobs/%s/artifacts/%s", baseURL, v.ID, kind), nil)
 		if err != nil {
@@ -197,20 +199,34 @@ func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit)
 			raw, _ := io.ReadAll(resp.Body)
 			return fmt.Errorf("artifact %s: %s: %s", kind, resp.Status, raw)
 		}
-		return writeFile(os.Stdout, path, func(w io.Writer) error {
-			_, err := io.Copy(w, resp.Body)
+		return deliver(resp.Body)
+	}
+	save := func(path string) func(io.Reader) error {
+		return func(body io.Reader) error {
+			return writeFile(w, path, func(f io.Writer) error {
+				_, err := io.Copy(f, body)
+				return err
+			})
+		}
+	}
+	// The same order a local run's report uses.
+	if o.emitWrap != "" {
+		if err := fetch("standby-bench", save(o.emitWrap)); err != nil {
+			return err
+		}
+	}
+	if o.reportTop > 0 {
+		err := fetch("report", func(body io.Reader) error {
+			fmt.Fprintln(w)
+			_, err := io.Copy(w, body)
 			return err
 		})
+		if err != nil {
+			return err
+		}
 	}
 	if o.csvOut != "" {
-		if err := fetch("csv", o.csvOut); err != nil {
-			return err
-		}
-	}
-	if o.emitWrap != "" {
-		if err := fetch("standby-bench", o.emitWrap); err != nil {
-			return err
-		}
+		return fetch("csv", save(o.csvOut))
 	}
 	return nil
 }
@@ -220,7 +236,7 @@ func submit(ctx context.Context, o *options, req svto.Request, cut *seq.Circuit)
 // retries, timeouts, re-registrations, duplicate completions — so a lossy
 // network is visible right where the result is read.  Best-effort: a
 // daemon without the endpoint (or not in cluster mode) prints nothing.
-func printClusterHealth(ctx context.Context, baseURL string) {
+func printClusterHealth(ctx context.Context, w io.Writer, baseURL string) {
 	get, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
 	if err != nil {
 		return
@@ -248,11 +264,11 @@ func printClusterHealth(ctx context.Context, baseURL string) {
 			line += fmt.Sprintf("; retries %d (timeouts %d), give-ups %d, re-registrations %d, restarts seen %d",
 				h.Retries, h.Timeouts, h.GiveUps, h.Reregistrations, h.RestartsSeen)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	h := cl.Health
 	if h.DuplicateCompletions > 0 || h.LateCompletions > 0 || h.LeaseExpiries > 0 || h.StaleNonceRequests > 0 {
-		fmt.Printf("             coordinator: duplicate completions %d, late completions %d, lease expiries %d, stale-nonce rejections %d\n",
+		fmt.Fprintf(w, "             coordinator: duplicate completions %d, late completions %d, lease expiries %d, stale-nonce rejections %d\n",
 			h.DuplicateCompletions, h.LateCompletions, h.LeaseExpiries, h.StaleNonceRequests)
 	}
 }

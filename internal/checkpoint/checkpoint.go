@@ -79,9 +79,9 @@ type Stats struct {
 	LeafCacheHits int64 `json:"leaf_cache_hits,omitempty"`
 	BatchSweeps   int64 `json:"batch_sweeps,omitempty"`
 	BatchLanes    int64 `json:"batch_lanes,omitempty"`
-	// RelaxBounds counts Lagrangian-relaxation bound probes — branches
-	// that survived the cheap bound — and RelaxPruned the subset those
-	// probes cut (included in Pruned).
+	// RelaxBounds counts choice-elimination bound probes (relax.Engine) —
+	// branches that survived the cheap bound — and RelaxPruned the subset
+	// those probes cut (included in Pruned).
 	RelaxBounds int64 `json:"relax_bounds,omitempty"`
 	RelaxPruned int64 `json:"relax_pruned,omitempty"`
 	// PortfolioWins is retired (see LeafCacheHits).

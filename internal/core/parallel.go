@@ -50,8 +50,8 @@ type Search struct {
 	// leaf granularity and withdraw them when a task rolls back.
 	counters checkpoint.AtomicStats
 
-	// relax is the Lagrangian bound engine of the cascade (nil when ablated
-	// or when relaxation cannot improve on the cheap bound at this budget).
+	// relax is the choice-elimination bound engine of the cascade (nil when
+	// ablated or when it cannot improve on the cheap bound at this budget).
 	// Immutable once set, shared read-only by every worker.
 	relax *relax.Engine
 
@@ -233,7 +233,7 @@ type worker struct {
 	// inc is the incremental bound engine (nil when bounds are ablated).
 	inc *sim.Inc3
 	// rx is the relaxation half of the bound cascade: a second incremental
-	// engine over the Lagrangian contribution tables, probed only on
+	// engine over the choice-elimination tables, probed only on
 	// branches the cheap bound could not cut.  Nil when sh.relax is nil.
 	rx      *sim.Inc3
 	stats   Counters
@@ -344,8 +344,8 @@ func (w *worker) rollbackTask() {
 // hot path allocates nothing.
 //
 // Branches that survive the cheap bound pay the second stage of the bound
-// cascade: one incremental probe of the Lagrangian engine (w.rx), whose
-// per-gate contributions fold the delay budget into the bound.  The probe's
+// cascade: one incremental probe of the choice-elimination engine (w.rx),
+// whose per-gate contributions fold the delay budget into the bound.  The probe's
 // Assign persists into the subtree descent, so deeper cascade probes touch
 // only the newly-assigned input's fanout cone — the relaxation costs one
 // Assign/Bound/Undo per surviving branch, nothing on branches the cheap

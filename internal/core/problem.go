@@ -51,7 +51,7 @@ type Ablation struct {
 	// edges: every choice must be tried instead of stopping at the first
 	// feasible one.
 	NoSortedVersions bool
-	// NoRelaxBound disables the Lagrangian-relaxation bound cascade: branch
+	// NoRelaxBound disables the choice-elimination bound cascade: branch
 	// pruning falls back to the delay-oblivious minChoice/minAny bound
 	// alone.  The final objective is identical either way (both bounds are
 	// admissible); only the explored node count and the RelaxBounds/
@@ -93,10 +93,10 @@ type Problem struct {
 	// fastTab[g][s] is the min-delay choice of gate g in state s,
 	// replacing the per-visit linear scan of Cell.FastChoice.
 	fastTab [][]*library.Choice
-	// relaxCache memoizes the Lagrangian bound engine per delay budget
-	// (keyed by the budget's float bits): cluster shards create a fresh
-	// search per leased batch but share the Problem, so the build cost is
-	// paid once.  A nil entry records that relaxation cannot improve on the
+	// relaxCache memoizes the choice-elimination bound engine per delay
+	// budget (keyed by the budget's float bits): cluster shards create a
+	// fresh search per leased batch but share the Problem, so the build cost
+	// is paid once.  A nil entry records that relaxation cannot improve on the
 	// cheap bound at that budget.
 	relaxMu    sync.Mutex
 	relaxCache map[uint64]*relax.Engine
@@ -457,14 +457,14 @@ func (p *Problem) seedBoundEngine() (*sim.Inc3, error) {
 	return sim.NewInc3Coarse(p.CC, p.minChoice, p.minAny)
 }
 
-// relaxEngine returns the Lagrangian bound engine for the given delay
-// budget, building (and caching) it on first use.  It returns nil — no
+// relaxEngine returns the choice-elimination bound engine for the given
+// delay budget, building (and caching) it on first use.  It returns nil — no
 // engine, zero probe overhead — when state bounds or the relaxation are
-// ablated, or when the budget is loose enough that the dual optimum cannot
-// improve on the cheap minChoice/minAny bound anywhere.  A ctx cancellation
-// or deadline abandons the build and degrades to the cheap bound (nil
-// engine, nil error) without caching, so a later search with time to spare
-// rebuilds.
+// ablated, or when the budget is loose enough that every gate's cheapest
+// choice is acceptable, so the engine cannot improve on the cheap
+// minChoice/minAny bound anywhere.  A ctx cancellation or deadline abandons
+// the build and degrades to the cheap bound (nil engine, nil error) without
+// caching, so a later search with time to spare rebuilds.
 func (p *Problem) relaxEngine(ctx context.Context, budget float64) (*relax.Engine, error) {
 	if p.Ablate.NoStateBounds || p.Ablate.NoRelaxBound {
 		return nil, nil

@@ -12,13 +12,13 @@ import (
 )
 
 // TestRelaxBoundAdmissibleFuzz is the randomized admissibility check of the
-// Lagrangian relaxation: for random partial input assignments on small
-// circuits, the dual bound must never exceed the leakage of ANY feasible
+// choice-elimination bound: for random partial input assignments on small
+// circuits, the relax bound must never exceed the leakage of ANY feasible
 // completion — verified by brute-force enumeration of every completion,
 // evaluating each leaf through the same descent the search uses.  The
-// comparison is exact (no epsilon): the engine's float-exactness argument
-// (relax package doc) claims bit-level admissibility, so any rounding slip
-// shows up here as a hard failure.
+// comparison is exact (no epsilon): the engine's admissibility argument
+// (relax package doc) is bit-level, so any rounding slip shows up here as
+// a hard failure.
 func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 	type cfg struct {
 		name          string
@@ -37,9 +37,10 @@ func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
-		// Penalty 0 pins the budget at dmin (every slack binds) and 0.001
-		// sits just above it — the regimes where the clamped dual does the
-		// most choice elimination and any admissibility slip would surface.
+		// Penalty 0 pins the budget at dmin (every slow choice is checked
+		// against it) and 0.001 sits just above it — the regimes where the
+		// bound eliminates the most choices and any admissibility slip
+		// would surface.
 		for _, penalty := range []float64{0, 0.001, 0.02, 0.05, 0.10} {
 			budget := p.Budget(penalty)
 			eng, err := p.relaxEngine(context.Background(), budget)
@@ -47,14 +48,14 @@ func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			if eng == nil {
-				// Budget loose enough that the dual cannot improve the
-				// cheap bound anywhere; nothing to test at this penalty.
+				// Budget loose enough that every gate's cheapest choice is
+				// acceptable; nothing to test at this penalty.
 				continue
 			}
 			tested++
 
 			// Dominance: the cascade only probes branches the cheap bound
-			// already failed to prune, which is sound only if the dual
+			// already failed to prune, which is sound only if the relax
 			// tables are everywhere >= the minChoice/minAny tables.
 			for gi := range eng.Known {
 				for s, v := range eng.Known[gi] {
@@ -185,11 +186,12 @@ func TestNoRelaxBoundAblationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPortfolioMatchesExact: on the RandomLogic "portfolio7" instance, the
-// exhaustive tree search with four workers and a shuffled subtree order must
-// reach the single-worker optimum for every shuffle seed, and a seed given
-// to a Workers=1 run must leave it bit-identical to the plain sequential one.
-func TestPortfolioMatchesExact(t *testing.T) {
+// TestSeededShuffleMatchesExact: on the RandomLogic "portfolio7" instance
+// (its name kept so the instance stays byte-identical), the exhaustive tree
+// search with four workers and a shuffled subtree order must reach the
+// single-worker optimum for every shuffle seed, and a seed given to a
+// Workers=1 run must leave it bit-identical to the plain sequential one.
+func TestSeededShuffleMatchesExact(t *testing.T) {
 	circ, err := gen.RandomLogic("portfolio7", 13, 7, 22)
 	if err != nil {
 		t.Fatal(err)

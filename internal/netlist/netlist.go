@@ -50,7 +50,11 @@ func (o Op) String() string {
 }
 
 // ParseOp converts a .bench op name (case-insensitive handled by caller).
+// It also accepts BUFF, the ISCAS spelling of BUF.
 func ParseOp(s string) (Op, error) {
+	if s == "BUFF" {
+		return OpBuf, nil
+	}
 	for op, n := range opNames {
 		if n == s {
 			return op, nil

@@ -302,6 +302,26 @@ OUTPUT(23)
 	}
 }
 
+// ISCAS .bench files spell the buffer BUFF; it reads as OpBuf and is
+// written back as BUF.
+func TestReadBenchBUFF(t *testing.T) {
+	src := "INPUT(a)\nOUTPUT(b)\nb = BUFF(a)\n"
+	c, err := ReadBench(strings.NewReader(src), "buff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Gates) != 1 || c.Gates[0].Op != OpBuf {
+		t.Fatalf("BUFF parsed wrong: %s", c)
+	}
+	var buf bytes.Buffer
+	if err := WriteBench(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "b = BUF(a)") {
+		t.Errorf("written netlist lacks %q:\n%s", "b = BUF(a)", buf.String())
+	}
+}
+
 func TestReadBenchErrors(t *testing.T) {
 	bad := []string{
 		"INPUT()",

@@ -7,6 +7,7 @@ import (
 
 	"svto/internal/core"
 	"svto/internal/library"
+	"svto/internal/netlist"
 	"svto/internal/sta"
 	"svto/internal/tech"
 	"svto/internal/techmap"
@@ -118,6 +119,22 @@ func TestReadBenchErrors(t *testing.T) {
 		if _, err := ReadBench(strings.NewReader(src), "bad"); err == nil {
 			t.Errorf("bad source %d accepted", i)
 		}
+	}
+}
+
+// ISCAS .bench files spell the buffer BUFF.
+func TestReadBenchBUFF(t *testing.T) {
+	src := `INPUT(a)
+OUTPUT(q)
+q = DFF(b)
+b = BUFF(a)
+`
+	c, err := ReadBench(strings.NewReader(src), "buff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Comb.Gates) != 1 || c.Comb.Gates[0].Op != netlist.OpBuf {
+		t.Fatalf("BUFF parsed wrong: %s", c.Comb)
 	}
 }
 

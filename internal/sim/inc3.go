@@ -25,8 +25,8 @@ import (
 //
 // The contribution tables are caller-defined, which is what lets one engine
 // type serve two different bounds: the search's cheap minChoice/minAny
-// leakage tables, and the Lagrangian dual tables relax.Engine precomputes
-// (where each entry already folds in the optimal multiplier's delay term).
+// leakage tables, and the choice-elimination tables relax.Engine
+// precomputes (each entry the cheapest choice the delay budget admits).
 // Both obey the same admissibility contract — entry ≤ the leakage of every
 // completion consistent with that gate state — so Bound() stays a valid
 // lower bound regardless of which table family is plugged in.

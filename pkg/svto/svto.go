@@ -69,8 +69,8 @@ type Progress struct {
 	GateTrials int64 `json:"gate_trials"` // gate-tree version trials
 	Leaves     int64 `json:"leaves"`      // complete states evaluated
 	Pruned     int64 `json:"pruned"`      // branches cut by the leakage bound
-	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade:
-	// relaxation probes paid and the branches they pruned.
+	// RelaxBounds / RelaxPruned instrument the choice-elimination bound
+	// cascade: relaxation probes paid and the branches they pruned.
 	RelaxBounds int64         `json:"relax_bounds,omitempty"`
 	RelaxPruned int64         `json:"relax_pruned,omitempty"`
 	BestLeakNA  float64       `json:"best_leak_na"` // incumbent total leakage (nA)
@@ -121,7 +121,7 @@ type Stats struct {
 	GateTrials int64 `json:"gate_trials"`
 	Leaves     int64 `json:"leaves"`
 	Pruned     int64 `json:"pruned"`
-	// RelaxBounds / RelaxPruned instrument the Lagrangian bound cascade.
+	// RelaxBounds / RelaxPruned instrument the choice-elimination bound cascade.
 	RelaxBounds int64         `json:"relax_bounds,omitempty"`
 	RelaxPruned int64         `json:"relax_pruned,omitempty"`
 	Runtime     time.Duration `json:"runtime_ns"`
