@@ -72,7 +72,7 @@ func parseFlags(args []string) *options {
 	fs.StringVar(&o.method, "method", "heu1", "heuristic1 | heuristic2 | exact | state-only | vt-state | compare (heu1/heu2 accepted as aliases)")
 	fs.Float64Var(&o.heu2sec, "heu2sec", 5, "heuristic 2 time budget (seconds)")
 	fs.IntVar(&o.workers, "workers", 1, "parallel search workers (0 = all CPUs)")
-	fs.Int64Var(&o.maxLeaves, "max-leaves", 0, "stop after this many complete states (0 = unlimited)")
+	fs.Int64Var(&o.maxLeaves, "max-leaves", 0, "stop after this many complete states (0 = unlimited); counts leaves, not work, so it bounds no run time")
 	fs.StringVar(&o.ckPath, "checkpoint", "", "write crash-safe search snapshots to this file (heu2/exact)")
 	fs.DurationVar(&o.ckEvery, "checkpoint-interval", 30*time.Second, "periodic snapshot cadence for -checkpoint")
 	fs.BoolVar(&o.resume, "resume", false, "resume the search from the -checkpoint snapshot")

@@ -109,10 +109,11 @@ type Options struct {
 	// task is the root).
 	SplitDepth int
 	// MaxLeaves, when > 0, stops the search after that many complete
-	// states have been evaluated by the tree search — a machine-independent
-	// work budget that makes runs comparable across worker counts.  The
-	// Heuristic 1 seed descent is free: its leaf does not count against the
-	// budget, so MaxLeaves: 1 explores exactly one tree leaf beyond the
+	// states have been evaluated by the tree search.  It counts leaves, not
+	// work: the state-tree nodes visited between two leaves are unbounded,
+	// so a run without a TimeLimit or context deadline has no time bound.
+	// The Heuristic 1 seed descent is free: its leaf does not count against
+	// the budget, so MaxLeaves: 1 explores exactly one tree leaf beyond the
 	// seed.
 	MaxLeaves int64
 	// Seed, when non-zero, shuffles the parallel subtree task order (a

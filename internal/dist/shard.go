@@ -71,9 +71,8 @@ func RunShard(ctx context.Context, cfg ShardConfig) error {
 		cfg.SyncInterval = 200 * time.Millisecond
 	}
 	s := &shard{
-		cfg:       cfg,
-		cl:        newClient(strings.TrimRight(cfg.Coordinator, "/")+APIPrefix, cfg.Client, cfg.Retry),
-		baselines: make(map[string]*svto.Baseline),
+		cfg: cfg,
+		cl:  newClient(strings.TrimRight(cfg.Coordinator, "/")+APIPrefix, cfg.Client, cfg.Retry),
 	}
 
 	registered := false
@@ -99,12 +98,6 @@ func RunShard(ctx context.Context, cfg ShardConfig) error {
 type shard struct {
 	cfg ShardConfig
 	cl  *client
-	// baselines caches characterized standby libraries by LibrarySpec.Key,
-	// so consecutive jobs on the same library skip re-characterization.
-	// Only built libraries are stored, and NewBaseline builds only the
-	// four leakage policies, so the map holds at most four entries.  Used
-	// only from the job loop's goroutine.
-	baselines map[string]*svto.Baseline
 }
 
 func (s *shard) logf(format string, args ...any) {
@@ -160,34 +153,15 @@ func (s *shard) pollJobs(ctx context.Context) {
 	}
 }
 
-// baseline returns the characterized library for spec, building it on
-// first use.
-func (s *shard) baseline(spec svto.LibrarySpec) (*svto.Baseline, error) {
-	key := spec.Key()
-	if b := s.baselines[key]; b != nil {
-		return b, nil
-	}
-	b, err := svto.NewBaseline(spec)
-	if err != nil {
-		return nil, err
-	}
-	s.baselines[key] = b
-	return b, nil
-}
-
 // runJob drains one job's leases until the coordinator reports it done
 // (or gone, or the context cancels).  The returned bool reports a
 // detected coordinator restart: the in-flight lease is abandoned (the
 // restarted coordinator re-expanded its frontier from the checkpoint, so
 // nothing is lost) and the caller must re-register.
 func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
-	base, err := s.baseline(info.Request.Library)
-	if err != nil {
-		s.logf("dist: shard %s: job %s: baseline: %v", s.cfg.Name, info.JobID, err)
-		sleepCtx(ctx, s.cfg.PollInterval)
-		return false
-	}
-	comp, err := svto.Compile(info.Request, base)
+	// Compile characterizes through library.Cached, which builds each
+	// library once per process, so consecutive jobs on one library share it.
+	comp, err := svto.Compile(info.Request, nil)
 	if err != nil {
 		s.logf("dist: shard %s: job %s: compile: %v", s.cfg.Name, info.JobID, err)
 		sleepCtx(ctx, s.cfg.PollInterval)

@@ -131,9 +131,7 @@ type Choice struct {
 	// Arcs caches Version.Timing in *instance*-pin order (Perm already
 	// applied): Arcs[i] == &Version.Timing[TemplatePin(i)].  The STA inner
 	// loop indexes it directly instead of resolving the permutation per
-	// fan-in per evaluation.  Library-built choices always populate it;
-	// hand-assembled Choice literals may leave it nil, and evaluators fall
-	// back to the Perm indirection.
+	// fan-in per evaluation.
 	Arcs []*cell.PinTiming
 }
 

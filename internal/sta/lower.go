@@ -165,11 +165,10 @@ func NewLower(t *Timer) (*Lower, error) {
 					eIdx: make([]int32, np),
 				}
 				for pin := 0; pin < np; pin++ {
-					tp := ch.TemplatePin(pin)
-					pt := &ch.Version.Timing[tp]
+					pt := ch.Arcs[pin]
 					if err := checkMonotone(checked, pt); err != nil {
 						return nil, fmt.Errorf("sta: cell %s version %s pin %d: %w",
-							c.Template.Name, ch.Version.Name, tp, err)
+							c.Template.Name, ch.Version.Name, ch.TemplatePin(pin), err)
 					}
 					cand.arcs[pin] = pt
 					k := off + int32(pin)
@@ -183,7 +182,7 @@ func NewLower(t *Timer) (*Lower, error) {
 					if !found {
 						l.arcs[k] = append(l.arcs[k], pt)
 					}
-					cap := ch.Version.PinCap[tp]
+					cap := ch.PinCap(pin)
 					caps[pin] = append(caps[pin], cap)
 					if l.minCap[k] == 0 || cap < l.minCap[k] {
 						l.minCap[k] = cap
@@ -475,9 +474,9 @@ func (l *Lower) Probe(gate int, ch *library.Choice) float64 {
 	l.pinGate = gate
 	for k := off; k < end; k++ {
 		pin := int(k - off)
-		l.pinArcs[pin] = &ch.Version.Timing[ch.TemplatePin(pin)]
+		l.pinArcs[pin] = ch.Arcs[pin]
 		in := int(t.faninNet[k])
-		if delta := ch.Version.PinCap[ch.TemplatePin(pin)] - l.minCap[k]; delta != 0 {
+		if delta := ch.PinCap(pin) - l.minCap[k]; delta != 0 {
 			l.loads = append(l.loads, loadSave{int32(in), l.load[in]})
 			l.load[in] += delta
 			// The driver re-times at the heavier load; every reader's

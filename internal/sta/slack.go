@@ -58,7 +58,7 @@ func (s *State) Slacks(required float64) *SlackReport {
 		ch := s.choices[gi]
 		load := s.netLoad[g.Out]
 		for pin, in := range g.In {
-			arcs := ch.Timing(pin)
+			arcs := ch.Arcs[pin]
 			// Output rise launches from input fall; output fall from
 			// input rise (inverting cells).
 			if !math.IsInf(outR, 1) {
@@ -119,7 +119,7 @@ func (s *State) criticalPath() []int {
 		load := s.netLoad[g.Out]
 		bestNet, bestArr := -1, -1.0
 		for pin, in := range g.In {
-			arcs := ch.Timing(pin)
+			arcs := ch.Arcs[pin]
 			r := s.arrF[in] + arcs.Rise.Delay.Lookup(s.slewF[in], load)
 			f := s.arrR[in] + arcs.Fall.Delay.Lookup(s.slewR[in], load)
 			if a := math.Max(r, f); a > bestArr {

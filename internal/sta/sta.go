@@ -14,6 +14,12 @@
 // pin-capacitance part refreshed only for the nets a SetChoice actually
 // touches), gate fan-ins are flattened into contiguous index tables, and
 // the propagation heap is pre-sized to the gate count.
+//
+// There is one timing path.  New requires every reachable NLDM table to
+// interpolate over one slew×load grid, so each State caches the grid
+// coordinates of every stored slew and load, and every choice (the slow
+// versions of SlowChoices included) carries its arcs in instance-pin order
+// in library.Choice.Arcs.
 package sta
 
 import (
@@ -60,16 +66,14 @@ type Timer struct {
 	faninOff []int32
 	faninNet []int32
 	outNet   []int32
-	// sharedAxes reports that every NLDM table of every reachable cell
-	// version interpolates over the same two axis slices (axisX input slew,
-	// axisY output load) — true for the built-in characterized library,
-	// which samples one global grid.  When set, States cache the
-	// grid-segment index and interpolation fraction per net alongside each
-	// stored slew and load, so evalGate skips the per-table axis search
-	// entirely: four Table2D.At probes per fan-in arc instead of four full
-	// Lookups.  The fractions are computed by cell.Coord from the same
-	// stored values Lookup would use, so results stay bit-for-bit equal.
-	sharedAxes   bool
+	// axisX (input slew) and axisY (output load) are the one grid every
+	// reachable NLDM table interpolates over; New refuses any other.
+	// States cache the grid-segment index and interpolation fraction per
+	// net alongside each stored slew and load, so evalGate skips the
+	// per-table axis search entirely: four Table2D.At probes per fan-in arc
+	// instead of four full Lookups.  The fractions are computed by
+	// cell.Coord from the same stored values Lookup would use, so results
+	// are bit-for-bit Lookup's.
 	axisX, axisY []float64
 }
 
@@ -90,9 +94,10 @@ func New(cc *netlist.Compiled, lib *library.Library, cfg Config) (*Timer, error)
 		t.Cells[i] = cell
 	}
 	// Validate every resolved cell once: each instance state must offer a
-	// min-delay choice.  This is what lets the hot paths use FastChoice
-	// without a reachable panic — a malformed state/version library fails
-	// here, at construction, with a diagnostic.
+	// min-delay choice, and every timing table must lie on the one grid.
+	// This is what lets the hot paths use FastChoice and the cached grid
+	// coordinates without a reachable panic — a malformed state/version
+	// library fails here, at construction, with a diagnostic.
 	validated := make(map[*library.Cell]bool)
 	for i, c := range t.Cells {
 		if validated[c] {
@@ -104,6 +109,9 @@ func New(cc *netlist.Compiled, lib *library.Library, cfg Config) (*Timer, error)
 				return nil, fmt.Errorf("sta: gate %s: %w",
 					cc.NetName[cc.Gates[i].Out], err)
 			}
+		}
+		if err := t.checkGrid(c); err != nil {
+			return nil, err
 		}
 	}
 	t.staticLoad = make([]float64, cc.NumNets())
@@ -129,56 +137,36 @@ func New(cc *netlist.Compiled, lib *library.Library, cfg Config) (*Timer, error)
 		t.outNet[i] = int32(cc.Gates[i].Out)
 	}
 	t.faninOff[len(cc.Gates)] = int32(len(t.faninNet))
-	t.detectSharedAxes()
 	return t, nil
 }
 
-// detectSharedAxes scans every timing table reachable through the resolved
-// cells and records whether they all interpolate over one global axis pair.
-// Identity is by backing array (same first-element address and length), so a
-// positive answer cannot be invalidated by a later-built separate copy.
-func (t *Timer) detectSharedAxes() {
-	sameAxis := func(a, b []float64) bool {
-		return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-	}
-	seen := make(map[*library.Version]bool)
-	ok := true
-	checkTable := func(tab *cell.Table2D) {
-		if tab == nil || len(tab.X) == 0 || len(tab.Y) == 0 {
-			ok = false
-			return
+// checkGrid rejects every timing table of cell c, its slow version
+// included, that does not interpolate over the Timer's grid; the first
+// table checked sets that grid.  Identity is by backing array (same
+// first-element address and length): the cached coordinates are only valid
+// for tables that read that very grid.
+func (t *Timer) checkGrid(c *library.Cell) error {
+	same := func(a, b []float64) bool { return len(a) == len(b) && &a[0] == &b[0] }
+	for _, v := range append(c.Versions[:len(c.Versions):len(c.Versions)], c.Slow) {
+		if v == nil {
+			return fmt.Errorf("sta: cell %s lacks a version", c.Template.Name)
 		}
-		if t.axisX == nil {
-			t.axisX, t.axisY = tab.X, tab.Y
-			return
-		}
-		if !sameAxis(tab.X, t.axisX) || !sameAxis(tab.Y, t.axisY) {
-			ok = false
-		}
-	}
-	checkVersion := func(v *library.Version) {
-		if v == nil || seen[v] {
-			return
-		}
-		seen[v] = true
-		for i := range v.Timing {
-			pt := &v.Timing[i]
-			checkTable(pt.Rise.Delay)
-			checkTable(pt.Rise.Slew)
-			checkTable(pt.Fall.Delay)
-			checkTable(pt.Fall.Slew)
+		for pin := range v.Timing {
+			pt := &v.Timing[pin]
+			for _, tab := range [...]*cell.Table2D{pt.Rise.Delay, pt.Rise.Slew, pt.Fall.Delay, pt.Fall.Slew} {
+				if tab == nil || len(tab.X) < 2 || len(tab.Y) < 2 {
+					return fmt.Errorf("sta: version %s pin %d: missing or degenerate timing table", v.Name, pin)
+				}
+				if t.axisX == nil {
+					t.axisX, t.axisY = tab.X, tab.Y
+				}
+				if !same(tab.X, t.axisX) || !same(tab.Y, t.axisY) {
+					return fmt.Errorf("sta: version %s pin %d: timing table is off the library's slew×load grid", v.Name, pin)
+				}
+			}
 		}
 	}
-	for _, c := range t.Cells {
-		for _, v := range c.Versions {
-			checkVersion(v)
-		}
-		checkVersion(c.Slow)
-	}
-	t.sharedAxes = ok && t.axisX != nil
-	if !t.sharedAxes {
-		t.axisX, t.axisY = nil, nil
-	}
+	return nil
 }
 
 // FastChoices returns the all-fast (minimum delay) choice assignment.
@@ -193,11 +181,16 @@ func (t *Timer) FastChoices() []*library.Choice {
 }
 
 // SlowChoices returns the all-high-Vt/thick-Tox assignment defining the
-// 100% delay-penalty point.
+// 100% delay-penalty point.  Each choice carries the slow version's arcs in
+// the identity pin order.
 func (t *Timer) SlowChoices() []*library.Choice {
 	out := make([]*library.Choice, len(t.CC.Gates))
 	for i, c := range t.Cells {
-		out[i] = &library.Choice{Version: c.Slow}
+		ch := &library.Choice{Version: c.Slow, Arcs: make([]*cell.PinTiming, len(c.Slow.Timing))}
+		for pin := range ch.Arcs {
+			ch.Arcs[pin] = &c.Slow.Timing[pin]
+		}
+		out[i] = ch
 	}
 	return out
 }
@@ -215,18 +208,39 @@ type State struct {
 	// ones a from-scratch rescan would produce.
 	netLoad []float64
 	dirty   dirtySet
-	// Per-net interpolation coordinates, maintained only when the Timer
-	// reports sharedAxes: the axis-segment index and fraction cell.Coord
-	// yields for the *stored* slew/load words above.  They are refreshed at
-	// exactly the sites that store those words (evalGate for slews,
-	// recompute sites for loads), so every table probe in evalGate reuses
-	// them instead of re-running the segment search per table.  Stale
-	// stored slews (left by the eps cutoff) keep their matching stale
-	// coordinates, preserving the incremental path bit for bit.
+	// Per-net interpolation coordinates on the Timer's grid: the
+	// axis-segment index and fraction cell.Coord yields for the *stored*
+	// slew/load words above.  They are refreshed at exactly the sites that
+	// store those words (evalGate for slews, recompute sites for loads),
+	// so every table probe in evalGate reuses them instead of re-running
+	// the segment search per table.  Stale stored slews (left by the eps
+	// cutoff) keep their matching stale coordinates, preserving the
+	// incremental path bit for bit.
 	slewRI, slewFI   []int32
 	slewRFx, slewFFx []float64
 	loadJ            []int32
 	loadFy           []float64
+}
+
+// newState allocates a State's storage, every array zeroed.
+func (t *Timer) newState() *State {
+	n := t.CC.NumNets()
+	return &State{
+		t:       t,
+		choices: make([]*library.Choice, len(t.CC.Gates)),
+		arrR:    make([]float64, n),
+		arrF:    make([]float64, n),
+		slewR:   make([]float64, n),
+		slewF:   make([]float64, n),
+		netLoad: make([]float64, n),
+		dirty:   newDirtySet(len(t.CC.Gates)),
+		slewRI:  make([]int32, n),
+		slewFI:  make([]int32, n),
+		slewRFx: make([]float64, n),
+		slewFFx: make([]float64, n),
+		loadJ:   make([]int32, n),
+		loadFy:  make([]float64, n),
+	}
 }
 
 // NewState builds a fully-analyzed timing state for the given choices.
@@ -235,47 +249,14 @@ func (t *Timer) NewState(choices []*library.Choice) (*State, error) {
 	if len(choices) != len(t.CC.Gates) {
 		return nil, fmt.Errorf("sta: %d choices for %d gates", len(choices), len(t.CC.Gates))
 	}
-	n := t.CC.NumNets()
-	s := &State{
-		t:       t,
-		choices: append([]*library.Choice(nil), choices...),
-		arrR:    make([]float64, n),
-		arrF:    make([]float64, n),
-		slewR:   make([]float64, n),
-		slewF:   make([]float64, n),
-		netLoad: make([]float64, n),
-		dirty:   newDirtySet(len(t.CC.Gates)),
-	}
-	if t.sharedAxes {
-		s.slewRI = make([]int32, n)
-		s.slewFI = make([]int32, n)
-		s.slewRFx = make([]float64, n)
-		s.slewFFx = make([]float64, n)
-		s.loadJ = make([]int32, n)
-		s.loadFy = make([]float64, n)
-	}
-	for _, pi := range t.CC.PI {
-		s.slewR[pi] = t.Cfg.InputSlew
-		s.slewF[pi] = t.Cfg.InputSlew
-		if t.sharedAxes {
-			s.refreshSlewCoords(pi)
-		}
-	}
-	for net := range s.netLoad {
-		s.netLoad[net] = s.recomputeLoad(net)
-		if t.sharedAxes {
-			s.refreshLoadCoord(net)
-		}
-	}
-	for i := range t.CC.Gates {
-		s.evalGate(i)
-	}
+	s := t.newState()
+	s.Reanalyze(choices)
 	return s, nil
 }
 
 // refreshSlewCoords re-derives the cached interpolation coordinates of a
-// net's stored slews.  Must be called at every site that stores slewR/slewF
-// when the Timer has shared axes.
+// net's stored slews.  Must be called at every site that stores
+// slewR/slewF.
 func (s *State) refreshSlewCoords(net int) {
 	i, fx := cell.Coord(s.t.axisX, s.slewR[net])
 	s.slewRI[net], s.slewRFx[net] = int32(i), fx
@@ -284,8 +265,7 @@ func (s *State) refreshSlewCoords(net int) {
 }
 
 // refreshLoadCoord re-derives the cached interpolation coordinate of a net's
-// stored load.  Must be called at every site that stores netLoad when the
-// Timer has shared axes.
+// stored load.  Must be called at every site that stores netLoad.
 func (s *State) refreshLoadCoord(net int) {
 	j, fy := cell.Coord(s.t.axisY, s.netLoad[net])
 	s.loadJ[net], s.loadFy[net] = int32(j), fy
@@ -301,22 +281,8 @@ func (s *State) Choice(gate int) *library.Choice { return s.choices[gate] }
 // is what lets every parallel search worker start from a precomputed
 // baseline.
 func (s *State) Clone() *State {
-	c := &State{
-		t:       s.t,
-		choices: append([]*library.Choice(nil), s.choices...),
-		arrR:    append([]float64(nil), s.arrR...),
-		arrF:    append([]float64(nil), s.arrF...),
-		slewR:   append([]float64(nil), s.slewR...),
-		slewF:   append([]float64(nil), s.slewF...),
-		netLoad: append([]float64(nil), s.netLoad...),
-		dirty:   newDirtySet(len(s.t.CC.Gates)),
-		slewRI:  append([]int32(nil), s.slewRI...),
-		slewFI:  append([]int32(nil), s.slewFI...),
-		slewRFx: append([]float64(nil), s.slewRFx...),
-		slewFFx: append([]float64(nil), s.slewFFx...),
-		loadJ:   append([]int32(nil), s.loadJ...),
-		loadFy:  append([]float64(nil), s.loadFy...),
-	}
+	c := s.t.newState()
+	c.CopyFrom(s)
 	return c
 }
 
@@ -343,9 +309,9 @@ func (s *State) CopyFrom(o *State) {
 }
 
 // Reanalyze re-runs the full from-scratch analysis for the given choices in
-// place, producing bit-for-bit the state NewState would build — arrival and
-// slew arrays reset, every net load recomputed in canonical order, every
-// gate evaluated once in topological order — without allocating.  It is the
+// place — arrival and slew arrays reset, every net load recomputed in
+// canonical order, every gate evaluated once in topological order — without
+// allocating.  NewState is Reanalyze on freshly zeroed storage.  It is the
 // allocation-free replacement for the per-leaf Timer.Analyze call of the
 // search workers.  The choices slice is copied and must match the gate
 // count.
@@ -358,19 +324,14 @@ func (s *State) Reanalyze(choices []*library.Choice) {
 		s.arrR[i], s.arrF[i] = 0, 0
 		s.slewR[i], s.slewF[i] = 0, 0
 	}
-	shared := s.t.sharedAxes
 	for _, pi := range s.t.CC.PI {
 		s.slewR[pi] = s.t.Cfg.InputSlew
 		s.slewF[pi] = s.t.Cfg.InputSlew
-		if shared {
-			s.refreshSlewCoords(pi)
-		}
+		s.refreshSlewCoords(pi)
 	}
 	for net := range s.netLoad {
 		s.netLoad[net] = s.recomputeLoad(net)
-		if shared {
-			s.refreshLoadCoord(net)
-		}
+		s.refreshLoadCoord(net)
 	}
 	for i := range s.t.CC.Gates {
 		s.evalGate(i)
@@ -399,66 +360,36 @@ func (s *State) recomputeLoad(net int) float64 {
 // Load returns the current cached capacitance on a net.
 func (s *State) Load(net int) float64 { return s.netLoad[net] }
 
-// evalGate recomputes a gate's output arrival/slew; reports change.  With
-// shared axes it probes each table at the per-net cached coordinates — the
-// segment searches and divisions Lookup would repeat per table were already
-// paid when the slews and load were stored.
+// evalGate recomputes a gate's output arrival/slew; reports change.  It
+// probes each table at the per-net cached coordinates — the segment
+// searches and divisions Lookup would repeat per table were already paid
+// when the slews and load were stored.
 func (s *State) evalGate(gi int) bool {
 	t := s.t
-	ch := s.choices[gi]
+	byPin := s.choices[gi].Arcs
 	out := int(t.outNet[gi])
-	timing := ch.Version.Timing
-	perm := ch.Perm
 	off, end := t.faninOff[gi], t.faninOff[gi+1]
 	var aR, aF, sR, sF float64
-	if t.sharedAxes && ch.Arcs != nil {
-		byPin := ch.Arcs
-		j, fy := int(s.loadJ[out]), s.loadFy[out]
-		for k := off; k < end; k++ {
-			in := int(t.faninNet[k])
-			arcs := byPin[k-off]
-			iF, fxF := int(s.slewFI[in]), s.slewFFx[in]
-			iR, fxR := int(s.slewRI[in]), s.slewRFx[in]
-			// Inverting cell: output rise launches from input fall.
-			r := s.arrF[in] + arcs.Rise.Delay.At(iF, j, fxF, fy)
-			f := s.arrR[in] + arcs.Fall.Delay.At(iR, j, fxR, fy)
-			if r > aR {
-				aR = r
-			}
-			if f > aF {
-				aF = f
-			}
-			if v := arcs.Rise.Slew.At(iF, j, fxF, fy); v > sR {
-				sR = v
-			}
-			if v := arcs.Fall.Slew.At(iR, j, fxR, fy); v > sF {
-				sF = v
-			}
+	j, fy := int(s.loadJ[out]), s.loadFy[out]
+	for k := off; k < end; k++ {
+		in := int(t.faninNet[k])
+		arcs := byPin[k-off]
+		iF, fxF := int(s.slewFI[in]), s.slewFFx[in]
+		iR, fxR := int(s.slewRI[in]), s.slewRFx[in]
+		// Inverting cell: output rise launches from input fall.
+		r := s.arrF[in] + arcs.Rise.Delay.At(iF, j, fxF, fy)
+		f := s.arrR[in] + arcs.Fall.Delay.At(iR, j, fxR, fy)
+		if r > aR {
+			aR = r
 		}
-	} else {
-		load := s.netLoad[out]
-		for k := off; k < end; k++ {
-			in := int(t.faninNet[k])
-			tp := int(k - off)
-			if perm != nil {
-				tp = perm[tp]
-			}
-			arcs := &timing[tp]
-			// Inverting cell: output rise launches from input fall.
-			r := s.arrF[in] + arcs.Rise.Delay.Lookup(s.slewF[in], load)
-			f := s.arrR[in] + arcs.Fall.Delay.Lookup(s.slewR[in], load)
-			if r > aR {
-				aR = r
-			}
-			if f > aF {
-				aF = f
-			}
-			if v := arcs.Rise.Slew.Lookup(s.slewF[in], load); v > sR {
-				sR = v
-			}
-			if v := arcs.Fall.Slew.Lookup(s.slewR[in], load); v > sF {
-				sF = v
-			}
+		if f > aF {
+			aF = f
+		}
+		if v := arcs.Rise.Slew.At(iF, j, fxF, fy); v > sR {
+			sR = v
+		}
+		if v := arcs.Fall.Slew.At(iR, j, fxR, fy); v > sF {
+			sF = v
 		}
 	}
 	const eps = 1e-9
@@ -466,9 +397,7 @@ func (s *State) evalGate(gi int) bool {
 		math.Abs(sR-s.slewR[out]) > eps || math.Abs(sF-s.slewF[out]) > eps
 	s.arrR[out], s.arrF[out] = aR, aF
 	s.slewR[out], s.slewF[out] = sR, sF
-	if t.sharedAxes {
-		s.refreshSlewCoords(out)
-	}
+	s.refreshSlewCoords(out)
 	return changed
 }
 
@@ -495,9 +424,7 @@ func (s *State) SetChoice(gate int, ch *library.Choice) {
 	for k := off; k < end; k++ {
 		in := int(t.faninNet[k])
 		s.netLoad[in] = s.recomputeLoad(in)
-		if t.sharedAxes {
-			s.refreshLoadCoord(in)
-		}
+		s.refreshLoadCoord(in)
 		s.markDirty(gateOfNet[in])
 	}
 	s.markDirty(gate)

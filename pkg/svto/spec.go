@@ -131,7 +131,9 @@ type SearchSpec struct {
 	// RefinePasses > 0 adds iterated gate-refinement passes.
 	RefinePasses int `json:"refine_passes,omitempty"`
 	// MaxLeaves bounds the number of complete states evaluated; 0 means
-	// unlimited.  The budget spans resumed runs.
+	// unlimited.  The budget spans resumed runs.  It counts leaves, not
+	// work: the state-tree nodes between two leaves are unbounded, so set
+	// TimeLimitSec too when the run must end in bounded time.
 	MaxLeaves int64 `json:"max_leaves,omitempty"`
 	// Seed drives baseline vectors and parallel task shuffling.
 	Seed int64 `json:"seed,omitempty"`
