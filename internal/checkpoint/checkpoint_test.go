@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,16 +19,12 @@ func sampleSnapshot() *Snapshot {
 		SplitDepth:  5,
 		LeavesUsed:  42,
 		Stats: Stats{
-			StateNodes:    100,
-			GateTrials:    2000,
-			Leaves:        40,
-			Pruned:        17,
-			LeafCacheHits: 3,
-			BatchSweeps:   9,
-			BatchLanes:    300,
-			RelaxBounds:   55,
-			RelaxPruned:   21,
-			PortfolioWins: 2,
+			StateNodes:  100,
+			GateTrials:  2000,
+			Leaves:      40,
+			Pruned:      17,
+			RelaxBounds: 55,
+			RelaxPruned: 21,
 		},
 		Failures: []WorkerFailure{
 			{Worker: 2, Err: "worker panic: boom", Stack: "goroutine 7 [running]:\n..."},
@@ -35,9 +32,10 @@ func sampleSnapshot() *Snapshot {
 		Incumbent: &Incumbent{
 			State:   []bool{true, false, true, true},
 			Choices: [][2]int32{{0, 1}, {3, 0}, {2, 2}},
-			Leak:    123.456,
-			Isub:    78.9,
-			Delay:   456.7,
+			// Floats without a short decimal form must survive bit-exactly.
+			Leak:  0.1 + 0.2,
+			Isub:  math.Nextafter(1, 2),
+			Delay: 456.7 / 3,
 		},
 		Frontier: [][]byte{
 			{0, 1, 2, 2},
@@ -48,6 +46,16 @@ func sampleSnapshot() *Snapshot {
 
 func snapEqual(a, b *Snapshot) bool {
 	return reflect.DeepEqual(a, b)
+}
+
+// frame marshals s into the framed format, failing the test on error.
+func frame(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	data, err := s.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -63,6 +71,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !snapEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v %+v %+v\nwant %+v %+v %+v",
 			got, got.Incumbent, got.Frontier, want, want.Incumbent, want.Frontier)
+	}
+	for i, pair := range [][2]float64{
+		{got.Incumbent.Leak, want.Incumbent.Leak},
+		{got.Incumbent.Isub, want.Incumbent.Isub},
+		{got.Incumbent.Delay, want.Incumbent.Delay},
+	} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			t.Errorf("incumbent float %d: bits %016x, want %016x", i,
+				math.Float64bits(pair[0]), math.Float64bits(pair[1]))
+		}
 	}
 	// Overwrite in place (the periodic-write path) must also work.
 	want.LeavesUsed = 99
@@ -102,7 +120,7 @@ func TestLoadMissingFile(t *testing.T) {
 }
 
 func TestLoadRejectsCorruption(t *testing.T) {
-	data := sampleSnapshot().marshal()
+	data := frame(t, sampleSnapshot())
 
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), data...)
@@ -117,9 +135,9 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrVersion) {
 			t.Errorf("want ErrVersion, got %v", err)
 		}
-		// Versions 2 and 3 are no longer read, even with an intact frame.
+		// Older versions are not read, even with an intact frame.
 		payload := data[len(magic)+12 : len(data)-4]
-		for _, v := range []uint32{2, 3} {
+		for _, v := range []uint32{2, 3, 4} {
 			if _, err := Unmarshal(reframe(payload, v)); !errors.Is(err, ErrVersion) {
 				t.Errorf("version-%d frame: want ErrVersion, got %v", v, err)
 			}
@@ -162,21 +180,29 @@ func reframe(payload []byte, version uint32) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// The trailing sections (the counters since version 4; the multipliers too
-// before that) must be validated like everything before them: a payload cut
-// anywhere inside them — even with a recomputed, valid CRC — must fail.
-func TestRejectsCorruptMultiplierSection(t *testing.T) {
-	full := sampleSnapshot().marshal()
-	payload := full[len(magic)+12 : len(full)-4]
-	trailing := 8 * (numStats - leadStats)
-
-	t.Run("truncated trailing sections", func(t *testing.T) {
-		for cut := len(payload) - trailing; cut < len(payload); cut++ {
-			if _, err := Unmarshal(reframe(payload[:cut], Version)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("payload cut to %d of %d: want ErrCorrupt, got %v", cut, len(payload), err)
+// A payload inside a valid frame (right magic, version, length and CRC)
+// must still be exactly one JSON Snapshot object with known, well-typed
+// fields.
+func TestRejectsMalformedPayload(t *testing.T) {
+	payload := frame(t, sampleSnapshot())
+	payload = payload[len(magic)+12 : len(payload)-4]
+	for _, tc := range []struct {
+		name    string
+		payload string
+	}{
+		{"truncated JSON", string(payload[:len(payload)/2])},
+		{"two JSON values", string(payload) + string(payload)},
+		{"unknown field", `{"fingerprint":1,"multipliers":[1.5]}`},
+		{"wrong-typed field", `{"fingerprint":"1"}`},
+		{"empty payload", ""},
+		{"null payload", "null"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Unmarshal(reframe([]byte(tc.payload), Version)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("want ErrCorrupt, got %v", err)
 			}
-		}
-	})
+		})
+	}
 }
 
 // failFS injects failures into individual filesystem operations.

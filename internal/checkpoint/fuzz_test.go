@@ -2,20 +2,20 @@ package checkpoint
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 )
 
 // FuzzUnmarshal feeds arbitrary bytes to the snapshot decoder, both as a
 // whole file and as a payload wrapped in a valid frame (so mutations reach
-// the payload decoder instead of dying at the CRC check).  The decoder must
+// the JSON decoder instead of dying at the CRC check).  The decoder must
 // never panic, and every accepted snapshot must re-marshal to bytes that
-// decode to the same snapshot.  Allocation stays proportional to the input:
-// the frame rejects payloads over maxCount and every count is checked
-// against the bytes that remain.
+// decode to the same snapshot.  JSON cannot carry NaN, so decoded
+// snapshots compare with DeepEqual.  Allocation stays proportional to the
+// input: the frame rejects payloads over maxPayload, and JSON has no
+// length prefixes to trust.
 func FuzzUnmarshal(f *testing.F) {
-	data := sampleSnapshot().marshal()
+	data := frame(f, sampleSnapshot())
 	f.Add(data)
 	for _, n := range []int{0, len(magic), len(magic) + 12, len(data) / 2, len(data) - 1} {
 		f.Add(data[:n])
@@ -29,23 +29,17 @@ func FuzzUnmarshal(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again := s.marshal()
+			again := frame(t, s)
 			s2, err := Unmarshal(again)
 			if err != nil {
 				t.Fatalf("re-marshaled snapshot does not decode: %v", err)
 			}
-			if !bytes.Equal(again, s2.marshal()) {
+			if !bytes.Equal(again, frame(t, s2)) {
 				t.Fatal("re-marshaled snapshot is not a fixpoint")
 			}
-			// NaN never compares equal; the byte fixpoint above covers it.
-			if !hasNaN(s) && !reflect.DeepEqual(s, s2) {
+			if !reflect.DeepEqual(s, s2) {
 				t.Fatalf("re-marshaled snapshot decodes differently:\n got %+v\nwant %+v", s2, s)
 			}
 		}
 	})
-}
-
-func hasNaN(s *Snapshot) bool {
-	inc := s.Incumbent
-	return inc != nil && (math.IsNaN(inc.Leak) || math.IsNaN(inc.Isub) || math.IsNaN(inc.Delay))
 }

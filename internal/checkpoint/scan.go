@@ -12,25 +12,24 @@ import (
 // after a restart rely on it to tell snapshots from other state files.
 const Ext = ".ckpt"
 
-// Entry is one snapshot file found by ScanDir.  Snap is nil when the file
-// could not be loaded, in which case Err says why (a torn final write, a
-// snapshot from an old format version, a permissions problem); callers
-// decide whether an unreadable snapshot is fatal or just means the
-// associated job restarts from scratch.
+// Entry is one snapshot file found by ScanDir.  Err is non-nil when the
+// file could not be loaded and says why (a torn final write, a snapshot
+// from an old format version, a permissions problem); callers decide
+// whether an unreadable snapshot is fatal or just means the associated job
+// restarts from scratch.
 type Entry struct {
 	Path string
-	Snap *Snapshot
 	Err  error
 }
 
 // ScanDir enumerates the snapshot files directly under dir, loading each
-// one.  Files without the Ext suffix are ignored, as are the temporary
-// files Save creates (Ext + ".tmp..." from CreateTemp patterns) — a crash
-// between serialize and rename must not surface the half-written temp as a
-// candidate snapshot.  Entries come back sorted by path so restart-time
-// adoption is deterministic.  A missing dir is not an error: a daemon's
-// first boot has no state directory yet, which is the same as having no
-// snapshots.
+// one to validate it.  Files without the Ext suffix are ignored, as are the
+// temporary files Save creates (Ext + ".tmp..." from CreateTemp patterns) —
+// a crash between serialize and rename must not surface the half-written
+// temp as a candidate snapshot.  Entries come back sorted by path so
+// restart-time adoption is deterministic.  A missing dir is not an error: a
+// daemon's first boot has no state directory yet, which is the same as
+// having no snapshots.
 func ScanDir(dir string) ([]Entry, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -49,8 +48,8 @@ func ScanDir(dir string) ([]Entry, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		snap, err := Load(OS, path)
-		entries = append(entries, Entry{Path: path, Snap: snap, Err: err})
+		_, err := Load(OS, path)
+		entries = append(entries, Entry{Path: path, Err: err})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Path < entries[j].Path })
 	return entries, nil

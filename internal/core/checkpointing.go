@@ -168,12 +168,10 @@ func (p *Problem) loadSearch(fs checkpoint.FS, path string, opt Options) (*resum
 		Elapsed:    snap.Elapsed,
 		LeavesUsed: snap.LeavesUsed,
 		Stats:      snap.Stats,
+		Failures:   snap.Failures,
 	}
 	if rs.SplitDepth < 0 || rs.SplitDepth > len(p.piOrder) {
 		return nil, mismatch("split depth %d out of range (%d inputs)", rs.SplitDepth, len(p.piOrder))
-	}
-	for _, f := range snap.Failures {
-		rs.Failures = append(rs.Failures, WorkerFailure{Worker: int(f.Worker), Err: f.Err, Stack: f.Stack})
 	}
 	for ti, vec := range snap.Frontier {
 		task, err := p.TaskFromBytes(vec, rs.SplitDepth)
@@ -289,10 +287,8 @@ func (sh *Search) writeCheckpoint(d Drain) {
 			SplitDepth:  sh.splitDepth,
 			LeavesUsed:  sh.leafTickets.Load(),
 			Stats:       sh.counters.Load(),
+			Failures:    sh.failuresCopy(),
 			Incumbent:   inc,
-		}
-		for _, f := range sh.failuresCopy() {
-			snap.Failures = append(snap.Failures, checkpoint.WorkerFailure{Worker: int32(f.Worker), Err: f.Err, Stack: f.Stack})
 		}
 		for _, t := range tasks {
 			snap.Frontier = append(snap.Frontier, TaskBytes(t))

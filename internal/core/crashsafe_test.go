@@ -562,7 +562,7 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 				snap.Frontier[0][i] = 2
 			}
 		}},
-		{"NaN incumbent leakage", func(snap *checkpoint.Snapshot) { snap.Incumbent.Leak = math.NaN() }},
+		{"wrong incumbent leakage", func(snap *checkpoint.Snapshot) { snap.Incumbent.Leak += 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, err := checkpoint.Load(nil, path)
@@ -585,6 +585,26 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 			}
 		})
 	}
+	// JSON has no NaN, so a NaN incumbent never reaches a file: Save
+	// refuses it before creating anything.  ResolveIncumbent still
+	// rejects NaN for incumbents that arrive by other routes.
+	t.Run("NaN incumbent is not saved", func(t *testing.T) {
+		snap, err := checkpoint.Load(nil, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Incumbent.Leak = math.NaN()
+		dir := t.TempDir()
+		if err := checkpoint.Save(nil, filepath.Join(dir, "nan.ckpt"), snap); err == nil {
+			t.Error("Save accepted a NaN incumbent")
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("failed Save left files behind: %v %v", entries, err)
+		}
+		if _, err := midCircuit(t).ResolveIncumbent(snap.Incumbent); err == nil {
+			t.Error("ResolveIncumbent accepted a NaN incumbent")
+		}
+	})
 	t.Run("missing file starts fresh", func(t *testing.T) {
 		o := opt
 		o.Checkpoint.Path = filepath.Join(t.TempDir(), "absent.ckpt")

@@ -265,17 +265,9 @@ type SearchStats struct {
 	PriorRuntime time.Duration
 }
 
-// WorkerFailure describes one worker death during a tree search.
-type WorkerFailure struct {
-	// Worker is the index of the failed worker within its run.
-	Worker int
-	// Err is the failure message (the recovered panic value or the leaf
-	// evaluation error).
-	Err string
-	// Stack is the goroutine stack at the recovery point; empty for
-	// non-panic failures.
-	Stack string
-}
+// WorkerFailure describes one worker death during a tree search, declared
+// once as checkpoint.WorkerFailure so snapshots carry the very struct.
+type WorkerFailure = checkpoint.WorkerFailure
 
 // Solution is a complete standby assignment.
 type Solution struct {

@@ -18,9 +18,10 @@
 //     core.SolveTasks and reports the batch's counters plus its unfinished
 //     remainder, so a shard dying mid-batch costs only a lease re-queue.
 //
-// The durable search state has one definition, shared with the local pool
-// and the checkpoint file: counters are core.Counters (checkpoint.Stats),
-// incumbents travel as checkpoint.Incumbent, task vectors use
+// The durable search state has one definition and one encoding, shared
+// with the local pool and the checkpoint file: counters are core.Counters
+// (checkpoint.Stats), incumbents travel as checkpoint.Incumbent, both as
+// the JSON a snapshot's payload also holds, task vectors use
 // core.TaskBytes / Problem.TaskFromBytes, and snapshots are written and
 // read by the one lifecycle in internal/core.
 //

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -509,8 +510,13 @@ func TestAdoptDropsBadSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	torn := Record{ID: "00000000000feed1", Request: treeRequest("torn", 21), Status: StatusInterrupted, Created: time.Now().UTC()}
 	mismatched := Record{ID: "00000000000feed2", Request: treeRequest("mismatched", 22), Status: StatusInterrupted, Created: time.Now().UTC()}
+	// A snapshot from the previous format version: a current file with its
+	// version field patched to 4.  Resume would refuse it with ErrVersion,
+	// so adoption must drop it for the job to restart.
+	oldVersion := Record{ID: "00000000000feed3", Request: treeRequest("oldversion", 23), Status: StatusInterrupted, Created: time.Now().UTC()}
 	plantRecord(t, dir, torn)
 	plantRecord(t, dir, mismatched)
+	plantRecord(t, dir, oldVersion)
 	jobsDir := filepath.Join(dir, "jobs")
 	if err := os.WriteFile(filepath.Join(jobsDir, torn.ID+".ckpt"), []byte("not a real snapshot"), 0o644); err != nil {
 		t.Fatal(err)
@@ -519,13 +525,28 @@ func TestAdoptDropsBadSnapshots(t *testing.T) {
 		&checkpoint.Snapshot{Fingerprint: 0xbadbadbadbadbad}); err != nil {
 		t.Fatal(err)
 	}
+	oldPath := filepath.Join(jobsDir, oldVersion.ID+".ckpt")
+	if err := checkpoint.Save(nil, oldPath, &checkpoint.Snapshot{Fingerprint: 0xbadbadbadbadbad}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[len("SVTOCKPT"):], 4)
+	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(nil, oldPath); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("patched snapshot: want ErrVersion, got %v", err)
+	}
 
 	m, err := Open(Config{StateDir: dir, Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for _, rec := range []Record{torn, mismatched} {
+	for _, rec := range []Record{torn, mismatched, oldVersion} {
 		done := waitStatus(t, m, rec.ID, StatusDone, 120*time.Second)
 		if done.Resumes == 0 {
 			t.Errorf("%s: adopted job reports zero Resumes", rec.ID)
