@@ -154,6 +154,73 @@ func TestChannelCurrentMonotone(t *testing.T) {
 	}
 }
 
+// The spnet solver settles a bisection step early once a current clears a
+// bracket of computed head currents by a relative margin of 1e-12, which is
+// sound only if the computed current is monotone down to the last float:
+// non-increasing in the bottom-terminal voltage and non-decreasing in the
+// top one.  Step each terminal to the adjacent float and along a dense grid,
+// including the last few hundred floats below the other terminal, where
+// 1-exp(-vds/vT) cancels; any rise (or fall) must stay below the margin.
+func TestChannelCurrentMonotoneAtAdjacentFloats(t *testing.T) {
+	const margin = 1e-12
+	const grid = 200
+	corners := []tech.Corner{tech.FastCorner, tech.LowIsubCorner, tech.LowIgateCorner, tech.SlowCorner}
+	// excess is how far b rises above a, relative to the larger magnitude.
+	excess := func(a, b float64) float64 {
+		if b <= a {
+			return 0
+		}
+		return (b - a) / math.Max(math.Abs(a), math.Abs(b))
+	}
+	worst, checks := 0.0, 0
+	for _, p := range []*tech.Params{tech.Default(), tech.Nitrided()} {
+		step := p.Vdd / grid
+		for _, kind := range []tech.DeviceKind{tech.NMOS, tech.PMOS} {
+			for _, c := range corners {
+				d := Device{kind, 2, c}
+				for g := 0; g <= 10; g++ {
+					vg := float64(g) / 10 * p.Vdd
+					for a := 0; a <= 10; a++ {
+						va := float64(a) / 10 * p.Vdd
+						// Bottom terminal: the current must not rise with vb.
+						bottom := func(vb float64) {
+							i := d.ChannelCurrent(p, vg, va, vb)
+							for _, next := range []float64{math.Nextafter(vb, math.Inf(1)), vb + step} {
+								e := excess(i, d.ChannelCurrent(p, vg, va, next))
+								if e >= margin {
+									t.Fatalf("%s %s vg=%v va=%v: current rises %g from vb=%v to %v", p.Name, d, vg, va, e, vb, next)
+								}
+								worst, checks = math.Max(worst, e), checks+1
+							}
+						}
+						// Top terminal: the current must not fall with va.
+						top := func(va, vb float64) {
+							i := d.ChannelCurrent(p, vg, va, vb)
+							for _, next := range []float64{math.Nextafter(va, math.Inf(1)), va + step} {
+								e := excess(d.ChannelCurrent(p, vg, next, vb), i)
+								if e >= margin {
+									t.Fatalf("%s %s vg=%v vb=%v: current falls %g from va=%v to %v", p.Name, d, vg, vb, e, va, next)
+								}
+								worst, checks = math.Max(worst, e), checks+1
+							}
+						}
+						for k := 0; k <= grid; k++ {
+							bottom(float64(k) * step)
+							top(float64(k)*step, va)
+						}
+						for k, vb := 0, va; k < 300; k++ {
+							vb = math.Nextafter(vb, math.Inf(-1))
+							bottom(vb)
+							top(va, vb)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d adjacent-float and grid steps, worst relative violation %g", checks, worst)
+}
+
 func TestZeroVdsZeroCurrent(t *testing.T) {
 	p := tech.Default()
 	for _, d := range []Device{nmos(2, tech.FastCorner), pmos(2, tech.FastCorner)} {

@@ -19,12 +19,13 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCell measures one cell's characterization.  NAND4 has the
-// deepest stack, and nested bisection costs ~30^(k-1) device evaluations per
-// k-deep stack, so it dominates BenchmarkBuild.
+// BenchmarkBuildCell measures one cell's characterization.  NAND4's pull-down
+// and NOR4's pull-up are the only 4-deep stacks, the costliest networks to
+// solve, so the two dominate BenchmarkBuild; NOR4's is a PMOS stack, solved in
+// the mirrored frame.
 func BenchmarkBuildCell(b *testing.B) {
 	p := tech.Default()
-	for _, tpl := range []*cell.Template{cell.NAND(4)} {
+	for _, tpl := range []*cell.Template{cell.NAND(4), cell.NOR(4)} {
 		b.Run(tpl.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -6,7 +6,12 @@
 // the internal stack node voltages by balancing channel currents: the
 // current through a series composition is monotone in the internal node
 // voltage (a property the device model guarantees), so each internal node is
-// found by bisection, nested recursively through the composition tree.  With
+// found by bisection, nested recursively through the composition tree.  A
+// bisection step needs only the sign of the head's current minus the rest's,
+// so the rest of a chain is not solved exactly: its own bisection runs only
+// until the head currents at the ends of its interval bracket the answer
+// (Series.exceeds).  The decisions, and so every node voltage, are those of
+// the exact nested bisection, bit for bit.  With
 // the node voltages known, the per-device gate-tunneling currents are
 // evaluated at their true terminal biases — which is exactly what produces
 // the stack effects the paper exploits: an OFF stack leaks far less than a
@@ -16,6 +21,7 @@ package spnet
 
 import (
 	"fmt"
+	"math"
 
 	"svto/internal/device"
 	"svto/internal/tech"
@@ -23,8 +29,14 @@ import (
 
 // bisectIters is the number of bisection steps used per internal node.
 // 30 steps resolve node voltages to ~1e-9 V on a 1V interval, far below
-// anything the leakage model can distinguish.
+// anything the leakage model can distinguish.  The steps' decisions define
+// the solution; exceeds only reaches the same decisions sooner.
 const bisectIters = 30
+
+// margin is the relative distance by which exceeds needs a current to clear
+// its bracket before settling a comparison early.  It covers last-ulp
+// non-monotonicity of math.Exp in the device model by orders of magnitude.
+const margin = 1e-12
 
 // Element is a node of a series-parallel composition tree.  The three
 // implementations are DevRef, Series and Parallel.
@@ -242,7 +254,9 @@ func (s Series) current(ev *evalCtx, vtop, vbot float64) float64 {
 
 // balance finds the voltage of the node between s[0] and the rest of the
 // chain by bisection.  The current through s[0] falls as the node rises and
-// the current through the rest grows, so the crossing is unique.
+// the current through the rest grows, so the crossing is unique.  Each step
+// needs only the sign of the difference, which exceeds settles without
+// solving the rest exactly.
 func (s Series) balance(ev *evalCtx, vtop, vbot float64) float64 {
 	rest := s[1:]
 	lo, hi := vbot, vtop
@@ -251,9 +265,7 @@ func (s Series) balance(ev *evalCtx, vtop, vbot float64) float64 {
 	}
 	for i := 0; i < bisectIters; i++ {
 		mid := (lo + hi) / 2
-		iTop := s[0].current(ev, vtop, mid)
-		iRest := rest.current(ev, mid, vbot)
-		if iTop > iRest {
+		if rest.exceeds(ev, mid, vbot, s[0].current(ev, vtop, mid)) {
 			// Too little current drained below: node must rise.
 			lo = mid
 		} else {
@@ -261,6 +273,45 @@ func (s Series) balance(ev *evalCtx, vtop, vbot float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// exceeds reports x > s.current(ev, vtop, vbot), bit for bit, usually
+// without finishing the chain's bisection.  It runs balance's steps, each
+// decided by a recursive exceeds, so lo and hi follow balance's sequence and
+// the solved node stays inside [lo, hi].  The head's current is
+// non-increasing in its bottom voltage, so s.current lies in [I(hi), I(lo)];
+// once x clears that bracket by the relative margin the answer is known.
+// I(vtop) is 0 before hi first moves: a device with no voltage across it
+// carries none (device.ChannelCurrent returns 0 at vds == 0).
+//
+// Only a device head is bracketed.  A nested chain's current is not
+// monotone to the last float: its node comes from its own bisection, whose
+// grid moves with the bottom voltage.  A parallel group's would be, but no
+// standard template puts one at the head of a rest.
+func (s Series) exceeds(ev *evalCtx, vtop, vbot, x float64) bool {
+	if len(s) < 2 || vtop < vbot {
+		return x > s.current(ev, vtop, vbot)
+	}
+	rest := s[1:]
+	_, bracket := s[0].(DevRef)
+	lo, hi := vbot, vtop
+	iLo, iHi := math.Inf(1), 0.0
+	for i := 0; i < bisectIters; i++ {
+		mid := (lo + hi) / 2
+		iTop := s[0].current(ev, vtop, mid)
+		if rest.exceeds(ev, mid, vbot, iTop) {
+			lo, iLo = mid, iTop
+		} else {
+			hi, iHi = mid, iTop
+		}
+		if bracket && x > iLo+margin*iLo {
+			return true
+		}
+		if bracket && x < iHi-margin*iHi {
+			return false
+		}
+	}
+	return x > s[0].current(ev, vtop, (lo+hi)/2)
 }
 
 func (s Series) record(ev *evalCtx, vtop, vbot float64, sol *Solution) float64 {
