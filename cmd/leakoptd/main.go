@@ -14,7 +14,7 @@
 //	                                       its state — record, checkpoint,
 //	                                       artifacts (204; 409 if running)
 //	GET    /v1/stats                       queue depth, running-job search
-//	                                       counters, baseline builds, shards
+//	                                       counters, shards
 //	GET    /healthz                        liveness
 //
 // Jobs are durable: requests and checkpoints live under the state

@@ -2,6 +2,7 @@ package cell
 
 import (
 	"fmt"
+	"strconv"
 
 	"svto/internal/device"
 	"svto/internal/spnet"
@@ -65,7 +66,7 @@ func Inverter() *Template {
 func NAND(n int) *Template {
 	mustFanin(n)
 	return &Template{
-		Name:      fmt.Sprintf("NAND%d", n),
+		Name:      "NAND" + strconv.Itoa(n),
 		NumInputs: n,
 		PinNames:  pinNames(n),
 		PullUp: &spnet.Network{
@@ -88,7 +89,7 @@ func NAND(n int) *Template {
 func NOR(n int) *Template {
 	mustFanin(n)
 	return &Template{
-		Name:      fmt.Sprintf("NOR%d", n),
+		Name:      "NOR" + strconv.Itoa(n),
 		NumInputs: n,
 		PinNames:  pinNames(n),
 		PullUp: &spnet.Network{

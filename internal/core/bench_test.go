@@ -67,7 +67,7 @@ func BenchmarkStateBound(b *testing.B) {
 		})
 
 		b.Run(circuit+"/incremental", func(b *testing.B) {
-			eng, err := p.newBoundEngine()
+			eng, err := p.newBoundEngine(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func BenchmarkStateBound(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Assign(flip, sim.Value(i%2))
-				_ = eng.Bound()
+				_, _ = eng.Bounds()
 				eng.Undo()
 			}
 		})

@@ -27,7 +27,7 @@ func TestInc3MatchesStateBound(t *testing.T) {
 	}
 	for _, obj := range []Objective{ObjTotal, ObjIsubOnly} {
 		p := newProblem(t, circ, library.DefaultOptions(), obj)
-		eng, err := p.newBoundEngine()
+		eng, err := p.newBoundEngine(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestInc3MatchesStateBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.Bound(); got != want {
+			if got, _ := eng.Bounds(); got != want {
 				t.Fatalf("obj=%d: engine bound %v != stateBound %v (depth %d)", obj, got, want, eng.Depth())
 			}
 		}
@@ -116,7 +116,8 @@ func TestInc3FastBoundMatchesStateOnlyReference(t *testing.T) {
 		for i, v := range pi {
 			eng.Assign(i, v)
 		}
-		if got, want := eng.Bound(), ref(pi); got != want {
+		got, _ := eng.Bounds()
+		if want := ref(pi); got != want {
 			t.Fatalf("assignment %v: engine %v != reference %v", pi, got, want)
 		}
 		for range pi {

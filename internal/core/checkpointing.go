@@ -56,7 +56,7 @@ const ckSplitDepth = 6
 // shapes, algorithm, penalty, objective and ablations — so a resume against
 // a different problem is rejected instead of silently exploring garbage.
 // Execution knobs that do not change what a snapshot means (Workers,
-// SplitDepth, TimeLimit, MaxLeaves, Seed, progress/checkpoint settings) are
+// SplitDepth, TimeLimit, MaxLeaves, progress/checkpoint settings) are
 // deliberately excluded: it is valid to resume with more workers or a
 // larger budget.
 func (p *Problem) fingerprint(opt Options) uint64 {

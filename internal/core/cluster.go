@@ -216,10 +216,10 @@ func DefaultSplitDepth(parallelism, inputs int) int { return splitDepth(parallel
 
 // ExpandFrontier expands the state tree to depth under seed's bound and
 // returns the surviving subtree tasks plus the counters the expansion
-// spent (state nodes, pruned branches).  The task set is
-// exactly the one a local pool run at the same split depth would build —
+// spent (state nodes, pruned branches).  The task set, and its order, are
+// exactly the ones a local pool run at the same split depth would build —
 // the expansion evaluates no leaves, so the incumbent cannot move during
-// it — and opt.Seed applies the same optional shuffle a local Solve would.
+// it.
 func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]sim.Value, SearchStats, error) {
 	if seed == nil {
 		return nil, SearchStats{}, fmt.Errorf("%w: ExpandFrontier requires a seed incumbent", ErrInvalidOptions)
@@ -231,7 +231,7 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 	zero.Stats = SearchStats{}
 	opt.Share = nil
 	sh := newSearch(p, opt, p.Budget(opt.Penalty), &zero)
-	tasks, err := sh.frontier(depth, opt.Seed)
+	tasks, err := sh.frontier(depth)
 	if err != nil {
 		return nil, SearchStats{}, err
 	}

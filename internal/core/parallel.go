@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -231,11 +230,9 @@ type worker struct {
 	sh *Search
 	pi []sim.Value
 	// inc is the incremental bound engine (nil when bounds are ablated).
-	inc *sim.Inc3
-	// rx is the relaxation half of the bound cascade: a second incremental
-	// engine over the choice-elimination tables, probed only on
-	// branches the cheap bound could not cut.  Nil when sh.relax is nil.
-	rx      *sim.Inc3
+	// It carries both tables of the bound cascade: the cheap one, and the
+	// choice-elimination tables of sh.relax when that is non-nil.
+	inc     *sim.Inc3
 	stats   Counters
 	flushed Counters
 	// taskMark snapshots stats at the start of the current pool task, so a
@@ -250,22 +247,14 @@ type worker struct {
 // state, which every worker clones (an O(nets) copy) instead of paying a
 // full analysis of its own.
 func (sh *Search) newWorker(base *sta.State) (*worker, error) {
-	inc, err := sh.p.newBoundEngine()
+	inc, err := sh.p.newBoundEngine(sh.relax)
 	if err != nil {
 		return nil, err
-	}
-	var rx *sim.Inc3
-	if sh.relax != nil {
-		rx, err = sim.NewInc3(sh.p.CC, sh.relax.Known, sh.relax.Unknown)
-		if err != nil {
-			return nil, err
-		}
 	}
 	w := &worker{
 		sh:      sh,
 		pi:      make([]sim.Value, len(sh.p.CC.PI)),
 		inc:     inc,
-		rx:      rx,
 		base:    base,
 		scratch: base.Clone(),
 		arena:   sh.p.newLeafArena(base),
@@ -276,19 +265,17 @@ func (sh *Search) newWorker(base *sta.State) (*worker, error) {
 	return w, nil
 }
 
-// enterPrefix syncs the bound engines to a task's partial assignment (w.pi
+// enterPrefix syncs the bound engine to a task's partial assignment (w.pi
 // must already hold it) and returns the number of Assigns to undo when the
 // subtree is done.
 func (w *worker) enterPrefix() int {
+	if w.inc == nil {
+		return 0
+	}
 	n := 0
 	for i, v := range w.pi {
 		if v != sim.X {
-			if w.inc != nil {
-				w.inc.Assign(i, v)
-			}
-			if w.rx != nil {
-				w.rx.Assign(i, v)
-			}
+			w.inc.Assign(i, v)
 			n++
 		}
 	}
@@ -298,12 +285,7 @@ func (w *worker) enterPrefix() int {
 // leavePrefix unwinds enterPrefix's assignments.
 func (w *worker) leavePrefix(n int) {
 	for ; n > 0; n-- {
-		if w.inc != nil {
-			w.inc.Undo()
-		}
-		if w.rx != nil {
-			w.rx.Undo()
-		}
+		w.inc.Undo()
 	}
 }
 
@@ -339,19 +321,17 @@ func (w *worker) rollbackTask() {
 }
 
 // dfs is the bound-guided state-tree descent: at each level probeBranches
-// bounds both branches on the incremental engine and orders them tighter
-// branch first, and branches the incumbent already beats are pruned.  The
-// hot path allocates nothing.
+// bounds both branches on the incremental engine and orders them by the
+// cheap bound, tighter branch first, and branches the incumbent already
+// beats are pruned.  The hot path allocates nothing.
 //
-// Branches that survive the cheap bound pay the second stage of the bound
-// cascade: one incremental probe of the choice-elimination engine (w.rx),
-// whose per-gate contributions fold the delay budget into the bound.  The probe's
-// Assign persists into the subtree descent, so deeper cascade probes touch
-// only the newly-assigned input's fanout cone — the relaxation costs one
-// Assign/Bound/Undo per surviving branch, nothing on branches the cheap
-// bound already cut.
+// Branches that survive the cheap bound face the second stage of the bound
+// cascade: the relaxation bound the same probe read from the engine's
+// choice-elimination table, whose per-gate contributions fold the delay
+// budget into the bound.  A bound is a pure function of the assignment, so
+// reading it at probe time gives the value a later probe would.
 //
-// On an error return the engines may hold unpaired Assigns; errors abort
+// On an error return the engine may hold unpaired Assigns; errors abort
 // the whole search, so no caller reuses the worker afterwards.
 func (w *worker) dfs(depth int) error {
 	sh := w.sh
@@ -369,13 +349,11 @@ func (w *worker) dfs(depth int) error {
 			w.stats.Pruned++
 			continue
 		}
-		if w.rx != nil {
-			w.rx.Assign(idx, br.v)
+		if sh.relax != nil {
 			w.stats.RelaxBounds++
-			if w.rx.Bound() >= sh.bestObj()-LeakEps {
+			if br.relax >= sh.bestObj()-LeakEps {
 				w.stats.Pruned++
 				w.stats.RelaxPruned++
-				w.rx.Undo()
 				continue
 			}
 		}
@@ -389,9 +367,6 @@ func (w *worker) dfs(depth int) error {
 		}
 		if w.inc != nil {
 			w.inc.Undo()
-		}
-		if w.rx != nil {
-			w.rx.Undo()
 		}
 	}
 	w.pi[idx] = sim.X
@@ -745,13 +720,13 @@ func splitDepth(parallelism, piCount int, handOff bool) int {
 // frontier builds the task list of a fresh search: it expands the state
 // tree to depth (clamped to the input count, and recorded as the search's
 // split depth) with one incremental bound engine, applying the same
-// bound-guided ordering and pruning the worker DFS would, then shuffles
-// the tasks when seed is non-zero.  Subtrees are collected in depth-first
-// preorder (the bound-preferred branch first), so better-bounded tasks
-// still reach the queue earlier; the incumbent cannot tighten during
-// expansion (no leaf is evaluated here), so the surviving task set is
-// exactly the breadth-first one, and the expansion is never cut short.
-func (sh *Search) frontier(depth int, seed int64) ([][]sim.Value, error) {
+// bound-guided ordering and pruning the worker DFS would.  Subtrees are
+// collected in depth-first preorder (the bound-preferred branch first), so
+// better-bounded tasks reach the queue earlier; the incumbent cannot
+// tighten during expansion (no leaf is evaluated here), so the surviving
+// task set is exactly the breadth-first one, and the expansion is never
+// cut short.
+func (sh *Search) frontier(depth int) ([][]sim.Value, error) {
 	p := sh.p
 	depth = min(max(depth, 0), len(p.piOrder))
 	sh.splitDepth = depth
@@ -762,7 +737,7 @@ func (sh *Search) frontier(depth int, seed int64) ([][]sim.Value, error) {
 	if depth == 0 {
 		return [][]sim.Value{cur}, nil
 	}
-	eng, err := p.newBoundEngine()
+	eng, err := p.newBoundEngine(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -794,9 +769,5 @@ func (sh *Search) frontier(depth int, seed int64) ([][]sim.Value, error) {
 	}
 	expand(0)
 	sh.counters.Add(stats)
-	if seed != 0 {
-		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
-	}
 	return tasks, nil
 }

@@ -398,33 +398,41 @@ func (p *Problem) evalState(state []bool, budget float64, stats *Counters) (*Sol
 // problem's objective tables: per-gate contribution minChoice[g][s] when the
 // gate state is known, minAny[g] otherwise — the same admissible bound
 // stateBound computes by full re-simulation, maintained event-driven so one
-// Assign costs O(affected fanout cone) instead of O(circuit).  Returns nil
-// when the NoStateBounds ablation disables state-tree bounds entirely.
-func (p *Problem) newBoundEngine() (*sim.Inc3, error) {
+// Assign costs O(affected fanout cone) instead of O(circuit).  A non-nil rx
+// adds its choice-elimination tables as the engine's second table, the
+// relaxation stage of the bound cascade.  Returns nil when the
+// NoStateBounds ablation disables state-tree bounds entirely.
+func (p *Problem) newBoundEngine(rx *relax.Engine) (*sim.Inc3, error) {
 	if p.Ablate.NoStateBounds {
 		return nil, nil
+	}
+	if rx != nil {
+		return sim.NewInc3Pair(p.CC, p.minChoice, p.minAny, rx.Known, rx.Unknown)
 	}
 	return sim.NewInc3(p.CC, p.minChoice, p.minAny)
 }
 
 // branch is one child of a state-tree node: the value its input takes and
-// the admissible bound of the extended partial assignment.
+// the admissible bounds of the extended partial assignment — the cheap
+// bound, and the relaxation bound of an engine with a second table (0
+// otherwise).
 type branch struct {
 	v     sim.Value
 	bound float64
+	relax float64
 }
 
 // probeBranches is the one bound probe of every state-tree descent: both
 // children of the node that assigns input idx, bounded by an
-// Assign/Bound/Undo pair each on eng (touching only the input's fanout
-// cone) and returned tighter bound first, False on a tie.  A nil engine
-// (NoStateBounds) bounds both children at 0, so False goes first.
+// Assign/Bounds/Undo triple each on eng (touching only the input's fanout
+// cone) and returned tighter cheap bound first, False on a tie.  A nil
+// engine (NoStateBounds) bounds both children at 0, so False goes first.
 func probeBranches(eng *sim.Inc3, idx int) [2]branch {
 	bs := [2]branch{{v: sim.False}, {v: sim.True}}
 	if eng != nil {
 		for k := range bs {
 			eng.Assign(idx, bs[k].v)
-			bs[k].bound = eng.Bound()
+			bs[k].bound, bs[k].relax = eng.Bounds()
 			eng.Undo()
 		}
 	}

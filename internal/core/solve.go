@@ -116,9 +116,6 @@ type Options struct {
 	// the budget, so MaxLeaves: 1 explores exactly one tree leaf beyond the
 	// seed.
 	MaxLeaves int64
-	// Seed, when non-zero, shuffles the parallel subtree task order (a
-	// cheap load-balancing lever); zero keeps bound-guided order.
-	Seed int64
 	// RefinePasses, when > 0, runs that many iterated gate-refinement
 	// passes over the search result before returning it.
 	RefinePasses int
@@ -338,7 +335,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 			depth = splitDepth(d.Parallelism(), len(p.piOrder), sh.handOff)
 		}
 		var err error
-		if tasks, err = sh.frontier(depth, opt.Seed); err != nil {
+		if tasks, err = sh.frontier(depth); err != nil {
 			return nil, err
 		}
 	}

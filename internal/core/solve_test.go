@@ -43,7 +43,7 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{2, 4} {
 		par, err := p.Solve(context.Background(), Options{
-			Algorithm: AlgHeuristic2, Penalty: penalty, Workers: workers, Seed: 42,
+			Algorithm: AlgHeuristic2, Penalty: penalty, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -14,9 +14,8 @@
 // a clean shutdown is just a cheaper version of a crash.
 //
 // Concurrent jobs on the same library policy share one characterized
-// [svto.Baseline] (the library is immutable after construction); the
-// manager characterizes each distinct [svto.LibrarySpec.Key] at most once
-// per process and counts builds so tests can assert the sharing.
+// library through the process-wide library cache, which builds each
+// distinct policy at most once.
 package jobs
 
 import (
@@ -200,17 +199,7 @@ type Manager struct {
 	wg      sync.WaitGroup
 	closing bool
 
-	baseMu    sync.Mutex
-	baselines map[string]*baselineEntry
-	builds    int64
-
 	orphans []string
-}
-
-type baselineEntry struct {
-	once sync.Once
-	b    *svto.Baseline
-	err  error
 }
 
 // Open creates (or reopens) a manager over cfg.StateDir.  Reopening adopts
@@ -228,10 +217,9 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("jobs: state dir: %w", err)
 	}
 	m := &Manager{
-		cfg:       cfg,
-		dir:       dir,
-		jobs:      make(map[string]*job),
-		baselines: make(map[string]*baselineEntry),
+		cfg:  cfg,
+		dir:  dir,
+		jobs: make(map[string]*job),
 	}
 	resumable, err := m.adopt()
 	if err != nil {
@@ -338,35 +326,6 @@ func (m *Manager) Orphans() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.orphans...)
-}
-
-// BaselineBuilds reports how many library characterizations this manager
-// has performed; concurrent jobs on one technology must not raise it past
-// the number of distinct library keys.
-func (m *Manager) BaselineBuilds() int64 {
-	m.baseMu.Lock()
-	defer m.baseMu.Unlock()
-	return m.builds
-}
-
-// baseline returns the shared characterized library for spec, building it
-// at most once per key across all concurrent jobs.
-func (m *Manager) baseline(spec svto.LibrarySpec) (*svto.Baseline, error) {
-	key := spec.Key()
-	m.baseMu.Lock()
-	e, ok := m.baselines[key]
-	if !ok {
-		e = &baselineEntry{}
-		m.baselines[key] = e
-	}
-	m.baseMu.Unlock()
-	e.once.Do(func() {
-		e.b, e.err = svto.NewBaseline(spec)
-		m.baseMu.Lock()
-		m.builds++
-		m.baseMu.Unlock()
-	})
-	return e.b, e.err
 }
 
 // Submit validates, persists and enqueues a new job, returning its view.

@@ -291,29 +291,6 @@ func TestDeleteRemovesAllState(t *testing.T) {
 	}
 }
 
-func TestConcurrentJobsShareBaseline(t *testing.T) {
-	m, err := Open(Config{StateDir: t.TempDir(), Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	var ids []string
-	for i := 0; i < 4; i++ {
-		v, err := m.Submit(quickRequest(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, v.ID)
-	}
-	for _, id := range ids {
-		waitStatus(t, m, id, StatusDone, 60*time.Second)
-	}
-	if n := m.BaselineBuilds(); n != 1 {
-		t.Errorf("4 concurrent same-technology jobs characterized %d baselines, want 1", n)
-	}
-}
-
 // TestCloseResumeBitIdentical is the durability contract: a job
 // interrupted by graceful shutdown resumes after reopen and produces a CSV
 // byte-identical to an uninterrupted Workers=1 run of the same request.

@@ -49,8 +49,8 @@ func (m *Manager) runner() {
 	}
 }
 
-// execute runs one job through svto.Run with the manager's budget clamps,
-// shared baseline and per-job checkpoint file.
+// execute runs one job through svto.Run with the manager's budget clamps
+// and per-job checkpoint file.
 func (m *Manager) execute(ctx context.Context, j *job) (*svto.Result, error) {
 	req := j.rec.Request
 	if req.Search.Workers <= 0 || req.Search.Workers > m.cfg.JobWorkers {
@@ -63,12 +63,7 @@ func (m *Manager) execute(ctx context.Context, j *job) (*svto.Result, error) {
 		req.Search.MaxLeaves = m.cfg.MaxLeaves
 	}
 
-	base, err := m.baseline(req.Library)
-	if err != nil {
-		return nil, err
-	}
 	opts := svto.RunOptions{
-		Baseline: base,
 		Progress: func(p svto.Progress) { j.progress.store(p) },
 	}
 	// Only the tree searches support snapshots; the one-pass heuristics

@@ -25,21 +25,17 @@ type ClusterStats struct {
 // StatsView is the daemon-wide operational snapshot served by GET
 // /v1/stats: queue pressure, per-status job counts, every running job's
 // live search counters (nodes, leaves, prunes, relaxation-bound
-// probes/prunes), baseline characterization sharing, and — in cluster mode — shard health.
+// probes/prunes), and — in cluster mode — shard health.
 type StatsView struct {
-	QueueDepth     int            `json:"queue_depth"`
-	Counts         map[Status]int `json:"counts"`
-	Running        []JobStat      `json:"running"`
-	BaselineBuilds int64          `json:"baseline_builds"`
-	Cluster        *ClusterStats  `json:"cluster,omitempty"`
+	QueueDepth int            `json:"queue_depth"`
+	Counts     map[Status]int `json:"counts"`
+	Running    []JobStat      `json:"running"`
+	Cluster    *ClusterStats  `json:"cluster,omitempty"`
 }
 
 // Stats collects the current operational snapshot.
 func (m *Manager) Stats() StatsView {
-	v := StatsView{
-		Counts:         make(map[Status]int),
-		BaselineBuilds: m.BaselineBuilds(),
-	}
+	v := StatsView{Counts: make(map[Status]int)}
 	m.mu.Lock()
 	v.QueueDepth = len(m.queue)
 	for _, j := range m.jobs {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"svto/internal/cell"
@@ -499,7 +500,9 @@ func characterizeVersions(p *tech.Params, tpl *cell.Template, versions []*Versio
 	errs := make([]error, len(versions))
 	var wg sync.WaitGroup
 	for i, v := range versions {
-		v.Name = fmt.Sprintf("%s_v%d", tpl.Name, i)
+		// Not fmt.Sprintf: its printer pool allocates or not depending on
+		// scheduling and GC timing, which made allocs/op vary run to run.
+		v.Name = tpl.Name + "_v" + strconv.Itoa(i)
 		wg.Add(1)
 		go func(i int, v *Version) {
 			defer wg.Done()
@@ -548,24 +551,32 @@ type cacheKey struct {
 	opt Options
 }
 
+// cacheEntry is one key's build: once runs it, so concurrent callers of
+// one key wait for a single build while distinct keys build concurrently.
+type cacheEntry struct {
+	once sync.Once
+	lib  *Library
+	err  error
+}
+
 var (
 	cacheMu sync.Mutex
-	cache   = map[cacheKey]*Library{}
+	cache   = map[cacheKey]*cacheEntry{}
 )
 
 // Cached returns a memoized library build for the given process and policy.
-// Libraries are immutable after construction, so sharing is safe.
+// Libraries are immutable after construction, so sharing is safe.  Each
+// key is built at most once per process, its error included: Build is a
+// pure function of its arguments.
 func Cached(p *tech.Params, opt Options) (*Library, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
 	key := cacheKey{*p, opt}
-	if lib, ok := cache[key]; ok {
-		return lib, nil
+	cacheMu.Lock()
+	e, ok := cache[key]
+	if !ok {
+		e = &cacheEntry{}
+		cache[key] = e
 	}
-	lib, err := Build(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	cache[key] = lib
-	return lib, nil
+	cacheMu.Unlock()
+	e.once.Do(func() { e.lib, e.err = Build(p, opt) })
+	return e.lib, e.err
 }

@@ -2,6 +2,7 @@ package library
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"svto/internal/tech"
@@ -283,17 +284,34 @@ func TestVersionZeroIsFast(t *testing.T) {
 	}
 }
 
+// TestCachedReturnsSameLibrary: concurrent first calls on one key — a
+// policy no other test in the package builds, so the build really races —
+// must all return the same *Library, characterized once.
 func TestCachedReturnsSameLibrary(t *testing.T) {
-	a, err := Cached(tech.Default(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	opt := TwoOption()
+	opt.VtOnly, opt.UniformStack = true, true
+	const callers = 4
+	libs := make([]*Library, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range libs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			libs[i], errs[i] = Cached(tech.Default(), opt)
+		}(i)
 	}
-	b, err := Cached(tech.Default(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("Cached rebuilt an identical library")
+	close(start)
+	wg.Wait()
+	for i := range libs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if libs[i] != libs[0] {
+			t.Errorf("caller %d got a different *Library than caller 0", i)
+		}
 	}
 }
 

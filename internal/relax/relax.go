@@ -57,8 +57,9 @@
 // of them; if it cannot be built, every choice is accepted (see Build).
 // The tables are bit-identical with and without the screen.
 //
-// The search feeds Known/Unknown to a second sim.Inc3, so a relaxation
-// probe costs one Assign/Bound/Undo on the gate cone.
+// The search feeds Known/Unknown to each worker's sim.Inc3 as its second
+// table, so the relaxation bound comes from the same Assign/Bounds/Undo
+// probe as the cheap bound, on the gate cone.
 package relax
 
 import (

@@ -19,8 +19,7 @@ import (
 	"svto/internal/tech"
 )
 
-// seed drives the random-vector averages and the searches of every
-// experiment (DATE 2004).
+// seed drives the random-vector averages of every experiment (DATE 2004).
 const seed = 2004
 
 // Runner holds the shared experiment environment.  Its searches run one
@@ -110,7 +109,6 @@ func (r *Runner) Solve(p *core.Problem, alg core.Algorithm, penalty float64, lim
 		Penalty:   penalty,
 		TimeLimit: limit,
 		Workers:   1,
-		Seed:      seed,
 	})
 	if err != nil && sol != nil {
 		fmt.Fprintf(os.Stderr, "report: warning: %s degraded: %v\n", p.CC.Circuit.Name, err)

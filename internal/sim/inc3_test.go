@@ -33,7 +33,7 @@ func refBoundTables(cc *netlist.Compiled, seed int64) (known [][]float64, unknow
 
 // refBound is the slow-path reference: a fresh Eval3 pass summed in gate
 // index order — known state lookup, PatternMin for partial patterns,
-// unknown for all-X — exactly what Inc3.Bound must reproduce bit for bit.
+// unknown for all-X — exactly what Inc3.Bounds must reproduce bit for bit.
 func refBound(t *testing.T, cc *netlist.Compiled, pi []Value, known [][]float64, unknown []float64) float64 {
 	t.Helper()
 	vals, err := Eval3(cc, pi)
@@ -56,11 +56,12 @@ func refBound(t *testing.T, cc *netlist.Compiled, pi []Value, known [][]float64,
 	return b
 }
 
-// TestInc3MatchesEval3 drives the incremental engine through random
-// assign/undo sequences on circuits of increasing size and checks, after
-// every operation, that the running bound matches the full-resimulation
-// reference exactly (==, not within an epsilon): the engine must be a pure
-// evaluation-strategy change.
+// TestInc3MatchesEval3 drives a two-table incremental engine through
+// random assign/undo sequences on circuits of increasing size and checks,
+// after every operation, that each table's running bound matches the
+// full-resimulation reference over that table exactly (==, not within an
+// epsilon): the engine must be a pure evaluation-strategy change, and the
+// second table must neither disturb the first nor lag behind it.
 func TestInc3MatchesEval3(t *testing.T) {
 	circuits := map[string]*netlist.Compiled{}
 
@@ -101,7 +102,8 @@ func TestInc3MatchesEval3(t *testing.T) {
 	for name, cc := range circuits {
 		t.Run(name, func(t *testing.T) {
 			known, unknown := refBoundTables(cc, 7)
-			eng, err := NewInc3(cc, known, unknown)
+			known2, unknown2 := refBoundTables(cc, 13)
+			eng, err := NewInc3Pair(cc, known, unknown, known2, unknown2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +122,10 @@ func TestInc3MatchesEval3(t *testing.T) {
 			check := func(op string) {
 				t.Helper()
 				want := refBound(t, cc, pi, known, unknown)
-				if got := eng.Bound(); got != want {
-					t.Fatalf("%s: bound %v != reference %v (depth %d)", op, got, want, eng.Depth())
+				want2 := refBound(t, cc, pi, known2, unknown2)
+				if got, got2 := eng.Bounds(); got != want || got2 != want2 {
+					t.Fatalf("%s: bounds %v, %v != references %v, %v (depth %d)",
+						op, got, got2, want, want2, eng.Depth())
 				}
 			}
 			check("initial")
@@ -185,5 +189,8 @@ func TestInc3Validation(t *testing.T) {
 	}
 	if _, err := NewInc3(cc, [][]float64{{1, 2, 3, 4}}, []float64{1}); err != nil {
 		t.Errorf("well-formed tables rejected: %v", err)
+	}
+	if _, err := NewInc3Pair(cc, [][]float64{{1, 2, 3, 4}}, []float64{1}, [][]float64{{1, 2}}, []float64{1}); err == nil {
+		t.Error("short second-table state row accepted")
 	}
 }

@@ -65,7 +65,8 @@ func TestInc3CacheDatapath100k(t *testing.T) {
 	var stack []frame
 	check := func(op string) {
 		t.Helper()
-		if got, want := eng.Bound(), refBound(t, cc, pi, known, unknown); got != want {
+		want := refBound(t, cc, pi, known, unknown)
+		if got, _ := eng.Bounds(); got != want {
 			t.Fatalf("%s: bound %v != reference %v (depth %d)", op, got, want, eng.Depth())
 		}
 	}

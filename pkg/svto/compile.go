@@ -110,7 +110,6 @@ func coreOptions(req Request) (core.Options, error) {
 		Penalty:      req.Search.Penalty,
 		TimeLimit:    req.Search.TimeLimit(),
 		Workers:      req.Search.Workers,
-		Seed:         req.Search.Seed,
 		MaxLeaves:    req.Search.MaxLeaves,
 		RefinePasses: req.Search.RefinePasses,
 	}, nil

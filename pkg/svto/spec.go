@@ -135,7 +135,7 @@ type SearchSpec struct {
 	// work: the state-tree nodes between two leaves are unbounded, so set
 	// TimeLimitSec too when the run must end in bounded time.
 	MaxLeaves int64 `json:"max_leaves,omitempty"`
-	// Seed drives baseline vectors and parallel task shuffling.
+	// Seed draws the random baseline vectors (BaselineVectors); 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
 	// BaselineVectors, when > 0, estimates the unoptimized average leakage
 	// over that many random vectors (Result.BaselineNA, ReductionX).  It
