@@ -71,7 +71,7 @@ const (
 // an Add.
 type Stats struct {
 	StateNodes int64 `json:"state_nodes,omitempty"` // state-tree nodes visited
-	GateTrials int64 `json:"gate_trials,omitempty"` // gate-tree version trials (incl. rejected)
+	GateTrials int64 `json:"gate_trials,omitempty"` // gate-tree version trials (incl. rejected; certified-infeasible ones are skipped, not tried)
 	Leaves     int64 `json:"leaves,omitempty"`      // complete states evaluated with a gate-tree descent
 	Pruned     int64 `json:"pruned,omitempty"`      // state-tree branches cut by a bound
 	// LeafCacheHits, BatchSweeps, BatchLanes and PortfolioWins are

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"svto/internal/library"
+	"svto/internal/relax"
 	"svto/internal/sim"
 	"svto/internal/sta"
 )
@@ -12,9 +13,8 @@ import (
 // gate-tree descents run thousands of times per search, and every buffer
 // they need — the simulated net values, the per-gate input states, the
 // gain-ordered gate permutation, the exact descent's suffix bounds and
-// partial assignment, the assembled choice vector, and a timing state for
-// the final from-scratch re-analysis — is allocated once per worker and
-// reused, so the steady-state leaf path allocates nothing.
+// partial assignment and the assembled choice vector — is allocated once
+// per worker and reused, so the steady-state leaf path allocates nothing.
 type leafArena struct {
 	state   []bool            // PI vector scratch
 	netVals []uint64          // 2-valued simulation words (lane 0), by net id
@@ -24,13 +24,11 @@ type leafArena struct {
 	suffix  []float64         // exact descent: remaining-gates objective bounds
 	chosen  []*library.Choice // exact descent: partial assignment by position
 	choices []*library.Choice // assembled complete assignment
-	analyze *sta.State        // scratch for the final full re-analysis
 	sorter  gainSorter
 }
 
-// newLeafArena sizes every buffer for the problem; base is a quiescent
-// timing state of the same Timer cloned for the re-analysis scratch.
-func (p *Problem) newLeafArena(base *sta.State) *leafArena {
+// newLeafArena sizes every buffer for the problem.
+func (p *Problem) newLeafArena() *leafArena {
 	n := len(p.CC.Gates)
 	a := &leafArena{
 		state:   make([]bool, len(p.CC.PI)),
@@ -41,7 +39,6 @@ func (p *Problem) newLeafArena(base *sta.State) *leafArena {
 		suffix:  make([]float64, n+1),
 		chosen:  make([]*library.Choice, n),
 		choices: make([]*library.Choice, n),
-		analyze: base.Clone(),
 	}
 	a.sorter = gainSorter{order: a.order, key: a.gains}
 	return a
@@ -87,17 +84,26 @@ func (p *Problem) gateStatesInto(a *leafArena, state []bool) error {
 // state on the caller-provided all-fast timing state, leaving the chosen
 // assignment in a.choices and returning (leak, isub, delay).  It is the
 // allocation-free core of evalState and of the workers' greedyLeaf; the
-// final delay is a full from-scratch re-analysis (bit-for-bit the value
-// Timer.Analyze reports), run on the arena's scratch timing state.
-func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, stats *Counters) (leak, isub, delay float64, err error) {
-	if err = p.assignGatesArena(st, a, budget, stats); err != nil {
+// delay is the descent's own timing state's, bit for bit Timer.Analyze's.
+func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) (leak, isub, delay float64, err error) {
+	if err = p.assignGatesArena(st, a, budget, rx, stats); err != nil {
 		return 0, 0, 0, err
 	}
 	leak, isub = leakOf(a.choices)
-	a.analyze.Reanalyze(a.choices)
-	delay = a.analyze.Delay()
 	stats.Leaves++
-	return leak, isub, delay, nil
+	return leak, isub, st.Delay(), nil
+}
+
+// candidates is rankTab[gi][s] less the prefix rx certifies infeasible
+// (objective below Known: the delay check would reject it).  Timing is a
+// pure function of the choices, so skipping those trials leaves the bits
+// they would have left.  A nil rx skips nothing.
+func (p *Problem) candidates(gi int, s uint, rx *relax.Engine) []int32 {
+	ranks := p.rankTab[gi][s]
+	for rx != nil && len(ranks) > 0 && p.objOf(&p.Timer.Cells[gi].Choices[s][ranks[0]]) < rx.Known[gi][s] {
+		ranks = ranks[1:]
+	}
+	return ranks
 }
 
 // assignGatesArena performs the paper's greedy single descent of the gate
@@ -106,9 +112,9 @@ func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, st
 // (with all unassigned gates at their fastest version), verified by
 // incremental STA.  The provided timing state must hold the all-fast
 // assignment; it is consumed by the descent.  Candidate ranking and gate
-// ordering come from the problem's precomputed tables; the result is
-// written to a.choices.
-func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, stats *Counters) error {
+// ordering come from the problem's precomputed tables (less rx's
+// certified-infeasible choices); the result is written to a.choices.
+func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) error {
 	p.rankGates(a)
 
 	// Shadow assignment for the full-STA ablation.
@@ -154,7 +160,7 @@ func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, 
 		choices := p.Timer.Cells[gi].Choices[s]
 		// Candidate order: ascending objective, precomputed per
 		// (gate, state) in rankTab.
-		ranks := p.rankTab[gi][s]
+		ranks := p.candidates(gi, s, rx)
 		if p.Ablate.NoSortedVersions {
 			// Without pre-sorted edges every candidate must be tried;
 			// keep the best feasible one.

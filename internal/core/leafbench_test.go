@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"svto/internal/gen"
@@ -9,20 +10,26 @@ import (
 	"svto/internal/tech"
 )
 
-// benchRandomProblem builds a Problem over a small deterministic
-// random-logic block — the exact gate-tree branch-and-bound is exponential
-// in gate count, so its benchmarks need a circuit far below c432 scale.
-func benchRandomProblem(b *testing.B, name string, seed int64, inputs, gates int) *Problem {
+// benchLib is the default library every leaf benchmark runs on.
+func benchLib(b *testing.B) *library.Library {
 	b.Helper()
 	lib, err := library.Cached(tech.Default(), library.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
+	return lib
+}
+
+// benchRandomProblem builds a Problem over a small deterministic
+// random-logic block — the exact gate-tree branch-and-bound is exponential
+// in gate count, so its benchmarks need a circuit far below c432 scale.
+func benchRandomProblem(b *testing.B, name string, seed int64, inputs, gates int) *Problem {
+	b.Helper()
 	circ, err := gen.RandomLogic(name, seed, inputs, gates)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := NewProblem(circ, lib, sta.DefaultConfig(), ObjTotal)
+	p, err := NewProblem(circ, benchLib(b), sta.DefaultConfig(), ObjTotal)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,10 +37,11 @@ func benchRandomProblem(b *testing.B, name string, seed int64, inputs, gates int
 }
 
 // benchWorker builds a single search worker with a heuristic-1-seeded
-// incumbent, mirroring the state every tree-search leaf evaluation runs in.
-func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *Search, []bool) {
+// incumbent and the problem's relax engine at the penalty, mirroring the
+// state every tree-search leaf evaluation runs in.
+func benchWorker(b *testing.B, p *Problem, alg Algorithm, penalty float64) (*worker, *Search, []bool) {
 	b.Helper()
-	budget := p.Budget(0.05)
+	budget := p.Budget(penalty)
 	seed, err := p.heuristic1(budget)
 	if err != nil {
 		b.Fatal(err)
@@ -43,6 +51,9 @@ func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *Search, []b
 		b.Fatal(err)
 	}
 	sh := newSearch(p, Options{Algorithm: alg}, budget, seed)
+	if sh.relax, err = p.relaxEngine(context.Background(), budget); err != nil {
+		b.Fatal(err)
+	}
 	w, err := sh.newWorker(base)
 	if err != nil {
 		b.Fatal(err)
@@ -60,26 +71,39 @@ func benchWorker(b *testing.B, p *Problem, alg Algorithm) (*worker, *Search, []b
 // BenchmarkLeafEval measures one complete leaf evaluation — the gate-tree
 // descent the search performs at every explored state-tree leaf.  The
 // greedy variant is Heuristic 2's per-leaf cost on full ISCAS-scale
-// circuits; the exact variant (the gate-tree branch-and-bound, exponential
-// in gate count) runs on a small random-logic block.  Both must allocate
-// nothing after warm-up.
+// circuits at 5%, and on a multiplexer bank at 0.2%, where the relax engine
+// certifies most slow choices infeasible and the descent skips them; the
+// exact variant (the gate-tree branch-and-bound, exponential in gate count)
+// runs on a small random-logic block.  All must allocate nothing after
+// warm-up.
 func BenchmarkLeafEval(b *testing.B) {
-	for _, circuit := range []string{"c432", "c880"} {
-		b.Run(circuit+"/greedy", func(b *testing.B) {
-			p := benchProblem(b, circuit)
-			w, _, state := benchWorker(b, p, AlgHeuristic2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.greedyLeaf(state); err != nil {
-					b.Fatal(err)
-				}
+	greedy := func(b *testing.B, p *Problem, penalty float64) {
+		w, _, state := benchWorker(b, p, AlgHeuristic2, penalty)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := w.greedyLeaf(state); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
+	for _, circuit := range []string{"c432", "c880"} {
+		b.Run(circuit+"/greedy", func(b *testing.B) { greedy(b, benchProblem(b, circuit), 0.05) })
+	}
+	b.Run("mux1x7/greedy", func(b *testing.B) {
+		circ, err := gen.MuxBank("mux1x7", 1, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := NewProblem(circ, benchLib(b), sta.DefaultConfig(), ObjTotal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		greedy(b, p, 0.002)
+	})
 	b.Run("rand10x14/exact", func(b *testing.B) {
 		p := benchRandomProblem(b, "leafbench", 11, 10, 14)
-		w, _, state := benchWorker(b, p, AlgExact)
+		w, _, state := benchWorker(b, p, AlgExact, 0.05)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

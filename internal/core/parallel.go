@@ -257,7 +257,7 @@ func (sh *Search) newWorker(base *sta.State) (*worker, error) {
 		inc:     inc,
 		base:    base,
 		scratch: base.Clone(),
-		arena:   sh.p.newLeafArena(base),
+		arena:   sh.p.newLeafArena(),
 	}
 	for i := range w.pi {
 		w.pi[i] = sim.X
@@ -415,7 +415,7 @@ func (w *worker) greedyLeaf(state []bool) error {
 		return err
 	}
 	w.scratch.CopyFrom(w.base)
-	leak, isub, delay, err := p.evalStateArena(w.scratch, a, sh.budget, &w.stats)
+	leak, isub, delay, err := p.evalStateArena(w.scratch, a, sh.budget, sh.relax, &w.stats)
 	if err != nil {
 		return err
 	}
@@ -473,7 +473,7 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 	s := a.gateSt[gi]
 	choices := p.Timer.Cells[gi].Choices[s]
 	prev := st.Choice(gi)
-	for _, ci := range p.rankTab[gi][s] {
+	for _, ci := range p.candidates(gi, s, sh.relax) {
 		ch := &choices[ci]
 		w.stats.GateTrials++
 		st.SetChoice(gi, ch)

@@ -377,11 +377,11 @@ func (p *Problem) evalState(state []bool, budget float64, stats *Counters) (*Sol
 	if err != nil {
 		return nil, err
 	}
-	a := p.newLeafArena(st)
+	a := p.newLeafArena()
 	if err := p.gateStatesInto(a, state); err != nil {
 		return nil, err
 	}
-	leak, isub, delay, err := p.evalStateArena(st, a, budget, stats)
+	leak, isub, delay, err := p.evalStateArena(st, a, budget, nil, stats)
 	if err != nil {
 		return nil, err
 	}

@@ -76,17 +76,13 @@ func (p *Problem) Refine(sol *Solution, penalty float64, maxPasses int) (*Soluti
 		final[gi] = state.Choice(gi)
 	}
 	leak, isub := leakOf(final)
-	delay, err := p.Timer.Analyze(final)
-	if err != nil {
-		return nil, err
-	}
 	stats.Runtime = sol.Stats.Runtime + time.Since(start)
 	return &Solution{
 		State:   append([]bool(nil), sol.State...),
 		Choices: final,
 		Leak:    leak,
 		Isub:    isub,
-		Delay:   delay,
+		Delay:   state.Delay(),
 		Stats:   stats,
 	}, nil
 }

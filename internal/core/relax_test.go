@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"svto/internal/gen"
 	"svto/internal/library"
+	"svto/internal/netlist"
+	"svto/internal/relax"
 	"svto/internal/sim"
+	"svto/internal/sta"
 )
 
 // TestRelaxBoundAdmissibleFuzz is the randomized admissibility check of the
@@ -226,6 +230,118 @@ func TestParseAlgorithm(t *testing.T) {
 	for _, bad := range []string{"", "heu1", "heu2", "Exact", "vt-state", "compare", "bogus"} {
 		if _, err := ParseAlgorithm(bad); err == nil {
 			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}
+
+// TestKnownSkipChangesNoAnswer: the greedy gate-tree descent skips the
+// choices the relax engine certified infeasible (objective below Known)
+// without timing them.  On random leaves it must pick the very choices the
+// full descent picks, its timing state's delay must equal a from-scratch
+// analysis bit for bit, and the trials it saves must be exactly those rank
+// prefixes, none of which the full descent ever accepts.
+func TestKnownSkipChangesNoAnswer(t *testing.T) {
+	mux := func(sel, banks int) func() (*netlist.Circuit, error) {
+		return func() (*netlist.Circuit, error) { return gen.MuxBank("mux", sel, banks) }
+	}
+	c432 := func() (*netlist.Circuit, error) {
+		prof, err := gen.ByName("c432")
+		if err != nil {
+			return nil, err
+		}
+		return prof.Build()
+	}
+	cases := []struct {
+		name    string
+		build   func() (*netlist.Circuit, error)
+		penalty float64
+		leaves  int
+	}{
+		{"mux1x7", mux(1, 7), 0.002, 1000},
+		{"mux2x3", mux(2, 3), 0.002, 1000},
+		{"c432", c432, 0.05, 200},
+		{"c432", c432, 0.002, 200},
+	}
+	for _, c := range cases {
+		circ, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%s at %g", c.name, c.penalty)
+		p := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
+		budget := p.Budget(c.penalty)
+		// Built directly, not through relaxEngine, so the tables exist
+		// even where Improved() would drop them.
+		eng, err := relax.Build(p.Timer, relax.Config{Obj: p.objOf, Budget: budget, DelayEps: DelayEps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := p.Timer.NewState(p.Timer.FastChoices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipSt, fullSt := base.Clone(), base.Clone()
+		skipA, fullA := p.newLeafArena(), p.newLeafArena()
+		rng := rand.New(rand.NewSource(41))
+		state := make([]bool, len(p.CC.PI))
+		var saved int64
+		for leaf := 0; leaf < c.leaves; leaf++ {
+			for i := range state {
+				state[i] = rng.Intn(2) == 1
+			}
+			var skipStats, fullStats Counters
+			for _, run := range []struct {
+				st    *sta.State
+				a     *leafArena
+				rx    *relax.Engine
+				stats *Counters
+			}{{skipSt, skipA, eng, &skipStats}, {fullSt, fullA, nil, &fullStats}} {
+				run.st.CopyFrom(base)
+				if err := p.gateStatesInto(run.a, state); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.assignGatesArena(run.st, run.a, budget, run.rx, run.stats); err != nil {
+					t.Fatal(err)
+				}
+				want, err := p.Timer.Analyze(run.a.choices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := run.st.Delay(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s leaf %d: descent delay %v != Analyze %v", label, leaf, got, want)
+				}
+			}
+			skipped := int64(0)
+			for gi, ch := range fullA.choices {
+				s := fullA.gateSt[gi]
+				if skipA.choices[gi] != ch {
+					t.Fatalf("%s leaf %d: gate %d choice differs with the skip", label, leaf, gi)
+				}
+				if p.objOf(ch) < eng.Known[gi][s] {
+					t.Fatalf("%s leaf %d: gate %d accepted a choice below Known", label, leaf, gi)
+				}
+				ranks, cands := p.rankTab[gi][s], p.candidates(gi, s, eng)
+				n := len(ranks) - len(cands)
+				for k, ci := range ranks {
+					below := p.objOf(&p.Timer.Cells[gi].Choices[s][ci]) < eng.Known[gi][s]
+					if below != (k < n) {
+						t.Fatalf("%s leaf %d: gate %d skips rank %d of %d wrongly", label, leaf, gi, k, n)
+					}
+				}
+				if n > 0 && &cands[0] != &ranks[n] {
+					t.Fatalf("%s leaf %d: gate %d candidates are not a suffix of the ranks", label, leaf, gi)
+				}
+				skipped += int64(n)
+			}
+			if fullStats.GateTrials-skipStats.GateTrials != skipped {
+				t.Fatalf("%s leaf %d: skip saved %d trials, want the %d certified-infeasible ones",
+					label, leaf, fullStats.GateTrials-skipStats.GateTrials, skipped)
+			}
+			saved += skipped
+		}
+		t.Logf("%s: %d trials skipped over %d leaves", label, saved, c.leaves)
+		if c.penalty < 0.01 && saved == 0 {
+			t.Errorf("%s: nothing skipped; the test is vacuous", label)
 		}
 	}
 }

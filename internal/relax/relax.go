@@ -28,13 +28,10 @@
 //
 //	T' = Budget + DelayEps + guard
 //
-// and guard is a small explicit margin (slackGuard) covering the two ways a
-// computed quantity can sit off the exact recurrence: the incremental
-// state's 1e-9 change cutoff lets accepted assignments drift below the
-// exact fixpoint by at most a few nanoseconds-of-picoseconds per gate of
-// depth, and edge extrapolation of the bilinear tables can deviate from
-// monotonicity by the rounding-level cross-term imbalance of the edge
-// cells.  A choice is acceptable when MaxFactor ≤ 1 or dlb(g,c) ≤ T', and
+// and guard is a small explicit margin (slackGuard) covering edge
+// extrapolation of the bilinear tables, which can deviate from monotonicity
+// by the rounding-level cross-term imbalance of the edge cells.  A choice is
+// acceptable when MaxFactor ≤ 1 or dlb(g,c) ≤ T', and
 //
 //	Known[g][s] = min over acceptable choices c of (g, s) of obj(c)
 //	Unknown[g]  = min_s Known[g][s]
@@ -47,10 +44,10 @@
 // Almost every check is settled without sta.Lower.  dlb(g,c) bounds the
 // delay of every completion with g at c from below, and the all-fast
 // completion with only g changed is one of them, so dlb(g,c) is at most
-// that completion's delay up to the drift and rounding slackGuard already
-// absorbs.  Build therefore keeps one all-fast incremental timing state
-// (sta.State) and screens each slow choice with SetChoice, Delay and
-// SetChoice back, tens of microseconds against milliseconds for a Probe:
+// that completion's delay up to the rounding slackGuard already absorbs.
+// Build therefore keeps one all-fast incremental timing state (sta.State)
+// and screens each slow choice with SetChoice, Delay and SetChoice back,
+// tens of microseconds against milliseconds for a Probe:
 // when the screened delay is ≤ Budget + DelayEps, dlb ≤ T' and the choice
 // is acceptable, the verdict a probe would have reached.  Only the choices
 // the screen cannot settle are probed, and sta.Lower is built on the first
@@ -59,7 +56,8 @@
 //
 // The search feeds Known/Unknown to each worker's sim.Inc3 as its second
 // table, so the relaxation bound comes from the same Assign/Bounds/Undo
-// probe as the cheap bound, on the gate cone.
+// probe as the cheap bound, on the gate cone.  Its gate-tree descents skip,
+// untimed, every choice below Known[g][s]: the delay check would reject it.
 package relax
 
 import (
@@ -131,14 +129,11 @@ func keyOf(ch *library.Choice) probeKey {
 }
 
 // slackGuard is the explicit feasibility margin folded into T' on top of
-// the search's DelayEps: it dominates both the incremental timing state's
-// per-gate 1e-9 change-cutoff drift (bounded by ~4e-9 ps per gate of
-// logical depth, so the gate count is a safe depth bound) and the
-// rounding-level cross-term imbalance of edge-extrapolated bilinear
-// lookups.  Against picosecond-scale budgets it costs the bound nothing
-// measurable; without it, admissibility at near-zero budget margins would
-// hang on which of two algorithmically different delay evaluations the
-// descent happened to run.
+// the search's DelayEps: it dominates the rounding-level cross-term
+// imbalance of edge-extrapolated bilinear lookups.  Its per-gate term once
+// covered the drift of a 1e-9 ps change cutoff in sta; timing is now exact,
+// so it covers nothing, but shrinking it could move table words at
+// near-zero budget margins, so it keeps its value.
 func slackGuard(ngates int) float64 { return 1e-6 + 4e-9*float64(ngates) }
 
 // Build finds, for every (gate, state), the cheapest choice the descent can

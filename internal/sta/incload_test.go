@@ -54,56 +54,6 @@ func TestNetLoadMatchesRescan(t *testing.T) {
 	}
 }
 
-// Reanalyze must reproduce NewState bit for bit: the search workers replace
-// the per-leaf Timer.Analyze (which allocates a fresh State) with an
-// in-place Reanalyze of a scratch state, and the leaf results are asserted
-// bit-for-bit identical across that swap.
-func TestReanalyzeMatchesNewState(t *testing.T) {
-	tm := randomTimer(t)
-	scratch, err := tm.NewState(tm.FastChoices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(29))
-	choices := make([]*library.Choice, len(tm.CC.Gates))
-	for trial := 0; trial < 25; trial++ {
-		for gi := range choices {
-			cell := tm.Cells[gi]
-			st := uint(rng.Intn(cell.Template.NumStates()))
-			chs := cell.Choices[st]
-			choices[gi] = &chs[rng.Intn(len(chs))]
-		}
-		// Dirty the scratch state with a few incremental edits first, so
-		// Reanalyze starts from a non-pristine but quiescent state.
-		for k := 0; k < 3; k++ {
-			gi, ch := randomChoice(rng, tm)
-			scratch.SetChoice(gi, ch)
-		}
-		scratch.Reanalyze(choices)
-		fresh, err := tm.NewState(choices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for net := 0; net < tm.CC.NumNets(); net++ {
-			if scratch.arrR[net] != fresh.arrR[net] || scratch.arrF[net] != fresh.arrF[net] {
-				t.Fatalf("trial %d: net %d arrival (%v,%v) != fresh (%v,%v)", trial, net,
-					scratch.arrR[net], scratch.arrF[net], fresh.arrR[net], fresh.arrF[net])
-			}
-			if scratch.slewR[net] != fresh.slewR[net] || scratch.slewF[net] != fresh.slewF[net] {
-				t.Fatalf("trial %d: net %d slew (%v,%v) != fresh (%v,%v)", trial, net,
-					scratch.slewR[net], scratch.slewF[net], fresh.slewR[net], fresh.slewF[net])
-			}
-			if scratch.netLoad[net] != fresh.netLoad[net] {
-				t.Fatalf("trial %d: net %d load %v != fresh %v", trial, net,
-					scratch.netLoad[net], fresh.netLoad[net])
-			}
-		}
-		if scratch.Delay() != fresh.Delay() {
-			t.Fatalf("trial %d: delay %v != fresh %v", trial, scratch.Delay(), fresh.Delay())
-		}
-	}
-}
-
 // Clone and CopyFrom must carry the cached loads: a clone re-timed on its
 // own never disturbs the original, and CopyFrom restores every timing and
 // load word bitwise.

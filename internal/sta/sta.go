@@ -15,6 +15,11 @@
 // touches), gate fan-ins are flattened into contiguous index tables, and
 // the propagation heap is pre-sized to the gate count.
 //
+// A State is a pure function of its choices: change detection is exact, so
+// after any SetChoice sequence every stored word equals, bit for bit, what
+// NewState computes for the same choices.  A reverted trial leaves the bits
+// it found, and Delay is the from-scratch analysis.
+//
 // There is one timing path.  New requires every reachable NLDM table to
 // interpolate over one slew×load grid, so each State caches the grid
 // coordinates of every stored slew and load, and every choice (the slow
@@ -213,9 +218,7 @@ type State struct {
 	// slew/load words above.  They are refreshed at exactly the sites that
 	// store those words (evalGate for slews, recompute sites for loads),
 	// so every table probe in evalGate reuses them instead of re-running
-	// the segment search per table.  Stale stored slews (left by the eps
-	// cutoff) keep their matching stale coordinates, preserving the
-	// incremental path bit for bit.
+	// the segment search per table.
 	slewRI, slewFI   []int32
 	slewRFx, slewFFx []float64
 	loadJ            []int32
@@ -250,7 +253,19 @@ func (t *Timer) NewState(choices []*library.Choice) (*State, error) {
 		return nil, fmt.Errorf("sta: %d choices for %d gates", len(choices), len(t.CC.Gates))
 	}
 	s := t.newState()
-	s.Reanalyze(choices)
+	copy(s.choices, choices)
+	for _, pi := range t.CC.PI {
+		s.slewR[pi] = t.Cfg.InputSlew
+		s.slewF[pi] = t.Cfg.InputSlew
+		s.refreshSlewCoords(pi)
+	}
+	for net := range s.netLoad {
+		s.netLoad[net] = s.recomputeLoad(net)
+		s.refreshLoadCoord(net)
+	}
+	for i := range t.CC.Gates {
+		s.evalGate(i)
+	}
 	return s, nil
 }
 
@@ -308,36 +323,6 @@ func (s *State) CopyFrom(o *State) {
 	copy(s.loadFy, o.loadFy)
 }
 
-// Reanalyze re-runs the full from-scratch analysis for the given choices in
-// place — arrival and slew arrays reset, every net load recomputed in
-// canonical order, every gate evaluated once in topological order — without
-// allocating.  NewState is Reanalyze on freshly zeroed storage.  It is the
-// allocation-free replacement for the per-leaf Timer.Analyze call of the
-// search workers.  The choices slice is copied and must match the gate
-// count.
-func (s *State) Reanalyze(choices []*library.Choice) {
-	if len(choices) != len(s.t.CC.Gates) {
-		panic(fmt.Sprintf("sta: Reanalyze with %d choices for %d gates", len(choices), len(s.t.CC.Gates)))
-	}
-	copy(s.choices, choices)
-	for i := range s.arrR {
-		s.arrR[i], s.arrF[i] = 0, 0
-		s.slewR[i], s.slewF[i] = 0, 0
-	}
-	for _, pi := range s.t.CC.PI {
-		s.slewR[pi] = s.t.Cfg.InputSlew
-		s.slewF[pi] = s.t.Cfg.InputSlew
-		s.refreshSlewCoords(pi)
-	}
-	for net := range s.netLoad {
-		s.netLoad[net] = s.recomputeLoad(net)
-		s.refreshLoadCoord(net)
-	}
-	for i := range s.t.CC.Gates {
-		s.evalGate(i)
-	}
-}
-
 // recomputeLoad sums a net's load from scratch: the precomputed wire+PO
 // component, then the fan-out pin capacitances in fan-out order — the same
 // canonical order the original per-eval rescan used, so cached values stay
@@ -360,10 +345,10 @@ func (s *State) recomputeLoad(net int) float64 {
 // Load returns the current cached capacitance on a net.
 func (s *State) Load(net int) float64 { return s.netLoad[net] }
 
-// evalGate recomputes a gate's output arrival/slew; reports change.  It
-// probes each table at the per-net cached coordinates — the segment
-// searches and divisions Lookup would repeat per table were already paid
-// when the slews and load were stored.
+// evalGate recomputes a gate's output arrival/slew and reports whether any
+// of the four words changed bits.  It probes each table at the per-net
+// cached coordinates — the segment searches and divisions Lookup would
+// repeat per table were already paid when the slews and load were stored.
 func (s *State) evalGate(gi int) bool {
 	t := s.t
 	byPin := s.choices[gi].Arcs
@@ -392,9 +377,10 @@ func (s *State) evalGate(gi int) bool {
 			sF = v
 		}
 	}
-	const eps = 1e-9
-	changed := math.Abs(aR-s.arrR[out]) > eps || math.Abs(aF-s.arrF[out]) > eps ||
-		math.Abs(sR-s.slewR[out]) > eps || math.Abs(sF-s.slewF[out]) > eps
+	changed := math.Float64bits(aR) != math.Float64bits(s.arrR[out]) ||
+		math.Float64bits(aF) != math.Float64bits(s.arrF[out]) ||
+		math.Float64bits(sR) != math.Float64bits(s.slewR[out]) ||
+		math.Float64bits(sF) != math.Float64bits(s.slewF[out])
 	s.arrR[out], s.arrF[out] = aR, aF
 	s.slewR[out], s.slewF[out] = sR, sF
 	s.refreshSlewCoords(out)
@@ -411,10 +397,12 @@ func (s *State) markDirty(gi int) {
 // SetChoice changes one gate's version choice and re-propagates timing
 // through the affected cone.  Changing a choice alters the gate's own arcs
 // and, through its pin capacitances, the loads (and hence delays) of its
-// fan-in drivers.  Only the loads of the gate's own input nets can change,
-// so exactly those are refreshed.
+// fan-in drivers.  Only the gate's own input nets can change load, and only
+// through a pin whose capacitance changes bits, so exactly those are
+// refreshed.
 func (s *State) SetChoice(gate int, ch *library.Choice) {
-	if s.choices[gate] == ch {
+	old := s.choices[gate]
+	if old == ch {
 		return
 	}
 	s.choices[gate] = ch
@@ -422,6 +410,9 @@ func (s *State) SetChoice(gate int, ch *library.Choice) {
 	gateOfNet := t.CC.GateOfNet
 	off, end := t.faninOff[gate], t.faninOff[gate+1]
 	for k := off; k < end; k++ {
+		if math.Float64bits(old.PinCap(int(k-off))) == math.Float64bits(ch.PinCap(int(k-off))) {
+			continue
+		}
 		in := int(t.faninNet[k])
 		s.netLoad[in] = s.recomputeLoad(in)
 		s.refreshLoadCoord(in)
