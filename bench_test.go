@@ -264,82 +264,38 @@ func BenchmarkSolveParallel(b *testing.B) {
 }
 
 // --- Ablations: the design choices the paper calls out ---
+//
+// BenchmarkAblationIncrementalSTA and BenchmarkAblationStateBounds live in
+// internal/core, next to the reference descent and the bound switch they
+// use.
 
-// BenchmarkAblationSortedVersions measures the gate-tree edge pre-sorting:
-// without it every candidate version must be tried.
+// BenchmarkAblationSortedVersions measures the gate-tree edge pre-sorting on
+// Heuristic 1 (c880, 5%): with the edges sorted by leakage the descent stops
+// at each gate's first feasible version (gate_trials); without the sort it
+// must try every version of every gate to find its best feasible one
+// (unsorted_trials, the total choice count under the same state).
 func BenchmarkAblationSortedVersions(b *testing.B) {
-	for _, sorted := range []bool{true, false} {
-		name := "sorted"
-		if !sorted {
-			name = "unsorted"
+	p := mustProblem(b, "c880", library.DefaultOptions(), core.ObjTotal)
+	b.ResetTimer()
+	var sol *core.Solution
+	for i := 0; i < b.N; i++ {
+		var err error
+		sol, err = solve(p, core.Options{Algorithm: core.AlgHeuristic1, Penalty: 0.05})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			p := mustProblem(b, "c880", library.DefaultOptions(), core.ObjTotal)
-			defer func() { p.Ablate = core.Ablation{} }()
-			p.Ablate = core.Ablation{NoSortedVersions: !sorted}
-			b.ResetTimer()
-			var sol *core.Solution
-			for i := 0; i < b.N; i++ {
-				var err error
-				sol, err = solve(p, core.Options{Algorithm: core.AlgHeuristic1, Penalty: 0.05})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(sol.Stats.GateTrials), "gate_trials")
-			b.ReportMetric(sol.Leak/1000, "uA_leak")
-		})
 	}
-}
-
-// BenchmarkAblationIncrementalSTA measures incremental retiming against
-// from-scratch analysis on every gate-tree trial.
-func BenchmarkAblationIncrementalSTA(b *testing.B) {
-	for _, incremental := range []bool{true, false} {
-		name := "incremental"
-		if !incremental {
-			name = "full-sta"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := mustProblem(b, "c880", library.DefaultOptions(), core.ObjTotal)
-			defer func() { p.Ablate = core.Ablation{} }()
-			p.Ablate = core.Ablation{FullSTA: !incremental}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := solve(p, core.Options{Algorithm: core.AlgHeuristic1, Penalty: 0.05}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	vals := make([]uint64, p.CC.NumNets())
+	if err := sim.EvalInto(p.CC, sol.State, vals); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkAblationStateBounds measures the 3-valued partial-state bounds:
-// without them Heuristic2 explores blindly, reaching worse states in the
-// same time budget.
-func BenchmarkAblationStateBounds(b *testing.B) {
-	for _, bounds := range []bool{true, false} {
-		name := "bounds"
-		if !bounds {
-			name = "no-bounds"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := mustProblem(b, "c432", library.DefaultOptions(), core.ObjTotal)
-			defer func() { p.Ablate = core.Ablation{} }()
-			p.Ablate = core.Ablation{NoStateBounds: !bounds}
-			b.ResetTimer()
-			var sol *core.Solution
-			for i := 0; i < b.N; i++ {
-				var err error
-				sol, err = solve(p, core.Options{Algorithm: core.AlgHeuristic2, Penalty: 0.05, TimeLimit: 50 * time.Millisecond})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(sol.Leak/1000, "uA_leak")
-			b.ReportMetric(float64(sol.Stats.Leaves), "leaves")
-		})
+	unsorted := 0
+	for gi := range p.CC.Gates {
+		unsorted += len(p.Timer.Cells[gi].Choices[sim.GateState(&p.CC.Gates[gi], vals, 0)])
 	}
+	b.ReportMetric(float64(sol.Stats.GateTrials), "gate_trials")
+	b.ReportMetric(float64(unsorted), "unsorted_trials")
+	b.ReportMetric(sol.Leak/1000, "uA_leak")
 }
 
 // BenchmarkExtensionNitridedOxide exercises the PMOS-gate-leakage extension

@@ -85,13 +85,11 @@ func (p *Problem) gateStatesInto(a *leafArena, state []bool) error {
 // assignment in a.choices and returning (leak, isub, delay).  It is the
 // allocation-free core of evalState and of the workers' greedyLeaf; the
 // delay is the descent's own timing state's, bit for bit Timer.Analyze's.
-func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) (leak, isub, delay float64, err error) {
-	if err = p.assignGatesArena(st, a, budget, rx, stats); err != nil {
-		return 0, 0, 0, err
-	}
+func (p *Problem) evalStateArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) (leak, isub, delay float64) {
+	p.assignGatesArena(st, a, budget, rx, stats)
 	leak, isub = leakOf(a.choices)
 	stats.Leaves++
-	return leak, isub, st.Delay(), nil
+	return leak, isub, st.Delay()
 }
 
 // candidates is rankTab[gi][s] less the prefix rx certifies infeasible
@@ -114,90 +112,25 @@ func (p *Problem) candidates(gi int, s uint, rx *relax.Engine) []int32 {
 // assignment; it is consumed by the descent.  Candidate ranking and gate
 // ordering come from the problem's precomputed tables (less rx's
 // certified-infeasible choices); the result is written to a.choices.
-func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) error {
+func (p *Problem) assignGatesArena(st *sta.State, a *leafArena, budget float64, rx *relax.Engine, stats *Counters) {
 	p.rankGates(a)
-
-	// Shadow assignment for the full-STA ablation.
-	var shadow []*library.Choice
-	if p.Ablate.FullSTA {
-		shadow = p.Timer.FastChoices()
-	}
-	feasible := func(gi int, ch *library.Choice) (bool, error) {
-		if ch.Version.MaxFactor <= 1 {
-			// No delay degradation: always feasible.
-			st.SetChoice(gi, ch)
-			if shadow != nil {
-				shadow[gi] = ch
-			}
-			return true, nil
-		}
-		if p.Ablate.FullSTA {
-			prev := shadow[gi]
-			shadow[gi] = ch
-			d, err := p.Timer.Analyze(shadow)
-			if err != nil {
-				return false, err
-			}
-			if d > budget+DelayEps {
-				shadow[gi] = prev
-				return false, nil
-			}
-			st.SetChoice(gi, ch)
-			return true, nil
-		}
-		current := st.Choice(gi)
-		st.SetChoice(gi, ch)
-		if st.Delay() <= budget+DelayEps {
-			return true, nil
-		}
-		st.SetChoice(gi, current) // revert
-		return false, nil
-	}
-
 	for _, gi32 := range a.order {
 		gi := int(gi32)
 		s := a.gateSt[gi]
 		choices := p.Timer.Cells[gi].Choices[s]
-		// Candidate order: ascending objective, precomputed per
-		// (gate, state) in rankTab.
-		ranks := p.candidates(gi, s, rx)
-		if p.Ablate.NoSortedVersions {
-			// Without pre-sorted edges every candidate must be tried;
-			// keep the best feasible one.
-			var best *library.Choice
-			for _, ci := range ranks {
-				ch := &choices[ci]
-				stats.GateTrials++
-				ok, err := feasible(gi, ch)
-				if err != nil {
-					return err
-				}
-				if ok && (best == nil || p.objOf(ch) < p.objOf(best)) {
-					best = ch
-				}
-			}
-			if best != nil {
-				st.SetChoice(gi, best)
-				if shadow != nil {
-					shadow[gi] = best
-				}
-			}
-			continue
-		}
-		for _, ci := range ranks {
+		current := st.Choice(gi)
+		for _, ci := range p.candidates(gi, s, rx) {
 			ch := &choices[ci]
 			stats.GateTrials++
-			ok, err := feasible(gi, ch)
-			if err != nil {
-				return err
-			}
-			if ok {
+			st.SetChoice(gi, ch)
+			// A version without delay degradation is always feasible.
+			if ch.Version.MaxFactor <= 1 || st.Delay() <= budget+DelayEps {
 				break
 			}
+			st.SetChoice(gi, current) // revert
 		}
 	}
 	for gi := range a.choices {
 		a.choices[gi] = st.Choice(gi)
 	}
-	return nil
 }

@@ -53,7 +53,7 @@ const ckSplitDepth = 6
 
 // fingerprint hashes everything that defines the search space and objective
 // of a Solve call — circuit structure, resolved cells and their choice-list
-// shapes, algorithm, penalty, objective and ablations — so a resume against
+// shapes, algorithm, penalty and objective — so a resume against
 // a different problem is rejected instead of silently exploring garbage.
 // Execution knobs that do not change what a snapshot means (Workers,
 // SplitDepth, TimeLimit, MaxLeaves, progress/checkpoint settings) are
@@ -96,22 +96,9 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 	wu(uint64(p.Obj))
 	wu(uint64(opt.Algorithm))
 	wu(math.Float64bits(opt.Penalty))
-	var ab uint64
-	if p.Ablate.NoStateBounds {
-		ab |= 1
-	}
-	if p.Ablate.FullSTA {
-		ab |= 2
-	}
-	if p.Ablate.NoSortedVersions {
-		ab |= 4
-	}
-	// Bits 8, 16 and 64 belonged to retired ablations; the live bits keep
-	// their values so fingerprints stay stable.
-	if p.Ablate.NoRelaxBound {
-		ab |= 32
-	}
-	wu(ab)
+	// A zero word where the retired ablation switches were hashed keeps
+	// every fingerprint, and so every snapshot, valid.
+	wu(0)
 	return h.Sum64()
 }
 

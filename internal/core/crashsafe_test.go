@@ -64,14 +64,21 @@ func cancelAfterLeaves(n int64) func() error {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	good := Options{Algorithm: AlgHeuristic2}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid options rejected: %v", err)
+	for _, penalty := range []float64{0, 2, math.Inf(1)} {
+		good := Options{Algorithm: AlgHeuristic2, Penalty: penalty}
+		if err := good.Validate(); err != nil {
+			t.Fatalf("penalty %v: valid options rejected: %v", penalty, err)
+		}
 	}
 	cases := []struct {
 		name string
 		opt  Options
 	}{
+		// A penalty below zero sets a budget below the minimum delay,
+		// which no assignment meets.
+		{"negative penalty", Options{Penalty: -0.5}},
+		{"-Inf penalty", Options{Penalty: math.Inf(-1)}},
+		{"NaN penalty", Options{Penalty: math.NaN()}},
 		{"negative workers", Options{Workers: -1}},
 		{"negative max leaves", Options{MaxLeaves: -5}},
 		{"negative time limit", Options{TimeLimit: -time.Second}},
@@ -104,6 +111,26 @@ func TestOptionsValidate(t *testing.T) {
 	p := newProblem(t, tinyCircuit(), library.DefaultOptions(), ObjTotal)
 	if _, err := p.Solve(context.Background(), Options{Workers: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Solve did not validate options: %v", err)
+	}
+}
+
+// TestFingerprintGolden pins the snapshot fingerprint: a change to the hash
+// orphans every snapshot written before it, so it must be deliberate.
+func TestFingerprintGolden(t *testing.T) {
+	c432 := newProblem(t, mustBenchmark(t, "c432"), library.DefaultOptions(), ObjTotal)
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		alg  Algorithm
+		want uint64
+	}{
+		{"c432/heuristic2", c432, AlgHeuristic2, 0x807af667f1018589},
+		{"c432/exact", c432, AlgExact, 0xa74efdb71fe4ca26},
+		{"solve10/heuristic2", midCircuit(t), AlgHeuristic2, 0x071d0d0386da22a4},
+	} {
+		if got := tc.p.fingerprint(Options{Algorithm: tc.alg, Penalty: 0.05}); got != tc.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -430,7 +457,7 @@ func TestCheckpointResumeStatsEquivalence(t *testing.T) {
 		// match an uninterrupted run exactly.
 		build := func(t *testing.T) *Problem {
 			p := midCircuit(t)
-			p.Ablate.NoStateBounds = true
+			disableStateBounds(p, penalty)
 			return p
 		}
 		_, ref := crashResume(t, build, ckOpt(t.TempDir()), 0)

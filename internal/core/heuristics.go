@@ -25,18 +25,14 @@ func (p *Problem) heuristic1(budget float64) (*Solution, error) {
 }
 
 // greedyState performs one bound-guided descent of the state tree: each
-// input takes the branch with the lower partial-state bound, and eng is
-// left holding the chosen vector.  A nil engine means bounds are disabled:
-// every input defaults to the 0 branch, matching the all-zero-bound
-// behavior of the NoStateBounds ablation.
+// input takes the branch with the lower partial-state bound (False on a
+// tie), and eng is left holding the chosen vector.
 func (p *Problem) greedyState(stats *Counters, eng *sim.Inc3) []bool {
 	out := make([]bool, len(p.CC.PI))
 	for _, idx := range p.piOrder {
 		stats.StateNodes++
 		v := probeBranches(eng, idx)[0].v
-		if eng != nil {
-			eng.Assign(idx, v)
-		}
+		eng.Assign(idx, v)
 		out[idx] = v == sim.True
 	}
 	return out

@@ -50,7 +50,7 @@ type Search struct {
 	counters checkpoint.AtomicStats
 
 	// relax is the choice-elimination bound engine of the cascade (nil when
-	// ablated or when it cannot improve on the cheap bound at this budget).
+	// it cannot improve on the cheap bound at this budget).
 	// Immutable once set, shared read-only by every worker.
 	relax *relax.Engine
 
@@ -229,9 +229,9 @@ func (e *panicError) Error() string { return fmt.Sprintf("worker panic: %v", e.v
 type worker struct {
 	sh *Search
 	pi []sim.Value
-	// inc is the incremental bound engine (nil when bounds are ablated).
-	// It carries both tables of the bound cascade: the cheap one, and the
-	// choice-elimination tables of sh.relax when that is non-nil.
+	// inc is the incremental bound engine.  It carries both tables of the
+	// bound cascade: the cheap one, and the choice-elimination tables of
+	// sh.relax when that is non-nil.
 	inc     *sim.Inc3
 	stats   Counters
 	flushed Counters
@@ -269,9 +269,6 @@ func (sh *Search) newWorker(base *sta.State) (*worker, error) {
 // must already hold it) and returns the number of Assigns to undo when the
 // subtree is done.
 func (w *worker) enterPrefix() int {
-	if w.inc == nil {
-		return 0
-	}
 	n := 0
 	for i, v := range w.pi {
 		if v != sim.X {
@@ -358,16 +355,11 @@ func (w *worker) dfs(depth int) error {
 			}
 		}
 		w.pi[idx] = br.v
-		if w.inc != nil {
-			w.inc.Assign(idx, br.v)
-		}
-		err := w.dfs(depth + 1)
-		if err != nil {
+		w.inc.Assign(idx, br.v)
+		if err := w.dfs(depth + 1); err != nil {
 			return err
 		}
-		if w.inc != nil {
-			w.inc.Undo()
-		}
+		w.inc.Undo()
 	}
 	w.pi[idx] = sim.X
 	return nil
@@ -415,10 +407,7 @@ func (w *worker) greedyLeaf(state []bool) error {
 		return err
 	}
 	w.scratch.CopyFrom(w.base)
-	leak, isub, delay, err := p.evalStateArena(w.scratch, a, sh.budget, sh.relax, &w.stats)
-	if err != nil {
-		return err
-	}
+	leak, isub, delay := p.evalStateArena(w.scratch, a, sh.budget, sh.relax, &w.stats)
 	sh.inc.OfferLeaf(state, a.choices, leak, isub, delay)
 	return nil
 }
@@ -757,13 +746,9 @@ func (sh *Search) frontier(depth int) ([][]sim.Value, error) {
 				continue
 			}
 			cur[idx] = br.v
-			if eng != nil {
-				eng.Assign(idx, br.v)
-			}
+			eng.Assign(idx, br.v)
 			expand(d + 1)
-			if eng != nil {
-				eng.Undo()
-			}
+			eng.Undo()
 			cur[idx] = sim.X
 		}
 	}

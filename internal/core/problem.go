@@ -38,35 +38,12 @@ const (
 	ObjIsubOnly
 )
 
-// Ablation switches off individual design choices of the search (paper
-// section 5 calls each of them out) so their contribution can be measured.
-type Ablation struct {
-	// NoStateBounds disables the 3-valued partial-state leakage bounds:
-	// branch ordering becomes arbitrary and no state-tree pruning occurs.
-	NoStateBounds bool
-	// FullSTA makes every gate-tree trial re-time the whole circuit from
-	// scratch instead of using incremental propagation.
-	FullSTA bool
-	// NoSortedVersions removes the leakage pre-sorting of the gate-tree
-	// edges: every choice must be tried instead of stopping at the first
-	// feasible one.
-	NoSortedVersions bool
-	// NoRelaxBound disables the choice-elimination bound cascade: branch
-	// pruning falls back to the delay-oblivious minChoice/minAny bound
-	// alone.  The final objective is identical either way (both bounds are
-	// admissible); only the explored node count and the RelaxBounds/
-	// RelaxPruned counters change.
-	NoRelaxBound bool
-}
-
 // Problem binds a mapped circuit to a library and timing environment.
 type Problem struct {
 	CC    *netlist.Compiled
 	Lib   *library.Library
 	Timer *sta.Timer
 	Obj   Objective
-	// Ablate disables individual search optimizations (benchmarks only).
-	Ablate Ablation
 	// Dmin and Dmax anchor the delay-penalty definition.
 	Dmin, Dmax float64
 	// leafFault, when set (tests only), runs before every tree-search
@@ -381,10 +358,7 @@ func (p *Problem) evalState(state []bool, budget float64, stats *Counters) (*Sol
 	if err := p.gateStatesInto(a, state); err != nil {
 		return nil, err
 	}
-	leak, isub, delay, err := p.evalStateArena(st, a, budget, nil, stats)
-	if err != nil {
-		return nil, err
-	}
+	leak, isub, delay := p.evalStateArena(st, a, budget, nil, stats)
 	return &Solution{
 		State:   append([]bool(nil), state...),
 		Choices: append([]*library.Choice(nil), a.choices...),
@@ -400,12 +374,8 @@ func (p *Problem) evalState(state []bool, budget float64, stats *Counters) (*Sol
 // stateBound computes by full re-simulation, maintained event-driven so one
 // Assign costs O(affected fanout cone) instead of O(circuit).  A non-nil rx
 // adds its choice-elimination tables as the engine's second table, the
-// relaxation stage of the bound cascade.  Returns nil when the
-// NoStateBounds ablation disables state-tree bounds entirely.
+// relaxation stage of the bound cascade.
 func (p *Problem) newBoundEngine(rx *relax.Engine) (*sim.Inc3, error) {
-	if p.Ablate.NoStateBounds {
-		return nil, nil
-	}
 	if rx != nil {
 		return sim.NewInc3Pair(p.CC, p.minChoice, p.minAny, rx.Known, rx.Unknown)
 	}
@@ -425,16 +395,13 @@ type branch struct {
 // probeBranches is the one bound probe of every state-tree descent: both
 // children of the node that assigns input idx, bounded by an
 // Assign/Bounds/Undo triple each on eng (touching only the input's fanout
-// cone) and returned tighter cheap bound first, False on a tie.  A nil
-// engine (NoStateBounds) bounds both children at 0, so False goes first.
+// cone) and returned tighter cheap bound first, False on a tie.
 func probeBranches(eng *sim.Inc3, idx int) [2]branch {
 	bs := [2]branch{{v: sim.False}, {v: sim.True}}
-	if eng != nil {
-		for k := range bs {
-			eng.Assign(idx, bs[k].v)
-			bs[k].bound, bs[k].relax = eng.Bounds()
-			eng.Undo()
-		}
+	for k := range bs {
+		eng.Assign(idx, bs[k].v)
+		bs[k].bound, bs[k].relax = eng.Bounds()
+		eng.Undo()
 	}
 	if bs[1].bound < bs[0].bound {
 		bs[0], bs[1] = bs[1], bs[0]
@@ -451,24 +418,17 @@ func probeBranches(eng *sim.Inc3, idx int) [2]branch {
 // heuristic was built on, while the tree searches' pruning engine
 // (newBoundEngine) uses the pattern minimum.
 func (p *Problem) seedBoundEngine() (*sim.Inc3, error) {
-	if p.Ablate.NoStateBounds {
-		return nil, nil
-	}
 	return sim.NewInc3Coarse(p.CC, p.minChoice, p.minAny)
 }
 
 // relaxEngine returns the choice-elimination bound engine for the given
 // delay budget, building (and caching) it on first use.  It returns nil — no
-// engine, zero probe overhead — when state bounds or the relaxation are
-// ablated, or when the budget is loose enough that every gate's cheapest
-// choice is acceptable, so the engine cannot improve on the cheap
-// minChoice/minAny bound anywhere.  A ctx cancellation or deadline abandons
+// engine, zero probe overhead — when the budget is loose enough that every
+// gate's cheapest choice is acceptable, so the engine cannot improve on the
+// cheap minChoice/minAny bound anywhere.  A ctx cancellation or deadline abandons
 // the build and degrades to the cheap bound (nil engine, nil error) without
 // caching, so a later search with time to spare rebuilds.
 func (p *Problem) relaxEngine(ctx context.Context, budget float64) (*relax.Engine, error) {
-	if p.Ablate.NoStateBounds || p.Ablate.NoRelaxBound {
-		return nil, nil
-	}
 	key := math.Float64bits(budget)
 	p.relaxMu.Lock()
 	defer p.relaxMu.Unlock()
@@ -539,9 +499,6 @@ func (p *Problem) fastBoundEngine() (*sim.Inc3, error) {
 // newBoundEngine: the searches evaluate branch bounds with sim.Inc3, and
 // tests cross-check the two bit for bit.
 func (p *Problem) stateBound(pi []sim.Value) (float64, error) {
-	if p.Ablate.NoStateBounds {
-		return 0, nil
-	}
 	vals, err := sim.Eval3(p.CC, pi)
 	if err != nil {
 		return 0, err

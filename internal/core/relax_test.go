@@ -143,33 +143,33 @@ func TestRelaxBoundAdmissibleFuzz(t *testing.T) {
 	}
 }
 
-// TestNoRelaxBoundAblationEquivalence: the bound cascade is a pure pruning
+// TestRelaxCascadeEquivalence: the bound cascade is a pure pruning
 // accelerator — with Workers=1 the search visits leaves in the same order
-// and keeps the same incumbents, so ablating the relaxation must leave the
-// final solution bit-for-bit identical while exploring at least as many
-// state nodes.
-func TestNoRelaxBoundAblationEquivalence(t *testing.T) {
+// and keeps the same incumbents, so a search without the relaxation engine
+// must reach the bit-for-bit identical final solution while exploring at
+// least as many state nodes.
+func TestRelaxCascadeEquivalence(t *testing.T) {
 	circ, err := gen.RandomLogic("relaxeq", 7, 8, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const penalty = 0.03
 	withRelax := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
-	ablated := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
-	ablated.Ablate.NoRelaxBound = true
+	cheap := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
+	disableRelax(cheap, cheap.Budget(penalty))
 
 	for _, alg := range []Algorithm{AlgHeuristic2, AlgExact} {
 		a, err := solve1(withRelax, Options{Algorithm: alg, Penalty: penalty})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := solve1(ablated, Options{Algorithm: alg, Penalty: penalty})
+		b, err := solve1(cheap, Options{Algorithm: alg, Penalty: penalty})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(a.Leak) != math.Float64bits(b.Leak) ||
 			math.Float64bits(a.Delay) != math.Float64bits(b.Delay) {
-			t.Errorf("%v: cascade (%.12f, %.12f) != ablated (%.12f, %.12f)",
+			t.Errorf("%v: cascade (%.12f, %.12f) != cheap bound alone (%.12f, %.12f)",
 				alg, a.Leak, a.Delay, b.Leak, b.Delay)
 		}
 		for i := range a.State {
@@ -178,11 +178,11 @@ func TestNoRelaxBoundAblationEquivalence(t *testing.T) {
 			}
 		}
 		if a.Stats.StateNodes > b.Stats.StateNodes {
-			t.Errorf("%v: cascade explored %d state nodes, ablated only %d",
+			t.Errorf("%v: cascade explored %d state nodes, cheap bound alone only %d",
 				alg, a.Stats.StateNodes, b.Stats.StateNodes)
 		}
 		if b.Stats.RelaxBounds != 0 || b.Stats.RelaxPruned != 0 {
-			t.Errorf("%v: ablated run reported relax activity: %+v", alg, b.Stats)
+			t.Errorf("%v: cheap-bound run reported relax activity: %+v", alg, b.Stats)
 		}
 		if alg == AlgExact && a.Stats.RelaxBounds == 0 {
 			t.Errorf("exact cascade run never probed the relaxation; test is vacuous")
@@ -300,9 +300,7 @@ func TestKnownSkipChangesNoAnswer(t *testing.T) {
 				if err := p.gateStatesInto(run.a, state); err != nil {
 					t.Fatal(err)
 				}
-				if err := p.assignGatesArena(run.st, run.a, budget, run.rx, run.stats); err != nil {
-					t.Fatal(err)
-				}
+				p.assignGatesArena(run.st, run.a, budget, run.rx, run.stats)
 				want, err := p.Timer.Analyze(run.a.choices)
 				if err != nil {
 					t.Fatal(err)

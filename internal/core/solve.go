@@ -22,7 +22,10 @@ const (
 	// incumbent cannot improve it meaningfully and is cut.
 	LeakEps = 1e-12
 	// DelayEps is the feasibility slack (ps) applied to delay-budget
-	// comparisons, absorbing float noise from incremental re-propagation.
+	// comparisons.  Incremental timing is exact (a timing state is a pure
+	// function of its choices), so there is no propagation noise left to
+	// absorb; the slack stays so that no decision at a budget boundary
+	// moves.
 	DelayEps = 1e-9
 )
 

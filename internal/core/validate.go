@@ -20,13 +20,18 @@ var (
 	ErrCheckpointMismatch = errors.New("core: checkpoint does not match this problem")
 )
 
-// Validate checks Options for values that can never be meant: negative
-// budgets and counts, and checkpoint configurations that could not work.
+// Validate checks Options for values that can never be meant: a negative or
+// NaN penalty (a delay budget below the minimum delay, which no assignment
+// meets), negative budgets and counts, and checkpoint configurations that
+// could not work.
 // Solve calls it first, so misconfiguration fails fast with a wrapped
 // ErrInvalidOptions instead of surfacing as a hung or silently-wrong run.
 func (o Options) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidOptions, fmt.Sprintf(format, args...))
+	}
+	if !(o.Penalty >= 0) {
+		return bad("penalty %v is not a non-negative number", o.Penalty)
 	}
 	if o.Workers < 0 {
 		return bad("negative Workers %d", o.Workers)

@@ -297,21 +297,6 @@ func Eval3(cc *netlist.Compiled, pi []Value) ([]Value, error) {
 	return vals, nil
 }
 
-// KnownGateState reports whether every fan-in of the gate is known under the
-// 3-valued net values, and if so its state bitmask.
-func KnownGateState(g *netlist.CGate, vals []Value) (uint, bool) {
-	var s uint
-	for k, net := range g.In {
-		switch vals[net] {
-		case X:
-			return 0, false
-		case True:
-			s |= 1 << uint(k)
-		}
-	}
-	return s, true
-}
-
 // GateState3 gathers a gate's 3-valued input pattern: state holds the bits
 // of fan-ins that are definitely True, xmask the bits that are still X.
 // xmask == 0 means the full state is known.

@@ -168,26 +168,6 @@ func TestEval3ControllingValues(t *testing.T) {
 	}
 }
 
-func TestKnownGateState(t *testing.T) {
-	cc := tiny(t)
-	v3, err := Eval3(cc, []Value{True, X, False})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NAND(a=1, b=X): unknown state.
-	if _, ok := KnownGateState(&cc.Gates[0], v3); ok {
-		t.Error("gate with X input reported known")
-	}
-	v3, err = Eval3(cc, []Value{True, False, False})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := KnownGateState(&cc.Gates[0], v3)
-	if !ok || s != 0b01 {
-		t.Errorf("known gate state = %02b/%v, want 01/true", s, ok)
-	}
-}
-
 func TestRandomVectorsDeterministic(t *testing.T) {
 	a := RandomVectors(42, 10, 5)
 	b := RandomVectors(42, 10, 5)

@@ -58,6 +58,7 @@ func TestValidate(t *testing.T) {
 		"bad netlist":   {Design: svto.DesignSpec{Bench: "m1 = FROB(a)"}},
 		"bad library":   {Design: svto.DesignSpec{Bench: tinyBench}, Library: svto.LibrarySpec{Policy: "8opt"}},
 		"bad algorithm": {Design: svto.DesignSpec{Bench: tinyBench}, Search: svto.SearchSpec{Algorithm: "genetic"}},
+		"bad penalty":   {Design: svto.DesignSpec{Bench: tinyBench}, Search: svto.SearchSpec{Penalty: -0.5}},
 	} {
 		if err := svto.Validate(req); err == nil {
 			t.Errorf("%s: accepted", name)
