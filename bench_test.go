@@ -1,11 +1,8 @@
-// Package svto's root benchmark suite regenerates every evaluation artifact
-// of the paper (one benchmark per table and figure) and measures the hot
-// paths of the implementation.  Custom metrics report result quality
-// (uA_leak, X_reduction) alongside timing, so `go test -bench` output both
-// regenerates the paper's numbers and tracks performance.
-//
-// The table/figure benches default to the small circuit subset so the suite
-// completes quickly; cmd/repro runs the full 11-circuit evaluation.
+// Package svto's root benchmark suite measures the hot paths of the
+// implementation, the paper's ablations and its extensions.  Custom metrics
+// report result quality (uA_leak, X_reduction) alongside timing.  The
+// paper's tables and figures are regenerated by cmd/repro and cmd/libgen,
+// not here.
 package svto
 
 import (
@@ -54,119 +51,7 @@ func mustProblem(b *testing.B, name string, opt library.Options, obj core.Object
 	return p
 }
 
-// --- One benchmark per table and figure ---
-
-// BenchmarkTable1 regenerates the NAND2 trade-off table.
-func BenchmarkTable1(b *testing.B) {
-	r := benchRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("empty table 1")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the library-size table.
-func BenchmarkTable2(b *testing.B) {
-	r := benchRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("empty table 2")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the heuristic-comparison table on the small
-// circuit subset at the paper's three penalties.
-func BenchmarkTable3(b *testing.B) {
-	r := benchRunner()
-	penalties := []float64{0.05, 0.10, 0.25}
-	var rows []report.Table3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Table3(report.SmallNames(), penalties)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		x := 0.0
-		for _, row := range rows {
-			x += row.Cells[0].Heu1X
-		}
-		b.ReportMetric(x/float64(len(rows)), "X_at5%")
-	}
-}
-
-// BenchmarkTable4 regenerates the traditional-technique comparison on the
-// small subset at 5% penalty.
-func BenchmarkTable4(b *testing.B) {
-	r := benchRunner()
-	var rows []report.Table4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Table4(report.SmallNames(), []float64{0.05})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		vt, h1 := 0.0, 0.0
-		for _, row := range rows {
-			vt += row.Cells[0].VtStateX
-			h1 += row.Cells[0].Heu1X
-		}
-		n := float64(len(rows))
-		b.ReportMetric(vt/n, "VtState_X")
-		b.ReportMetric(h1/n, "Heu1_X")
-	}
-}
-
-// BenchmarkTable5 regenerates the library-option comparison on the small
-// subset.
-func BenchmarkTable5(b *testing.B) {
-	r := benchRunner()
-	var rows []report.Table5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Table5(report.SmallNames(), 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		var x4, x2 float64
-		for _, row := range rows {
-			x4 += row.X[0]
-			x2 += row.X[1]
-		}
-		n := float64(len(rows))
-		b.ReportMetric(x4/n, "4opt_X")
-		b.ReportMetric(x2/n, "2opt_X")
-	}
-}
-
-// BenchmarkFigure1 regenerates the inverter leakage decomposition.
-func BenchmarkFigure1(b *testing.B) {
-	r := benchRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Figure1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatal("figure 1 should have 2 states")
-		}
-	}
-}
+// --- Search instrumentation (paper figure 4) ---
 
 // BenchmarkFigure4Stats exercises the two-tree search instrumentation the
 // paper's figure 4 illustrates: a short Heuristic2 run reporting node and
@@ -184,24 +69,6 @@ func BenchmarkFigure4Stats(b *testing.B) {
 	if sol != nil {
 		b.ReportMetric(float64(sol.Stats.StateNodes), "state_nodes")
 		b.ReportMetric(float64(sol.Stats.Leaves), "leaves")
-	}
-}
-
-// BenchmarkFigure5 regenerates a reduced delay-penalty sweep.
-func BenchmarkFigure5(b *testing.B) {
-	r := benchRunner()
-	penalties := []float64{0, 0.05, 0.25, 1.0}
-	var pts []report.Fig5Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = r.Figure5("c432", penalties)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(pts) == 4 {
-		b.ReportMetric(pts[0].AvgUA/pts[1].Heu1UA, "X_at5%")
-		b.ReportMetric(pts[0].AvgUA/pts[3].Heu1UA, "X_at100%")
 	}
 }
 

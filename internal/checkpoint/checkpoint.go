@@ -55,8 +55,10 @@ const (
 	// Version is the current snapshot format version.  Bump it whenever
 	// a payload field is added, removed or changes meaning; older files
 	// then fail with ErrVersion instead of being misdecoded.  5 is the
-	// first JSON payload.
-	Version = 5
+	// first JSON payload; 6 lets a frontier hold the remainders of stopped
+	// tasks, prefixes deeper than SplitDepth, and counts their explored
+	// part in Stats.
+	Version = 6
 
 	// maxPayload bounds the declared payload length, so a corrupt length
 	// field fails validation.  JSON has no length prefixes, so decoding
@@ -174,16 +176,20 @@ type Snapshot struct {
 	// Elapsed is the cumulative search wall clock across all prior runs,
 	// so time budgets continue rather than reset.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// SplitDepth is the state-tree depth of the frontier vectors.
+	// SplitDepth is the state-tree depth the frontier was expanded at: no
+	// frontier vector is shallower.
 	SplitDepth int `json:"split_depth"`
 	// LeavesUsed is the consumed MaxLeaves tickets, so leaf budgets
 	// continue rather than reset.
-	LeavesUsed int64           `json:"leaves_used"`
-	Stats      Stats           `json:"stats"`
-	Failures   []WorkerFailure `json:"failures"`
-	Incumbent  *Incumbent      `json:"incumbent"`
+	LeavesUsed int64 `json:"leaves_used"`
+	// Stats counts exactly the work the frontier no longer covers.
+	Stats     Stats           `json:"stats"`
+	Failures  []WorkerFailure `json:"failures"`
+	Incumbent *Incumbent      `json:"incumbent"`
 	// Frontier holds the unexplored subtree prefixes, one vector per
-	// task: values 0 (input forced false), 1 (true), 2 (unassigned).
+	// task: values 0 (input forced false), 1 (true), 2 (unassigned).  A
+	// stopped task's remainder is listed as prefixes deeper than
+	// SplitDepth.
 	Frontier [][]byte `json:"frontier"`
 }
 

@@ -137,7 +137,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 		// Older versions are not read, even with an intact frame.
 		payload := data[len(magic)+12 : len(data)-4]
-		for _, v := range []uint32{2, 3, 4} {
+		for _, v := range []uint32{2, 3, 4, 5} {
 			if _, err := Unmarshal(reframe(payload, v)); !errors.Is(err, ErrVersion) {
 				t.Errorf("version-%d frame: want ErrVersion, got %v", v, err)
 			}

@@ -46,9 +46,8 @@ func (c CheckpointOptions) fs() checkpoint.FS {
 	return checkpoint.OS
 }
 
-// ckSplitDepth is the minimum auto-picked frontier depth when checkpointing
-// is on: finer tasks bound the work lost to re-running the tasks that were
-// in flight when the process died.
+// ckSplitDepth is the minimum auto-picked frontier depth of a frontier that
+// is handed on (see splitDepth).
 const ckSplitDepth = 6
 
 // fingerprint hashes everything that defines the search space and objective
@@ -108,9 +107,8 @@ func (p *Problem) fingerprint(opt Options) uint64 {
 type resumedSearch struct {
 	// Seed is the incumbent.
 	Seed *Solution
-	// Tasks is the unexplored frontier: in-flight tasks count as
-	// unexplored, since the incumbent is monotone and re-exploring them can
-	// only re-derive or improve the result, never regress it.
+	// Tasks is the unexplored frontier: the tasks not yet taken and the
+	// unexplored remainder of every task in flight at the cut.
 	Tasks [][]sim.Value
 	// SplitDepth is the depth the frontier was expanded at.
 	SplitDepth int
@@ -118,8 +116,8 @@ type resumedSearch struct {
 	// spent so far, so budgets continue rather than reset.
 	Elapsed    time.Duration
 	LeavesUsed int64
-	// Stats are the aggregated counters (partial in-flight task work
-	// already rolled back).
+	// Stats are the aggregated counters of the work explored before the
+	// cut: exactly the work Tasks no longer cover.
 	Stats Counters
 	// Failures carries over recorded worker deaths.
 	Failures []WorkerFailure
@@ -228,7 +226,7 @@ func TaskBytes(t []sim.Value) []byte {
 	return b
 }
 
-// TaskFromBytes is the inverse of TaskBytes for a task expanded at split
+// TaskFromBytes is the inverse of TaskBytes for a task of a search split at
 // depth depth, validated like every task the search accepts (checkTask).
 func (p *Problem) TaskFromBytes(b []byte, depth int) ([]sim.Value, error) {
 	t := make([]sim.Value, len(b))
@@ -238,19 +236,23 @@ func (p *Problem) TaskFromBytes(b []byte, depth int) ([]sim.Value, error) {
 	return t, p.checkTask(t, depth)
 }
 
-// checkTask validates a subtree task expanded at split depth depth: one
-// value per primary input, the first depth inputs of the search order
-// forced to 0 or 1 and every other input unassigned.  Anything else is not
-// a subtree the frontier expansion produces, and searching it would
-// silently skip or repeat part of the tree.
+// checkTask validates a subtree task of a search split at depth depth: one
+// value per primary input, a prefix of the search order at least depth
+// inputs long forced to 0 or 1, and every other input unassigned.  The
+// frontier expansion's tasks are depth deep; a stopped task's remainder
+// lies deeper.  Anything else is not a subtree of the search, and
+// searching it would silently skip or repeat part of the tree.
 func (p *Problem) checkTask(t []sim.Value, depth int) error {
 	if len(t) != len(p.CC.PI) {
 		return fmt.Errorf("task has %d values, circuit has %d inputs", len(t), len(p.CC.PI))
 	}
+	prefix := true
 	for d, i := range p.piOrder {
-		if v := t[i]; (d < depth) != (v == sim.False || v == sim.True) || v > sim.X {
-			return fmt.Errorf("input %d holds %d at search depth %d of a depth-%d task", i, v, d, depth)
+		v := t[i]
+		if v > sim.X || (d < depth && v == sim.X) || (!prefix && v != sim.X) {
+			return fmt.Errorf("input %d holds %d at search depth %d of a task split at depth %d", i, v, d, depth)
 		}
+		prefix = v != sim.X
 	}
 	return nil
 }
@@ -262,21 +264,22 @@ func (p *Problem) checkTask(t []sim.Value, depth int) error {
 // would cost the whole run now.
 func (sh *Search) writeCheckpoint(d Drain) {
 	sh.ckWrites.Add(1)
-	// The tasks are read first: a task leaves the open list only after its
-	// improvements reached the incumbent, so the incumbent read next covers
-	// every task the snapshot no longer lists.
-	tasks := d.Open()
+	snap := &checkpoint.Snapshot{Fingerprint: sh.fprint, SplitDepth: sh.splitDepth}
+	// The tasks and the counters are one cut, and the incumbent is read
+	// after it: work leaves the open list only after its improvements
+	// reached the incumbent, so the incumbent covers every task the
+	// snapshot no longer lists.  The leaf tickets may include those of
+	// leaves in flight at the cut, whose tasks the snapshot still lists:
+	// a budget is an upper bound, never a precise counter.
+	tasks := d.Open(func() {
+		snap.Stats = sh.counters.Load()
+		snap.LeavesUsed = sh.leafTickets.Load()
+	})
 	inc, err := sh.p.EncodeIncumbent(sh.inc.Best())
 	if err == nil {
-		snap := &checkpoint.Snapshot{
-			Fingerprint: sh.fprint,
-			Elapsed:     sh.elapsed(),
-			SplitDepth:  sh.splitDepth,
-			LeavesUsed:  sh.leafTickets.Load(),
-			Stats:       sh.counters.Load(),
-			Failures:    sh.failuresCopy(),
-			Incumbent:   inc,
-		}
+		snap.Elapsed = sh.elapsed()
+		snap.Failures = sh.failuresCopy()
+		snap.Incumbent = inc
 		for _, t := range tasks {
 			snap.Frontier = append(snap.Frontier, TaskBytes(t))
 		}

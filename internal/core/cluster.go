@@ -241,27 +241,30 @@ func (p *Problem) ExpandFrontier(opt Options, seed *Solution, depth int) ([][]si
 // TaskResult is the outcome of one SolveTasks batch.
 type TaskResult struct {
 	// Best is the best solution found (the seed if nothing improved); its
-	// Stats cover exactly this batch's completed work.
+	// Stats cover exactly the work this batch explored, the explored part
+	// of a stopped task included.
 	Best *Solution
-	// Remaining is the tasks left unexplored — empty on a clean drain, the
-	// interrupted or dead-worker remainder otherwise.
+	// Remaining is the tasks left unexplored — empty on a clean drain.  A
+	// stopped task leaves its unexplored remainder: tasks that extend it
+	// (see remainder); a dead worker's task comes back whole, its partial
+	// counters withdrawn.
 	Remaining [][]sim.Value
-	// LeavesUsed counts the leaf-budget tickets the batch consumed,
-	// including the leaves of tasks that were interrupted and rolled back.
-	// Budgets must be charged with this (never with Best.Stats.Leaves, the
-	// exactly-once counter): otherwise a task too big for the remaining
-	// budget would roll back to a zero-leaf delta and be re-leased forever.
+	// LeavesUsed counts the leaf-budget tickets the batch consumed.  It
+	// differs from Best.Stats.Leaves where a leaf's work was spent but not
+	// kept: a dead worker's withdrawn leaves, and an exact gate-tree descent
+	// a stop cut midway, whose leaf is handed on whole.  Budgets are charged
+	// with it, so such a batch still spends budget.
 	LeavesUsed int64
 }
 
 // SolveTasks drains an explicit subtree task set with the pool engine: the
 // shard half of a distributed run.  seed is the starting incumbent (pass a
 // zero-Stats copy — the result's Stats then cover exactly this call's
-// work: a task that did not finish returns in Remaining and its partial
-// counters are withdrawn);
-// opt.SplitDepth must be the depth the tasks were expanded at.  An error
-// comes only from infrastructure failures — like Solve, an all-workers-died
-// run returns the incumbent alongside ErrWorkerPanic.
+// work, and Remaining exactly the work it left); opt.SplitDepth must be the
+// depth the search's frontier was expanded at, and every task a prefix at
+// least that deep.  An error comes only from infrastructure failures — like
+// Solve, an all-workers-died run returns the incumbent alongside
+// ErrWorkerPanic.
 //
 // Checkpointing is rejected: in a distributed run the coordinator owns the
 // snapshot, and a shard's unfinished tasks are its Remaining return.
@@ -292,7 +295,6 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 
 	sh := newSearch(p, opt, p.Budget(opt.Penalty), seed)
 	sh.splitDepth = opt.SplitDepth
-	sh.handOff = true
 	// Shards drain with the same pool (and bound cascade) a local Solve
 	// uses, so a 1-shard cluster run explores and prunes bit-identically to
 	// the local search.
@@ -304,7 +306,7 @@ func (p *Problem) SolveTasks(ctx context.Context, opt Options, seed *Solution, t
 	}
 	return &TaskResult{
 		Best:       sh.finish(),
-		Remaining:  pool.Open(),
+		Remaining:  pool.Open(func() {}),
 		LeavesUsed: sh.leafTickets.Load(),
 	}, searchErr
 }

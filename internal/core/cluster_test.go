@@ -181,11 +181,11 @@ func TestSolveTasksMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestSolveTasksChargesTicketsOnRollback is the budget-livelock regression:
-// a batch interrupted by a tiny leaf budget rolls its unfinished task out of
-// the counters, but the tickets it burned must still be reported, or a
-// coordinator would re-lease the same too-big task forever.
-func TestSolveTasksChargesTicketsOnRollback(t *testing.T) {
+// TestSolveTasksChargesTicketsOnStop is the budget-livelock regression: a
+// batch stopped by a tiny leaf budget hands on the remainder of its task,
+// and must report the tickets it spent, or a coordinator would re-lease
+// work without ever spending the budget.
+func TestSolveTasksChargesTicketsOnStop(t *testing.T) {
 	p := midCircuit(t)
 	const penalty, depth = 0.05, 6
 	opt := Options{Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1, SplitDepth: depth}

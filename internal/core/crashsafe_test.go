@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"svto/internal/checkpoint"
+	"svto/internal/gen"
 	"svto/internal/library"
 	"svto/internal/sta"
 )
@@ -386,10 +387,10 @@ func TestCheckpointCrashResumeEquivalence(t *testing.T) {
 }
 
 // Regression for the requeued-task double count: when a run is interrupted,
-// each worker's in-flight task goes back on the queue for the next run, so
-// the counters the worker accumulated inside that task must be rolled back
-// before the final snapshot — otherwise every kill re-counts the partial
-// work and the chain's totals drift above an uninterrupted run's.
+// each worker's in-flight task must reach the next run as exactly its
+// unexplored remainder, next to counters that keep the explored part —
+// otherwise every kill re-counts (or drops) the partial work and the
+// chain's totals drift from an uninterrupted run's.
 func TestCheckpointResumeStatsEquivalence(t *testing.T) {
 	const penalty = 0.05
 	ckOpt := func(dir string) Options {
@@ -480,22 +481,26 @@ func TestCheckpointResumeStatsEquivalence(t *testing.T) {
 	})
 
 	t.Run("default bounds: no overcount", func(t *testing.T) {
-		// With bounds on, resumed tasks may legitimately prune more than the
-		// uninterrupted run (tighter incumbent from the start of the task),
-		// so exact equality is too strong — but the chain must never count
-		// MORE than the uninterrupted run, which is precisely what the
-		// requeued-task double count produced.
+		// A stop hands on exactly the unexplored remainder, whose branches
+		// are checked when taken as the uninterrupted walk would check
+		// them, against the same incumbent: with bounds on too, the chain
+		// counts exactly what the uninterrupted run counts.
 		_, ref := crashResume(t, midCircuit, ckOpt(t.TempDir()), 0)
 		legs := killChain(t, midCircuit, ckOpt(t.TempDir()))
 		checkLegs(t, legs)
 		final := legs[len(legs)-1]
-		if final.Leaves > ref.Stats.Leaves {
-			t.Errorf("chain Leaves %d > uninterrupted %d (requeued task double-counted)",
-				final.Leaves, ref.Stats.Leaves)
-		}
-		if final.StateNodes > ref.Stats.StateNodes {
-			t.Errorf("chain StateNodes %d > uninterrupted %d (requeued task double-counted)",
-				final.StateNodes, ref.Stats.StateNodes)
+		for _, c := range []struct {
+			name string
+			a, b int64
+		}{
+			{"Leaves", final.Leaves, ref.Stats.Leaves},
+			{"StateNodes", final.StateNodes, ref.Stats.StateNodes},
+			{"GateTrials", final.GateTrials, ref.Stats.GateTrials},
+			{"Pruned", final.Pruned, ref.Stats.Pruned},
+		} {
+			if c.a != c.b {
+				t.Errorf("chain %s %d != uninterrupted %d", c.name, c.a, c.b)
+			}
 		}
 	})
 }
@@ -708,5 +713,170 @@ func TestNewProblemRejectsMalformedLibrary(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no min-delay choice") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// recordFS is the real filesystem, recording the bytes of every snapshot
+// Save renames into place.
+type recordFS struct {
+	checkpoint.FS
+	snaps [][]byte
+}
+
+func (fs *recordFS) Rename(oldpath, newpath string) error {
+	data, err := os.ReadFile(oldpath)
+	if err != nil {
+		return err
+	}
+	fs.snaps = append(fs.snaps, data)
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+// A periodic snapshot is a consistent cut: the tasks it lists are exactly
+// the work its counters do not hold, the remainders of the tasks in flight
+// included.  Resumed to completion, every periodic snapshot of a
+// prune-inert search (which explores the same tree, with the same greedy
+// descent at each leaf, whatever its incumbent and schedule) must reach the
+// uninterrupted run's counters exactly, at one worker and at two.
+func TestCheckpointPeriodicSnapshotsResumeExactly(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			periodicSnapshotsResumeExactly(t, workers)
+		})
+	}
+}
+
+func periodicSnapshotsResumeExactly(t *testing.T, workers int) {
+	const penalty = 0.05
+	build := func(t *testing.T) *Problem {
+		p := midCircuit(t)
+		disableStateBounds(p, penalty)
+		return p
+	}
+	opt := Options{
+		Algorithm: AlgHeuristic2, Penalty: penalty, Workers: workers,
+		Checkpoint: CheckpointOptions{Path: filepath.Join(t.TempDir(), "timing.ckpt"), Interval: time.Hour},
+	}
+	start := time.Now()
+	if _, err := build(t).Solve(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	// About ten periodic snapshots over the run, however fast it is.
+	fs := &recordFS{FS: checkpoint.OS}
+	opt.Checkpoint = CheckpointOptions{
+		Path:     filepath.Join(t.TempDir(), "periodic.ckpt"),
+		Interval: max(time.Since(start)/10, time.Millisecond),
+		FS:       fs,
+	}
+	ref, err := build(t).Solve(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stats.Interrupted || len(fs.snaps) < 2 {
+		t.Fatalf("reference interrupted %v with %d periodic snapshots", ref.Stats.Interrupted, len(fs.snaps))
+	}
+	for i, data := range fs.snaps {
+		path := filepath.Join(t.TempDir(), "resume.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := opt
+		o.Checkpoint = CheckpointOptions{Path: path, Interval: time.Hour, Resume: true}
+		sol, err := build(t).Solve(context.Background(), o)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if sol.Stats.Interrupted || sol.Leak != ref.Leak {
+			t.Errorf("snapshot %d: interrupted %v, leak %.12f, want %.12f", i, sol.Stats.Interrupted, sol.Leak, ref.Leak)
+		}
+		got, want := sol.Stats.Counters, ref.Stats.Counters
+		if got.Leaves != want.Leaves || got.StateNodes != want.StateNodes || got.GateTrials != want.GateTrials {
+			t.Errorf("snapshot %d of %d resumed to %d leaves, %d state nodes, %d gate trials; uninterrupted %d, %d, %d",
+				i, len(fs.snaps), got.Leaves, got.StateNodes, got.GateTrials, want.Leaves, want.StateNodes, want.GateTrials)
+		}
+	}
+}
+
+// A budget-stopped search keeps the work it explored and hands on exactly
+// the rest: a Workers=1 run stopped at 300 leaves and resumed with a
+// 600-leaf budget reaches the objective and every counter of an
+// uninterrupted 600-leaf run, with and without pruning at work.
+func TestCheckpointBudgetStopResumesExactly(t *testing.T) {
+	const penalty = 0.05
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) *Problem
+	}{
+		{"solve10", midCircuit},
+		// Prunes by both bound stages at 5%.
+		{"mux1x7", func(t *testing.T) *Problem {
+			circ, err := gen.MuxBank("mux1x7", 1, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newProblem(t, circ, library.DefaultOptions(), ObjTotal)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			solve := func(maxLeaves int64, path string, resume bool) *Solution {
+				t.Helper()
+				sol, err := tc.build(t).Solve(context.Background(), Options{
+					Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1, MaxLeaves: maxLeaves,
+					Checkpoint: CheckpointOptions{Path: path, Interval: time.Hour, Resume: resume},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sol.Stats.Interrupted {
+					t.Fatalf("%d-leaf run was not stopped by its budget", maxLeaves)
+				}
+				return sol
+			}
+			ref := solve(600, filepath.Join(t.TempDir(), "ref.ckpt"), false)
+			path := filepath.Join(t.TempDir(), "stop.ckpt")
+			stopped := solve(300, path, false)
+			if stopped.Stats.Leaves != 301 {
+				t.Errorf("stopped run counts %d leaves, want 301", stopped.Stats.Leaves)
+			}
+			resumed := solve(600, path, true)
+			if math.Float64bits(resumed.Leak) != math.Float64bits(ref.Leak) {
+				t.Errorf("resumed leak %.12f != uninterrupted %.12f", resumed.Leak, ref.Leak)
+			}
+			if resumed.Stats.Counters != ref.Stats.Counters {
+				t.Errorf("resumed counters %+v\nuninterrupted     %+v", resumed.Stats.Counters, ref.Stats.Counters)
+			}
+		})
+	}
+}
+
+// A leaf-budget ticket refused at the stop is given back: the snapshot
+// records exactly the leaves evaluated, and a resume with two more tickets
+// evaluates two more leaves.
+func TestCheckpointRefusedTicketIsReturned(t *testing.T) {
+	const penalty = 0.05
+	path := filepath.Join(t.TempDir(), "tickets.ckpt")
+	opt := Options{
+		Algorithm: AlgHeuristic2, Penalty: penalty, Workers: 1, MaxLeaves: 10,
+		Checkpoint: CheckpointOptions{Path: path, Interval: time.Hour},
+	}
+	first, err := midCircuit(t).Solve(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Stats.Interrupted || snap.LeavesUsed != 10 {
+		t.Fatalf("10-leaf run: interrupted %v, snapshot records %d tickets, want 10", first.Stats.Interrupted, snap.LeavesUsed)
+	}
+	opt.MaxLeaves = 12
+	opt.Checkpoint.Resume = true
+	resumed, err := midCircuit(t).Solve(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Stats.Leaves - first.Stats.Leaves; got != 2 {
+		t.Errorf("resume with two more tickets evaluated %d leaves, want 2", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,14 +38,10 @@ type Search struct {
 
 	splitDepth int
 
-	// handOff reports that an interrupted drain hands its unexplored
-	// frontier on — to a checkpoint snapshot, to a caller's drain, or as
-	// SolveTasks' Remaining — so whoever takes a stopped task next
-	// re-explores and re-counts it.
-	handOff bool
-
-	// counters are the exactly-once totals: workers add their deltas at
-	// leaf granularity and withdraw them when a task rolls back.
+	// counters are the exactly-once totals of the work explored: workers
+	// add their deltas at leaf granularity, and withdraw them only when a
+	// crashed task returns to the pool whole.  A stopped task keeps its
+	// counters and hands on exactly its unexplored remainder.
 	counters checkpoint.AtomicStats
 
 	// relax is the choice-elimination bound engine of the cascade (nil when
@@ -143,10 +138,12 @@ func (sh *Search) bestObj() float64 { return sh.inc.Obj() }
 // takeLeafTicket enforces the MaxLeaves work budget across workers.  The
 // counter always advances (one atomic add per leaf) so checkpoints can
 // record how much of the budget a crashed run had consumed even when no
-// budget is set.
+// budget is set.  A refused ticket is given back: its leaf is handed on
+// unevaluated, and whoever resumes it pays for it then.
 func (sh *Search) takeLeafTicket() bool {
 	n := sh.leafTickets.Add(1)
 	if sh.maxLeaves > 0 && n > sh.maxLeaves {
+		sh.leafTickets.Add(-1)
 		sh.Interrupt()
 		return false
 	}
@@ -228,7 +225,18 @@ func (e *panicError) Error() string { return fmt.Sprintf("worker panic: %v", e.v
 // atomic traffic).
 type worker struct {
 	sh *Search
+	id int
+	tp *taskPool
 	pi []sim.Value
+	// second[d] reports that the walk is in the first branch of its depth-d
+	// node, the second still to come.
+	second []bool
+	// from is the depth of the current task: it assigns the first from
+	// inputs of the search order.
+	from int
+	// cut is nonzero once a stop has cut the current task short: the walk's
+	// depth-cut prefix is the first subtree it did not explore.
+	cut int
 	// inc is the incremental bound engine.  It carries both tables of the
 	// bound cascade: the cheap one, and the choice-elimination tables of
 	// sh.relax when that is non-nil.
@@ -236,7 +244,7 @@ type worker struct {
 	stats   Counters
 	flushed Counters
 	// taskMark snapshots stats at the start of the current pool task, so a
-	// requeued task's partial deltas can be withdrawn (see rollbackTask).
+	// crashed task's partial deltas can be withdrawn (see rollbackTask).
 	taskMark Counters
 	base     *sta.State // all-fast reference timing
 	scratch  *sta.State // per-leaf working state
@@ -254,6 +262,7 @@ func (sh *Search) newWorker(base *sta.State) (*worker, error) {
 	w := &worker{
 		sh:      sh,
 		pi:      make([]sim.Value, len(sh.p.CC.PI)),
+		second:  make([]bool, len(sh.p.piOrder)),
 		inc:     inc,
 		base:    base,
 		scratch: base.Clone(),
@@ -292,109 +301,143 @@ func (w *worker) flush() {
 	w.flushed = w.stats
 }
 
-// markTask records the start of a pool task: any tail deltas of the previous
-// task are published first (they belong to completed work), then the mark is
-// taken so rollbackTask can withdraw exactly this task's contribution.
-func (w *worker) markTask() {
-	w.flush()
-	w.taskMark = w.stats
-}
-
 // rollbackTask withdraws the current task's published counter deltas from
-// the shared totals.  It runs when the task returns to the pool unfinished
-// and someone will re-run it — survivors after a worker death, or the
-// resume or coordinator a stopped drain hands its frontier to — because
-// the requeued task will be re-explored from scratch by whoever next takes
-// it, and counting the partial exploration would double-count it:
-// checkpointed totals would re-add the same nodes and leaves after every
-// kill/resume cycle, breaking the monotone-provenance contract of
-// leakopt -stats and the daemon's result documents.  Leaf-budget tickets are
-// deliberately not returned: MaxLeaves is a work budget and the evaluation
-// work behind the rolled-back leaves was genuinely spent.
+// the shared totals.  It runs only when a worker dies mid-task: its task
+// returns to the pool whole, and whoever takes it next re-explores it from
+// scratch, so the partial counters must not stay counted.  Leaf-budget
+// tickets are deliberately not returned: MaxLeaves is a work budget and the
+// evaluation work behind the withdrawn leaves was genuinely spent.
 func (w *worker) rollbackTask() {
 	w.sh.counters.Add(w.taskMark.Sub(w.flushed))
 	w.stats = w.taskMark
 	w.flushed = w.taskMark
 }
 
-// dfs is the bound-guided state-tree descent: at each level probeBranches
-// bounds both branches on the incremental engine and orders them by the
-// cheap bound, tighter branch first, and branches the incumbent already
-// beats are pruned.  The hot path allocates nothing.
-//
-// Branches that survive the cheap bound face the second stage of the bound
-// cascade: the relaxation bound the same probe read from the engine's
+// admit makes the bound check a parent loop makes before it enters a
+// branch, and counts it: branches the incumbent already beats by the cheap
+// bound are pruned, and the survivors face the second stage of the bound
+// cascade, the relaxation bound the same probe read from the engine's
 // choice-elimination table, whose per-gate contributions fold the delay
 // budget into the bound.  A bound is a pure function of the assignment, so
-// reading it at probe time gives the value a later probe would.
+// the check gives the value the parent loop would have whenever it is made.
+func (w *worker) admit(br branch) bool {
+	sh := w.sh
+	if br.bound >= sh.bestObj()-LeakEps {
+		w.stats.Pruned++
+		return false
+	}
+	if sh.relax != nil {
+		w.stats.RelaxBounds++
+		if br.relax >= sh.bestObj()-LeakEps {
+			w.stats.Pruned++
+			w.stats.RelaxPruned++
+			return false
+		}
+	}
+	return true
+}
+
+// dfs is the bound-guided state-tree descent of the depth-depth node whose
+// prefix w.pi holds: probeBranches bounds both branches on the incremental
+// engine and orders them by the cheap bound, tighter branch first, and each
+// branch is checked and entered in turn.  The hot path allocates nothing.
+//
+// A stop is honoured before a branch is checked, so the walk is always cut
+// between two subtrees it has either explored or not begun: w.cut then
+// marks the first one not begun, and w.pi and w.second keep the path for
+// the remainder (see remainder).
 //
 // On an error return the engine may hold unpaired Assigns; errors abort
-// the whole search, so no caller reuses the worker afterwards.
+// the worker, so it is never reused afterwards.
 func (w *worker) dfs(depth int) error {
 	sh := w.sh
-	if sh.stop.Load() {
-		return nil
-	}
-	p := sh.p
-	if depth == len(p.piOrder) {
-		return w.leaf()
-	}
-	idx := p.piOrder[depth]
+	idx := sh.p.piOrder[depth]
 	w.stats.StateNodes++
-	for _, br := range probeBranches(w.inc, idx) {
-		if br.bound >= sh.bestObj()-LeakEps {
-			w.stats.Pruned++
-			continue
-		}
-		if sh.relax != nil {
-			w.stats.RelaxBounds++
-			if br.relax >= sh.bestObj()-LeakEps {
-				w.stats.Pruned++
-				w.stats.RelaxPruned++
-				continue
-			}
-		}
+	for i, br := range probeBranches(w.inc, idx) {
 		w.pi[idx] = br.v
-		w.inc.Assign(idx, br.v)
-		if err := w.dfs(depth + 1); err != nil {
+		w.second[depth] = i == 0
+		if sh.stop.Load() {
+			w.cut = depth + 1
+			return nil
+		}
+		if err := w.descend(depth, br, true); err != nil || w.cut > 0 {
 			return err
 		}
-		w.inc.Undo()
 	}
 	w.pi[idx] = sim.X
 	return nil
 }
 
-// leaf evaluates one complete input state, either with the greedy gate-tree
-// descent (Heuristic 2) or the exact gate-tree branch-and-bound.  The state
-// vector lives in the worker's arena, so the leaf paths allocate nothing
-// after warm-up (incumbent installs are the only allocation site, amortized
-// over the search).
-func (w *worker) leaf() error {
+// descend explores branch br of the depth-depth node, whose value w.pi
+// already holds: the branch's bound check when check is set, then the leaf
+// or the subtree below it.  A leaf that is not evaluated to the end goes
+// back unchecked: the cut lands before its check, whose count (a passed
+// check counts only RelaxBounds) is withdrawn, since whoever takes the leaf
+// makes the check again.
+func (w *worker) descend(depth int, br branch, check bool) error {
+	if check && !w.admit(br) {
+		return nil
+	}
+	if depth+1 == len(w.sh.p.piOrder) {
+		done, err := w.leaf()
+		if !done && err == nil {
+			if check && w.sh.relax != nil {
+				w.stats.RelaxBounds--
+			}
+			w.cut = depth + 1
+		}
+		return err
+	}
+	idx := w.sh.p.piOrder[depth]
+	w.inc.Assign(idx, br.v)
+	err := w.dfs(depth + 1)
+	w.inc.Undo()
+	return err
+}
+
+// errHalted reports an exact gate-tree descent a stop cut midway.
+var errHalted = errors.New("core: gate-tree descent halted")
+
+// leaf evaluates the complete input state w.pi holds, either with the
+// greedy gate-tree descent (Heuristic 2) or the exact gate-tree
+// branch-and-bound, and publishes the worker's position past it.  It
+// reports false, keeping no counter of the leaf, when the leaf was not
+// evaluated to the end: the leaf budget is spent, the search was cancelled,
+// or a stop cut the exact descent midway, whose ticket stays spent
+// (MaxLeaves is a work budget).  The state vector lives in the worker's
+// arena, so the leaf paths allocate nothing after warm-up (incumbent
+// installs are the only allocation site, amortized over the search).
+func (w *worker) leaf() (bool, error) {
 	if fault := w.sh.p.leafFault; fault != nil {
 		switch err := fault(); {
 		case errors.Is(err, context.Canceled):
 			w.sh.Interrupt()
-			return nil
+			return false, nil
 		case err != nil:
-			return err
+			return false, err
 		}
 	}
 	if !w.sh.takeLeafTicket() {
-		return nil
+		return false, nil
 	}
 	state := w.arena.state
 	for i, v := range w.pi {
 		state[i] = v == sim.True
 	}
-	var err error
 	if w.sh.alg == AlgExact {
-		err = w.exactLeaf(state)
-	} else {
-		err = w.greedyLeaf(state)
+		mark := w.stats
+		switch err := w.exactLeaf(state); {
+		case errors.Is(err, errHalted):
+			w.stats = mark
+			return false, nil
+		case err != nil:
+			return false, err
+		}
+	} else if err := w.greedyLeaf(state); err != nil {
+		return false, err
 	}
-	w.flush()
-	return err
+	w.tp.publish(w)
+	return true, nil
 }
 
 // greedyLeaf runs the greedy single descent of the gate tree on the reused
@@ -414,7 +457,8 @@ func (w *worker) greedyLeaf(state []bool) error {
 
 // exactLeaf runs the exact gate-tree branch-and-bound for one state: gates
 // in gain order, remaining-gates leakage suffix bounds, and the incremental
-// delay lower bound (unassigned gates at their fastest version).
+// delay lower bound (unassigned gates at their fastest version).  It
+// returns errHalted when a stop cuts it midway.
 func (w *worker) exactLeaf(state []bool) error {
 	sh := w.sh
 	p := sh.p
@@ -441,7 +485,7 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 	a := w.arena
 	st := w.scratch
 	if sh.stop.Load() {
-		return nil
+		return errHalted
 	}
 	if leakSoFar+a.suffix[pos] >= sh.bestObj()-LeakEps {
 		return nil
@@ -480,89 +524,198 @@ func (w *worker) gateDFS(state []bool, pos int, leakSoFar float64) error {
 	return nil
 }
 
-// taskPool is the work-distribution structure of the pool engine: a FIFO of
-// pending subtree tasks plus the set of tasks currently held by workers.
-// Unlike the channel feeder it replaces, the pool always knows the exact
-// unexplored frontier — pending plus in-flight — which is what checkpoints
-// persist and what a dead worker's task returns to.
-type taskPool struct {
-	mu      sync.Mutex
-	pending [][]sim.Value
-	next    int
-	active  map[int][]sim.Value
+// position is where a worker's depth-first walk of its task stands, as its
+// pool publishes it: path is the walk's prefix, from the task's depth,
+// depth the walk's, and second[d] (from ≤ d < depth) reports a second
+// branch still to come at depth d.  self marks the depth-depth prefix
+// itself as unexplored: a task not yet begun, or a walk a stop cut.
+type position struct {
+	busy        bool
+	task        []sim.Value // the task as taken, re-run whole after a crash
+	path        []sim.Value
+	second      []bool
+	from, depth int
+	self        bool
 }
 
-func newTaskPool(tasks [][]sim.Value) *taskPool {
-	return &taskPool{pending: tasks, active: make(map[int][]sim.Value)}
-}
-
-// take hands worker id the next pending task.
-func (tp *taskPool) take(id int) ([]sim.Value, bool) {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	if tp.next >= len(tp.pending) {
-		return nil, false
+// remainder lists the unexplored rest of a task whose walk stands at pos,
+// in the order the walk would have taken it: the depth-pos.depth prefix
+// when pos.self, then, deepest first, the second branch of every node on
+// the path whose first branch the walk is in.  Below a task the state tree
+// is binary and its branch order is a pure function of the assignment, so
+// each is an ordinary task.  A task deeper than the split depth is a branch
+// its parent loop has not checked yet; whoever takes it checks it first
+// (runTask).
+func remainder(order []int, pos *position) [][]sim.Value {
+	prefix := func(depth int) []sim.Value {
+		t := append([]sim.Value(nil), pos.path...)
+		for _, i := range order[depth:] {
+			t[i] = sim.X
+		}
+		return t
 	}
-	t := tp.pending[tp.next]
-	tp.next++
-	tp.active[id] = t
-	return t, true
-}
-
-// done marks worker id's task fully explored.
-func (tp *taskPool) done(id int) {
-	tp.mu.Lock()
-	delete(tp.active, id)
-	tp.mu.Unlock()
-}
-
-// requeue returns worker id's in-flight task to the front of the queue —
-// used when a worker dies (survivors redistribute its subtree) or when the
-// search stops mid-task (the task stays in the checkpointed frontier).
-// Re-running a partially-explored task is safe: the incumbent only ever
-// tightens, so re-visited leaves re-derive or improve it, never regress it.
-func (tp *taskPool) requeue(id int) {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	t, ok := tp.active[id]
-	if !ok {
-		return
+	var out [][]sim.Value
+	if pos.self {
+		out = append(out, prefix(pos.depth))
 	}
-	delete(tp.active, id)
-	tp.pending = append(tp.pending, nil)
-	copy(tp.pending[tp.next+1:], tp.pending[tp.next:])
-	tp.pending[tp.next] = t
-}
-
-// remaining returns the unexplored frontier: in-flight tasks first (in
-// worker order, for determinism), then the untaken tail of the queue.
-func (tp *taskPool) remaining() [][]sim.Value {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	ids := make([]int, 0, len(tp.active))
-	for id := range tp.active {
-		ids = append(ids, id)
+	for d := pos.depth - 1; d >= pos.from; d-- {
+		if pos.second[d] {
+			t := prefix(d + 1)
+			t[order[d]] = 1 - t[order[d]] // the other of sim.False, sim.True
+			out = append(out, t)
+		}
 	}
-	sort.Ints(ids)
-	out := make([][]sim.Value, 0, len(ids)+len(tp.pending)-tp.next)
-	for _, id := range ids {
-		out = append(out, tp.active[id])
-	}
-	out = append(out, tp.pending[tp.next:]...)
 	return out
 }
 
-// runTask explores one subtree task (already copied into w.pi) under panic
-// isolation: a panic anywhere in the descent surfaces as a *panicError
-// instead of tearing down the process.
+// taskPool is the work-distribution structure of the pool engine: a FIFO of
+// pending subtree tasks plus where each worker stands in the task it holds.
+// The pool always knows the exact unexplored frontier — pending tasks plus
+// the remainder of every in-flight one — which is what checkpoints persist,
+// what a stopped worker hands on, and what a dead worker's task returns to.
+//
+// mu orders every change of the frontier against the counters that pay for
+// it: a worker publishes its position and flushes its counters together,
+// under mu, at each leaf and when it takes, finishes or returns a task.
+// open holds mu too, so the tasks it lists and the counters it reads are
+// one consistent cut.
+type taskPool struct {
+	mu      sync.Mutex
+	order   []int
+	pending [][]sim.Value
+	next    int
+	at      []position
+}
+
+func newTaskPool(order []int, tasks [][]sim.Value, workers int) *taskPool {
+	tp := &taskPool{order: order, pending: tasks, at: make([]position, workers)}
+	for i := range tp.at {
+		tp.at[i].path = make([]sim.Value, len(order))
+		tp.at[i].second = make([]bool, len(order))
+	}
+	return tp
+}
+
+// pushFront queues ts ahead of every pending task.
+func (tp *taskPool) pushFront(ts ...[]sim.Value) {
+	tp.pending = append(ts, tp.pending[tp.next:]...)
+	tp.next = 0
+}
+
+// take hands w the next pending task: it copies it into w.pi and publishes
+// it as w's position, whole.
+func (tp *taskPool) take(w *worker) bool {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if tp.next >= len(tp.pending) {
+		return false
+	}
+	t := tp.pending[tp.next]
+	tp.next++
+	copy(w.pi, t)
+	w.from = 0
+	for w.from < len(tp.order) && t[tp.order[w.from]] != sim.X {
+		w.from++
+	}
+	w.cut = 0
+	w.flush()
+	w.taskMark = w.stats
+	pos := &tp.at[w.id]
+	pos.busy, pos.task = true, t
+	copy(pos.path, t)
+	pos.from, pos.depth, pos.self = w.from, w.from, true
+	return true
+}
+
+// publish records w's position past the leaf it just evaluated, with the
+// counters that paid for the walk so far.
+func (tp *taskPool) publish(w *worker) {
+	tp.mu.Lock()
+	w.flush()
+	pos := &tp.at[w.id]
+	copy(pos.path, w.pi)
+	copy(pos.second, w.second)
+	pos.depth, pos.self = len(tp.order), false
+	tp.mu.Unlock()
+}
+
+// finish ends w's task: fully explored, or, when a stop cut it, with its
+// remainder queued ahead of every pending task — the order the walk would
+// have taken it in.  The worker keeps every counter of what it explored.
+func (tp *taskPool) finish(w *worker) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	w.flush()
+	pos := &tp.at[w.id]
+	pos.busy = false
+	if w.cut > 0 {
+		copy(pos.path, w.pi)
+		copy(pos.second, w.second)
+		pos.depth, pos.self = w.cut, true
+		tp.pushFront(remainder(tp.order, pos)...)
+	}
+}
+
+// requeue returns a dead worker's task to the front of the queue, whole,
+// and withdraws its partial counters (rollbackTask): survivors or a resume
+// re-run it from scratch.  Re-running a partially-explored task is safe:
+// the incumbent only ever tightens, so re-visited leaves re-derive or
+// improve it, never regress it.
+func (tp *taskPool) requeue(w *worker) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	w.rollbackTask()
+	pos := &tp.at[w.id]
+	pos.busy = false
+	tp.pushFront(pos.task)
+}
+
+// open returns the unexplored frontier — the remainder of every in-flight
+// task first (in worker order, for determinism), then the untaken tail of
+// the queue — and runs read at the same cut.
+func (tp *taskPool) open(read func()) [][]sim.Value {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	read()
+	var out [][]sim.Value
+	for i := range tp.at {
+		if tp.at[i].busy {
+			out = append(out, remainder(tp.order, &tp.at[i])...)
+		}
+	}
+	return append(out, tp.pending[tp.next:]...)
+}
+
+// runTask explores the task w.pi holds under panic isolation: a panic
+// anywhere in the descent surfaces as a *panicError instead of tearing down
+// the process.  A task at the split depth is the frontier expansion's,
+// whose bound check the expansion made; a deeper one is a remainder, whose
+// branch is checked first, exactly as its parent loop would have.
 func (sh *Search) runTask(w *worker) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
+	if w.from == 0 {
+		return w.dfs(0)
+	}
+	// Sync the engine to the prefix above the task's own branch, and
+	// enter that branch as its parent loop does.
+	last := sh.p.piOrder[w.from-1]
+	v := w.pi[last]
+	w.pi[last] = sim.X
 	n := w.enterPrefix()
-	if err := w.dfs(sh.splitDepth); err != nil {
+	w.pi[last] = v
+	br, check := branch{v: v}, w.from > sh.splitDepth
+	if check {
+		brs := probeBranches(w.inc, last)
+		br = brs[0]
+		if br.v != v {
+			br = brs[1]
+		}
+	}
+	if err := w.descend(w.from-1, br, check); err != nil {
 		return err
 	}
 	w.leavePrefix(n)
@@ -588,11 +741,11 @@ type poolDrain struct {
 func (d *poolDrain) Parallelism() int { return d.workers }
 
 func (d *poolDrain) Load(sh *Search, tasks [][]sim.Value) error {
-	d.sh, d.tp = sh, newTaskPool(tasks)
+	d.sh, d.tp = sh, newTaskPool(sh.p.piOrder, tasks, d.workers)
 	return nil
 }
 
-func (d *poolDrain) Open() [][]sim.Value { return d.tp.remaining() }
+func (d *poolDrain) Open(read func()) [][]sim.Value { return d.tp.open(read) }
 
 // Explore builds the bound cascade's relaxation engine (cached on the
 // Problem, so repeated drains pay for it once) and the workers, then
@@ -621,6 +774,7 @@ func (d *poolDrain) Explore(ctx context.Context) error {
 			// search fault: abort before any worker runs.
 			return err
 		}
+		w.id, w.tp = i, tp
 		ws[i] = w
 	}
 
@@ -636,47 +790,22 @@ func (d *poolDrain) Explore(ctx context.Context) error {
 		wg   sync.WaitGroup
 		dead atomic.Int32
 	)
-	for i, w := range ws {
+	for _, w := range ws {
 		wg.Add(1)
-		go func(id int, w *worker) {
+		go func(w *worker) {
 			defer wg.Done()
-			defer w.flush()
-			for {
-				if sh.stop.Load() {
-					return
-				}
-				task, ok := tp.take(id)
-				if !ok {
-					return
-				}
-				copy(w.pi, task)
-				w.markTask()
+			for !sh.stop.Load() && tp.take(w) {
 				if err := sh.runTask(w); err != nil {
-					sh.recordFailure(id, err)
-					// Survivors (or a resume) re-run the task from
-					// scratch, so its partial counters must not stay in
-					// the totals.
-					w.rollbackTask()
-					tp.requeue(id)
+					sh.recordFailure(w.id, err)
+					tp.requeue(w)
 					dead.Add(1)
 					return
 				}
-				if sh.stop.Load() {
-					// Stopped mid-task: the subtree may be partially
-					// explored, so it stays in the frontier.  A handed-on
-					// frontier is re-counted by whoever resumes it, so the
-					// partial counters are withdrawn; otherwise the
-					// partial work is this run's final work and stays
-					// counted.
-					if sh.handOff {
-						w.rollbackTask()
-					}
-					tp.requeue(id)
-					return
-				}
-				tp.done(id)
+				// A stop either cut the task, whose remainder finish
+				// hands on, or came after its last subtree.
+				tp.finish(w)
 			}
-		}(i, w)
+		}(w)
 	}
 	wg.Wait()
 
@@ -693,8 +822,8 @@ func (d *poolDrain) Explore(ctx context.Context) error {
 // One worker has nothing to balance: depth 0 makes its single task the
 // root, which it searches in the plain depth-first order.  A frontier that
 // is handed on (checkpointed, or leased to shards) is split at least
-// ckSplitDepth deep: finer tasks bound the work re-run after a crash or a
-// shard death, and give work stealing something to take.
+// ckSplitDepth deep: finer tasks bound the work a shard death re-runs, give
+// work stealing something to take, and let a snapshot resume on a cluster.
 func splitDepth(parallelism, piCount int, handOff bool) int {
 	d := 0
 	for parallelism > 1 && (1<<d) < 4*parallelism && d < piCount && d < 12 {

@@ -179,9 +179,12 @@ type Drain interface {
 	// wrapping ErrWorkerPanic keeps the incumbent; any other aborts the
 	// search.
 	Explore(ctx context.Context) error
-	// Open lists the tasks not yet fully explored, in-flight ones
-	// included: the frontier a snapshot records.
-	Open() [][]sim.Value
+	// Open lists the tasks not yet explored — of an in-flight task, its
+	// unexplored remainder — and calls read once, at a moment when those
+	// tasks and the search's counters and leaf tickets are one consistent
+	// cut: the counters hold exactly the work the tasks no longer cover.
+	// It is the frontier a snapshot records.
+	Open(read func()) [][]sim.Value
 }
 
 // SolveWith is Solve with the tree search's subtree tasks explored by
@@ -302,7 +305,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 
 	sh := newSearch(p, opt, budget, seed)
 	sh.start = start
-	sh.handOff = d != nil || opt.Checkpoint.Path != ""
+	handOff := d != nil || opt.Checkpoint.Path != ""
 	if opt.Checkpoint.Path != "" {
 		sh.ck = opt.Checkpoint
 		sh.fprint = p.fingerprint(opt)
@@ -335,7 +338,7 @@ func (p *Problem) treeSearch(ctx context.Context, opt Options, start time.Time, 
 	if rs == nil {
 		depth := opt.SplitDepth
 		if depth <= 0 {
-			depth = splitDepth(d.Parallelism(), len(p.piOrder), sh.handOff)
+			depth = splitDepth(d.Parallelism(), len(p.piOrder), handOff)
 		}
 		var err error
 		if tasks, err = sh.frontier(depth); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"svto/internal/gen"
 	"svto/internal/library"
+	"svto/internal/sim"
 )
 
 // midCircuit builds a deterministic mapped random-logic block small enough
@@ -234,6 +235,52 @@ func TestSolveStoppedDrainKeepsCounters(t *testing.T) {
 		if sol.Stats.Counters != want {
 			t.Errorf("workers=1: counters %+v, want %+v", sol.Stats.Counters, want)
 		}
+	}
+}
+
+// An exact gate-tree descent a stop cuts midway hands its leaf on whole:
+// the leaf keeps no counter, the walk is cut before the leaf's branch (whose
+// check is uncounted, so whoever takes the leaf makes it again), and only
+// the leaf's ticket stays spent.
+func TestExactLeafStopMidway(t *testing.T) {
+	circ, err := gen.MuxBank("mux1x7", 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProblem(t, circ, library.DefaultOptions(), ObjTotal)
+	budget := p.Budget(0.05)
+	seed, err := p.heuristic1(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newSearch(p, Options{Algorithm: AlgExact}, budget, seed)
+	if sh.relax, err = p.relaxEngine(context.Background(), budget); err != nil || sh.relax == nil {
+		t.Fatalf("no relaxation engine (%v): the branch check would count nothing", err)
+	}
+	base, err := p.Timer.NewState(p.Timer.FastChoices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sh.newWorker(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tp = newTaskPool(p.piOrder, nil, 1)
+	for i, v := range seed.State {
+		w.pi[i] = sim.False
+		if v {
+			w.pi[i] = sim.True
+		}
+	}
+	n := len(p.piOrder)
+	w.from = n - 1
+	sh.stop.Store(true)
+	if err := w.descend(n-1, branch{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if w.cut != n || w.stats != (Counters{}) || sh.leafTickets.Load() != 1 {
+		t.Errorf("cut at %d with counters %+v and %d tickets; want %d, none, 1",
+			w.cut, w.stats, sh.leafTickets.Load(), n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,8 +243,8 @@ type run struct {
 	s      *core.Search // set by Load, before the run is registered
 
 	mu         sync.Mutex
-	tasks      [][]sim.Value // frontier vector per task id (index = id)
-	pending    []int64       // grant queue, frontier order
+	tasks      [][]sim.Value // task vector per id: the frontier, then the remainders shards hand back
+	pending    []int64       // grant queue
 	pendingSet map[int64]bool
 	done       map[int64]bool
 	leases     map[int64]*lease
@@ -340,15 +341,23 @@ func (r *run) Explore(ctx context.Context) error {
 	}
 }
 
-// Open lists the tasks not yet done; leased ones count as unexplored,
-// exactly like the in-process pool's in-flight tasks.
-func (r *run) Open() [][]sim.Value {
+// Open lists the tasks not yet done: the leased ones, whole, then the
+// grant queue in order.  complete credits a lease's counters and settles
+// its tasks under r.mu, so reading the counters under it too (read) makes
+// the two one consistent cut.
+func (r *run) Open(read func()) [][]sim.Value {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	read()
 	var open [][]sim.Value
 	for id, t := range r.tasks {
-		if !r.done[int64(id)] {
+		if !r.done[int64(id)] && !r.pendingSet[int64(id)] {
 			open = append(open, t)
+		}
+	}
+	for _, id := range r.pending {
+		if !r.done[id] {
+			open = append(open, r.tasks[id])
 		}
 	}
 	return open
@@ -401,12 +410,12 @@ func (r *run) finishLocked() {
 // openCount is the number of tasks not yet done; callers hold r.mu.
 func (r *run) openCount() int { return len(r.tasks) - len(r.done) }
 
-// expireLeases re-queues the un-finished tasks of every lease whose shard
-// has been silent past the TTL.  The lease record is dropped: a late
+// expireLeases re-queues the tasks of every lease whose shard has been
+// silent past the TTL, whole.  The lease record is dropped: a late
 // completion from a shard that was merely slow is still merged for its
 // incumbent, but its counters and task credits are discarded (another shard
-// re-runs those tasks and gets the credit — the same rollback rule the
-// in-process pool applies to dead workers' partial work).
+// re-runs those tasks and gets the credit — the rule the in-process pool
+// applies to a dead worker's task).
 func (r *run) expireLeases() {
 	live := r.c.liveShards()
 	r.mu.Lock()
@@ -415,14 +424,7 @@ func (r *run) expireLeases() {
 		if live[l.shard] {
 			continue
 		}
-		requeued := 0
-		for _, tid := range l.ids {
-			if !r.done[tid] && !r.pendingSet[tid] {
-				r.pending = append(r.pending, tid)
-				r.pendingSet[tid] = true
-				requeued++
-			}
-		}
+		requeued := r.requeueLocked(l)
 		delete(r.leases, id)
 		r.c.leaseExpiries.Add(1)
 		r.c.logf("dist: job %s: shard %s lease %d expired, %d tasks re-queued", r.jobID, l.shard, id, requeued)
@@ -494,7 +496,6 @@ func (r *run) lease(req LeaseRequest) LeaseReply {
 
 	reply := LeaseReply{
 		LeaseID:   leaseID,
-		TaskIDs:   ids,
 		MaxLeaves: remainingBudget,
 		Incumbent: r.wireBest(),
 		Epoch:     r.bestEpoch(),
@@ -550,12 +551,60 @@ func (r *run) stealLocked(thief string, max int) []int64 {
 	return stolen
 }
 
+// requeueLocked queues the lease's tasks that are neither done nor already
+// queued, whole, at the back of the grant queue, and returns how many it
+// queued.  Callers hold r.mu.
+func (r *run) requeueLocked(l *lease) int {
+	n := 0
+	for _, id := range l.ids {
+		if !r.done[id] && !r.pendingSet[id] {
+			r.pending = append(r.pending, id)
+			r.pendingSet[id] = true
+			n++
+		}
+	}
+	return n
+}
+
+// remainderTasks decodes a completion's Remaining, requiring each vector
+// to be a task of this search that extends one of the lease's tasks.
+func (r *run) remainderTasks(l *lease, rem [][]byte) ([][]sim.Value, error) {
+	tasks := make([][]sim.Value, 0, len(rem))
+	for i, b := range rem {
+		t, err := r.comp.Prob.TaskFromBytes(b, r.s.SplitDepth())
+		if err != nil {
+			return nil, fmt.Errorf("remaining task %d: %v", i, err)
+		}
+		if !slices.ContainsFunc(l.ids, func(id int64) bool { return extends(t, r.tasks[id]) }) {
+			return nil, fmt.Errorf("remaining task %d extends no task of lease %d", i, l.id)
+		}
+		tasks = append(tasks, t)
+	}
+	return tasks, nil
+}
+
+// extends reports whether task t lies in the subtree of task u: t holds
+// every value u assigns.
+func extends(t, u []sim.Value) bool {
+	for i, v := range u {
+		if v != sim.X && t[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
 // complete merges a finished (or interrupted) batch; caller does not hold
-// any lock.  Monotone-incumbent + done-set dedup make it safe for the same
-// tasks to be reported by several shards (steals) or after the lease
-// already expired (slow shard): credit goes to whichever completion first
-// contains a not-yet-done task; everything else only contributes its
-// incumbent.
+// any lock.  A live lease's completion settles all its tasks: they are
+// marked done, the shard's counters are credited, and its Remaining is
+// queued ahead of every pending task as new tasks — the order the shard's
+// own pool would have taken them in.  Monotone-incumbent + done-set dedup
+// make it safe for the same tasks to be reported by several shards
+// (steals) or after the lease already expired (slow shard): a completion
+// whose lease holds a task another completion already settled is credited
+// nothing, and its unsettled tasks are re-queued whole, as is every task of
+// a completion whose Remaining is not a remainder of its lease.  Such
+// completions only contribute their incumbent.
 func (r *run) complete(req CompleteRequest) {
 	if req.Incumbent != nil {
 		r.offerWire(req.Incumbent)
@@ -582,34 +631,33 @@ func (r *run) complete(req CompleteRequest) {
 		// crediting now would count tasks the snapshot still lists as open.
 		return
 	}
-	rem := make(map[int64]bool, len(req.Remaining))
-	for _, id := range req.Remaining {
-		rem[id] = true
-	}
-	credited := false
-	for _, id := range l.ids {
-		if rem[id] || r.done[id] {
-			continue
-		}
-		r.done[id] = true
-		credited = true
-	}
-	if credited {
-		r.s.Credit(req.Stats)
-	}
 	// Budget tickets are charged for every live-lease completion, credited
-	// or not: an interrupted batch rolls its unfinished work out of the
-	// counters (so Stats.Leaves stays exactly-once), but the leaves it
-	// burned must still count against the budget — otherwise a task too big
-	// for the remaining budget would roll back to a zero-leaf delta and be
-	// re-leased forever.  Stolen duplicates may double-charge tickets; the
+	// or not: the leaves a batch evaluated were spent even when its report
+	// is discarded.  Stolen duplicates may double-charge tickets; the
 	// budget is a global upper bound, never a precise counter.
 	_, budgetLeft := r.s.ChargeLeaves(req.LeavesUsed)
-	for _, id := range req.Remaining {
-		if !r.done[id] && !r.pendingSet[id] {
-			r.pending = append(r.pending, id)
-			r.pendingSet[id] = true
+	rem, err := r.remainderTasks(l, req.Remaining)
+	switch {
+	case err != nil:
+		r.requeueLocked(l)
+		r.s.RecordFailure(core.WorkerFailure{
+			Worker: -1,
+			Err:    fmt.Sprintf("shard %s: lease %d re-queued whole: %v", req.Shard, l.id, err),
+		})
+	case slices.ContainsFunc(l.ids, func(id int64) bool { return r.done[id] }):
+		r.requeueLocked(l)
+	default:
+		for _, id := range l.ids {
+			r.done[id] = true
 		}
+		r.s.Credit(req.Stats)
+		ids := make([]int64, len(rem))
+		for i, t := range rem {
+			ids[i] = int64(len(r.tasks))
+			r.tasks = append(r.tasks, t)
+			r.pendingSet[ids[i]] = true
+		}
+		r.pending = append(ids, r.pending...)
 	}
 	if req.Failure != "" {
 		r.s.RecordFailure(core.WorkerFailure{

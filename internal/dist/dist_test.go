@@ -245,7 +245,7 @@ func TestShardDeathRequeuesLeases(t *testing.T) {
 	if err := cl.post(context.Background(), "/lease", LeaseRequest{Shard: "zombie", JobID: info.JobID}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if len(lr.TaskIDs) == 0 {
+	if len(lr.Tasks) == 0 {
 		t.Fatal("zombie was granted no tasks")
 	}
 
@@ -306,8 +306,8 @@ func TestWorkStealingDrainsStalledShard(t *testing.T) {
 	if err := cl.post(context.Background(), "/lease", LeaseRequest{Shard: "stalled", JobID: info.JobID}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if len(lr.TaskIDs) < 2 {
-		t.Fatalf("stalled shard was granted %d tasks, want the whole frontier", len(lr.TaskIDs))
+	if len(lr.Tasks) < 2 {
+		t.Fatalf("stalled shard was granted %d tasks, want the whole frontier", len(lr.Tasks))
 	}
 
 	// Keep the stalled shard alive (heartbeats) but never complete.
@@ -378,10 +378,10 @@ func TestDuplicateCompletionsCreditOnce(t *testing.T) {
 				JobID:   info.JobID,
 				LeaseID: lr.LeaseID,
 				Stats: core.Counters{
-					Leaves:     int64(len(lr.TaskIDs)),
-					GateTrials: 10 * int64(len(lr.TaskIDs)),
+					Leaves:     int64(len(lr.Tasks)),
+					GateTrials: 10 * int64(len(lr.Tasks)),
 				},
-				LeavesUsed: int64(len(lr.TaskIDs)),
+				LeavesUsed: int64(len(lr.Tasks)),
 			}
 			if err := cl.post(context.Background(), "/complete", creq, nil); err != nil {
 				t.Fatal(err)
@@ -457,6 +457,55 @@ func TestClusterInterruptsOnLeafBudgetAndResumes(t *testing.T) {
 	}
 	if _, err := os.Stat(ck); !os.IsNotExist(err) {
 		t.Errorf("completed run left its snapshot behind: %v", err)
+	}
+}
+
+// TestBudgetStopKeepsWorkInEveryMode: a leaf-budget stop keeps the counters
+// of every leaf it evaluated, whether the stopped task's remainder is
+// dropped (a plain local run), written to a snapshot (a checkpointed local
+// run) or handed back to the coordinator (a 1-shard cluster run).  All
+// three explore the same 300 leaves of c432 at 5% with one worker.  The
+// handed-on runs split the tree at depth 6, and their frontier expansion
+// counts all 63 state nodes above that depth, of which the plain run's
+// depth-first walk had entered the 6 on its path when the budget ran out.
+func TestBudgetStopKeepsWorkInEveryMode(t *testing.T) {
+	req := svto.Request{
+		Design: svto.DesignSpec{Benchmark: "c432"},
+		Search: svto.SearchSpec{Algorithm: svto.Heuristic2, Penalty: 0.05, Workers: 1, MaxLeaves: 300},
+	}
+	plain, err := svto.Run(context.Background(), req, svto.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckOpts := svto.RunOptions{Checkpoint: svto.Checkpoint{Path: filepath.Join(t.TempDir(), "local.ckpt"), Interval: time.Hour}}
+	checkpointed, err := svto.Run(context.Background(), req, ckOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, url := newCluster(t, Config{})
+	startShard(t, url, "s1", 1)
+	cluster := runCluster(t, coord, "budget-modes", req, RunOptions{})()
+
+	for _, tc := range []struct {
+		mode       string
+		res        *svto.Result
+		stateNodes int64
+	}{
+		{"local", plain, 368},
+		{"local with a checkpoint", checkpointed, 368 + 63 - 6},
+		{"1-shard cluster", cluster, 368 + 63 - 6},
+	} {
+		if !tc.res.Interrupted {
+			t.Errorf("%s: the budget did not stop the run", tc.mode)
+		}
+		if got := math.Float64bits(tc.res.LeakNA); got != 0x40a963f094c15aae {
+			t.Errorf("%s: leak %.9f (bits %016x), want bits 40a963f094c15aae", tc.mode, tc.res.LeakNA, got)
+		}
+		st := tc.res.Stats
+		if st.Leaves != 301 || st.StateNodes != tc.stateNodes || st.GateTrials != 62350 {
+			t.Errorf("%s: %d leaves, %d state nodes, %d gate trials; want 301, %d, 62350",
+				tc.mode, st.Leaves, st.StateNodes, st.GateTrials, tc.stateNodes)
+		}
 	}
 }
 
@@ -612,12 +661,27 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 	if _, err := p.TaskFromBytes(root, n); err == nil {
 		t.Error("task with an unassigned prefix accepted")
 	}
+	// A task assigns a prefix of the search order, at least the split depth
+	// deep: of the vectors assigning one input, only the first input of the
+	// search order's is a task, and a fully assigned one is a task at any
+	// split depth (a stopped task's remainder lies deeper than the split).
+	accepted := 0
+	for i := 0; i < n; i++ {
+		one := bytes.Repeat([]byte{2}, n)
+		one[i] = 1
+		if _, err := p.TaskFromBytes(one, 0); err == nil {
+			accepted++
+		}
+	}
+	if accepted != 1 {
+		t.Errorf("%d single-input vectors accepted as tasks, want 1", accepted)
+	}
 	v := make([]byte, n)
 	for i := range v {
 		v[i] = byte(i % 2)
 	}
-	if _, err := p.TaskFromBytes(v, 0); err == nil {
-		t.Error("task assigning inputs below its split depth accepted")
+	if _, err := p.TaskFromBytes(v, 0); err != nil {
+		t.Errorf("task deeper than its split depth rejected: %v", err)
 	}
 	task, err := p.TaskFromBytes(v, n)
 	if err != nil {

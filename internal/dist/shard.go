@@ -243,23 +243,21 @@ func (s *shard) runJob(ctx context.Context, info JobInfo) (restarted bool) {
 func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.Options,
 	workers int, share *core.SharedIncumbent, info JobInfo, lr LeaseReply) (restarted bool) {
 	tasks := make([][]sim.Value, 0, len(lr.Tasks))
-	taskID := make(map[string]int64, len(lr.Tasks))
-	for i, b := range lr.Tasks {
+	for _, b := range lr.Tasks {
 		t, err := comp.Prob.TaskFromBytes(b, info.SplitDepth)
-		if err != nil || i >= len(lr.TaskIDs) {
+		if err != nil {
 			// A malformed task (torn reply, version skew) poisons the whole
-			// lease: hand every task straight back so the coordinator
-			// re-queues at once instead of waiting out the lease TTL.
+			// lease: hand it straight back so the coordinator re-queues at
+			// once instead of waiting out the lease TTL.
 			s.logf("dist: shard %s: job %s: bad task in lease %d, returning batch: %v",
 				s.cfg.Name, info.JobID, lr.LeaseID, err)
 			return s.complete(ctx, CompleteRequest{
 				Shard: s.cfg.Name, JobID: info.JobID, LeaseID: lr.LeaseID,
-				Remaining: lr.TaskIDs,
+				Remaining: lr.Tasks,
 				Failure:   fmt.Sprintf("bad task in lease %d: %v", lr.LeaseID, err),
 			}, info)
 		}
 		tasks = append(tasks, t)
-		taskID[string(b)] = lr.TaskIDs[i]
 	}
 
 	seed := share.Best()
@@ -269,7 +267,7 @@ func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.
 		// the next lease retry the exchange.
 		s.logf("dist: shard %s: job %s: no incumbent with lease %d, returning batch", s.cfg.Name, info.JobID, lr.LeaseID)
 		restarted = s.complete(ctx, CompleteRequest{
-			Shard: s.cfg.Name, JobID: info.JobID, LeaseID: lr.LeaseID, Remaining: lr.TaskIDs,
+			Shard: s.cfg.Name, JobID: info.JobID, LeaseID: lr.LeaseID, Remaining: lr.Tasks,
 		}, info)
 		sleepCtx(ctx, s.cfg.PollInterval)
 		return restarted
@@ -293,17 +291,12 @@ func (s *shard) runBatch(ctx context.Context, comp *svto.Compiled, coreOpt core.
 	}
 	if tr == nil {
 		// Infrastructure failure before any work: everything remains.
-		creq.Remaining = lr.TaskIDs
+		creq.Remaining = lr.Tasks
 	} else {
 		creq.Stats = tr.Best.Stats.Counters
 		creq.LeavesUsed = tr.LeavesUsed
 		for _, t := range tr.Remaining {
-			id, ok := taskID[string(core.TaskBytes(t))]
-			if !ok {
-				s.logf("dist: shard %s: job %s: unknown remaining task in lease %d", s.cfg.Name, info.JobID, lr.LeaseID)
-				continue
-			}
-			creq.Remaining = append(creq.Remaining, id)
+			creq.Remaining = append(creq.Remaining, core.TaskBytes(t))
 		}
 	}
 	if best := share.Best(); best != nil {

@@ -15,8 +15,9 @@
 //     expansion, the counters, the leaf/time budgets, the failures and the
 //     checkpoint file, as it does for a local run;
 //   - each shard owns nothing durable: it drains leased batches with
-//     core.SolveTasks and reports the batch's counters plus its unfinished
-//     remainder, so a shard dying mid-batch costs only a lease re-queue.
+//     core.SolveTasks and reports the batch's counters plus the tasks of
+//     its unexplored remainder, so a shard dying mid-batch costs only a
+//     lease re-queue.
 //
 // The durable search state has one definition and one encoding, shared
 // with the local pool and the checkpoint file: counters are core.Counters
@@ -80,7 +81,6 @@ type LeaseRequest struct {
 // per primary input, 0 = forced false, 1 = forced true, 2 = unassigned.
 type LeaseReply struct {
 	LeaseID int64    `json:"lease_id,omitempty"`
-	TaskIDs []int64  `json:"task_ids,omitempty"`
 	Tasks   [][]byte `json:"tasks,omitempty"`
 	// MaxLeaves is the remaining leaf budget the batch must respect
 	// (0 = unlimited).
@@ -94,24 +94,23 @@ type LeaseReply struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// CompleteRequest reports a drained (or interrupted) lease.  Remaining
-// lists the task ids the shard did not finish — the coordinator re-queues
-// them — and Stats covers exactly the finished ones: the engine's
-// mark/rollback rule drops an unfinished task's counters, so the
-// coordinator can sum completed batches without double counting re-queued
-// work.  A completion for an
-// already-expired lease is accepted but credited nothing except its
-// incumbent: monotonicity makes the late merge harmless.
+// CompleteRequest reports a drained (or interrupted) lease.  Remaining is
+// the batch's unexplored remainder (core.TaskResult.Remaining), as task
+// vectors in the LeaseReply encoding, each extending one of the lease's
+// tasks; Stats covers exactly the work the shard explored.  The
+// coordinator marks every task of the lease done, credits Stats and queues
+// Remaining as new tasks, so completed batches sum without double counting
+// anything.  A completion for an already-expired lease is accepted but
+// credited nothing except its incumbent: monotonicity makes the late merge
+// harmless.
 type CompleteRequest struct {
 	Shard     string        `json:"shard"`
 	JobID     string        `json:"job_id"`
 	LeaseID   int64         `json:"lease_id"`
-	Remaining []int64       `json:"remaining,omitempty"`
+	Remaining [][]byte      `json:"remaining,omitempty"`
 	Stats     core.Counters `json:"stats"`
 	// LeavesUsed is the batch's leaf-budget tickets (core.TaskResult
-	// .LeavesUsed): unlike Stats.Leaves it includes rolled-back work, and
-	// the coordinator charges the leaf budget with it so interrupted
-	// batches still make budget progress.
+	// .LeavesUsed), which the coordinator charges the leaf budget with.
 	LeavesUsed int64                 `json:"leaves_used,omitempty"`
 	Incumbent  *checkpoint.Incumbent `json:"incumbent,omitempty"`
 	// Failure carries a shard-side infrastructure error (e.g. all local

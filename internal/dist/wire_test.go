@@ -62,10 +62,10 @@ func FuzzWire(f *testing.F) {
 	for _, v := range []any{
 		RegisterRequest{Shard: "s1", Workers: 2, Health: &ShardHealth{Retries: 1}},
 		LeaseRequest{Shard: "s1", JobID: "j1"},
-		CompleteRequest{Shard: "s1", JobID: "j1", LeaseID: 3, Remaining: []int64{7}, Incumbent: inc},
+		CompleteRequest{Shard: "s1", JobID: "j1", LeaseID: 3, Remaining: [][]byte{{0, 2, 2}}, Incumbent: inc},
 		SyncRequest{Shard: "s1", JobID: "j1", Epoch: 2, Incumbent: inc},
 		JobInfo{JobID: "j1", Request: svto.Request{Design: svto.DesignSpec{Benchmark: "c432"}}, SplitDepth: 3, Fingerprint: 42},
-		LeaseReply{LeaseID: 1, TaskIDs: []int64{0}, Tasks: [][]byte{{0, 1, 2}}, Incumbent: inc, Epoch: 1},
+		LeaseReply{LeaseID: 1, Tasks: [][]byte{{0, 1, 2}}, Incumbent: inc, Epoch: 1},
 		SyncReply{Epoch: 1, Incumbent: inc, Done: true},
 	} {
 		b, err := json.Marshal(v)

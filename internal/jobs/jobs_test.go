@@ -488,7 +488,7 @@ func TestAdoptDropsBadSnapshots(t *testing.T) {
 	torn := Record{ID: "00000000000feed1", Request: treeRequest("torn", 21), Status: StatusInterrupted, Created: time.Now().UTC()}
 	mismatched := Record{ID: "00000000000feed2", Request: treeRequest("mismatched", 22), Status: StatusInterrupted, Created: time.Now().UTC()}
 	// A snapshot from the previous format version: a current file with its
-	// version field patched to 4.  Resume would refuse it with ErrVersion,
+	// version field patched to 5.  Resume would refuse it with ErrVersion,
 	// so adoption must drop it for the job to restart.
 	oldVersion := Record{ID: "00000000000feed3", Request: treeRequest("oldversion", 23), Status: StatusInterrupted, Created: time.Now().UTC()}
 	plantRecord(t, dir, torn)
@@ -510,7 +510,7 @@ func TestAdoptDropsBadSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[len("SVTOCKPT"):], 4)
+	binary.LittleEndian.PutUint32(data[len("SVTOCKPT"):], 5)
 	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 # Crash/resume smoke test: run leakopt with checkpointing, SIGKILL it as
 # soon as the first snapshot lands on disk, resume from the snapshot, and
 # verify the resumed search reaches the same result as an uninterrupted
-# run (identical per-gate leakage CSV).
+# run (identical per-gate leakage CSV) without counting more leaves or
+# state nodes than it (the -stats counters).
 #
 # Usage: scripts/crash_resume_smoke.sh [workdir]
 set -euo pipefail
@@ -20,12 +21,12 @@ go build -o "$WORK/benchgen" ./cmd/benchgen
 "$WORK/benchgen" -random smoke:7:14:150 -out "$WORK"
 
 COMMON=(-in "$WORK/smoke.bench" -method heu2 -heu2sec 30 -workers 1
-        -vectors 200 -penalty 5)
+        -vectors 200 -penalty 5 -stats)
 
 echo "--- reference run (uninterrupted, checkpoint enabled)"
 "$WORK/leakopt" "${COMMON[@]}" \
     -checkpoint "$WORK/ref.ckpt" -checkpoint-interval 1h \
-    -report-csv "$WORK/ref.csv"
+    -report-csv "$WORK/ref.csv" | tee "$WORK/ref.log"
 test ! -e "$WORK/ref.ckpt" || { echo "FAIL: completed run left ref.ckpt"; exit 1; }
 
 echo "--- crash run (SIGKILL on first snapshot)"
@@ -55,7 +56,7 @@ echo "killed=$KILLED snapshot_present=$([ -e "$WORK/smoke.ckpt" ] && echo yes ||
 echo "--- resume run"
 "$WORK/leakopt" "${COMMON[@]}" \
     -checkpoint "$WORK/smoke.ckpt" -checkpoint-interval 1h -resume \
-    -report-csv "$WORK/resumed.csv"
+    -report-csv "$WORK/resumed.csv" | tee "$WORK/resumed.log"
 test ! -e "$WORK/smoke.ckpt" || { echo "FAIL: completed resume left smoke.ckpt"; exit 1; }
 
 echo "--- comparing per-gate reports"
@@ -63,4 +64,24 @@ if ! diff -u "$WORK/ref.csv" "$WORK/resumed.csv"; then
     echo "FAIL: resumed result differs from uninterrupted run"
     exit 1
 fi
+
+# counter NAME LOG prints the -stats counter NAME ("leaves", "state nodes")
+# of a run's log.
+counter() {
+    sed -nE "s/.*[ ,]$1 ([0-9]+).*/\1/p" "$2" | head -n 1
+}
+echo "--- comparing -stats counters"
+for name in "leaves" "state nodes"; do
+    ref=$(counter "$name" "$WORK/ref.log")
+    got=$(counter "$name" "$WORK/resumed.log")
+    echo "$name: reference $ref, resumed $got"
+    if [ -z "$ref" ] || [ -z "$got" ]; then
+        echo "FAIL: no '$name' counter in the -stats output"
+        exit 1
+    fi
+    if [ "$got" -gt "$ref" ]; then
+        echo "FAIL: the resumed run counts more $name than the uninterrupted run"
+        exit 1
+    fi
+done
 echo "PASS: resumed run matches the uninterrupted reference"
