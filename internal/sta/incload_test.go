@@ -63,7 +63,7 @@ func TestCloneCopyFromCarryLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := append([]float64(nil), base.netLoad...)
+	snapshot := append([]netTiming(nil), base.net...)
 	clone := base.Clone()
 	rng := rand.New(rand.NewSource(31))
 	for step := 0; step < 50; step++ {
@@ -71,17 +71,17 @@ func TestCloneCopyFromCarryLoads(t *testing.T) {
 		clone.SetChoice(gi, ch)
 	}
 	for net, want := range snapshot {
-		if base.netLoad[net] != want {
-			t.Fatalf("net %d: base load disturbed by clone edits: %v != %v", net, base.netLoad[net], want)
+		if base.net[net].load != want.load {
+			t.Fatalf("net %d: base load disturbed by clone edits: %v != %v", net, base.net[net].load, want.load)
 		}
-		if clone.netLoad[net] != clone.recomputeLoad(net) {
-			t.Fatalf("net %d: clone cached load %v != rescan %v", net, clone.netLoad[net], clone.recomputeLoad(net))
+		if clone.net[net].load != clone.recomputeLoad(net) {
+			t.Fatalf("net %d: clone cached load %v != rescan %v", net, clone.net[net].load, clone.recomputeLoad(net))
 		}
 	}
 	clone.CopyFrom(base)
 	for net, want := range snapshot {
-		if clone.netLoad[net] != want {
-			t.Fatalf("net %d: CopyFrom load %v != base %v", net, clone.netLoad[net], want)
+		if clone.net[net].load != want.load {
+			t.Fatalf("net %d: CopyFrom load %v != base %v", net, clone.net[net].load, want.load)
 		}
 	}
 	if clone.Delay() != base.Delay() {

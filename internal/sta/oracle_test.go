@@ -65,9 +65,10 @@ func lookupReference(tm *Timer, choices []*library.Choice) lookupTiming {
 	return r
 }
 
-// NewState probes every table at cached grid coordinates and through each
-// choice's pre-resolved Arcs; it must reproduce the Lookup reference bit
-// for bit, for fast, slow and random (permuted) choice vectors alike.
+// NewState probes every table with At at grid coordinates located once per
+// pin, through each choice's pre-resolved Arcs and the per-pin memo; it
+// must reproduce the Lookup reference bit for bit, for fast, slow and
+// random (permuted) choice vectors alike.
 func TestNewStateMatchesLookupReference(t *testing.T) {
 	for _, name := range []string{"c432", "c880"} {
 		tm, _ := benchState(t, name)
@@ -98,12 +99,13 @@ func TestNewStateMatchesLookupReference(t *testing.T) {
 			}
 			ref := lookupReference(tm, choices)
 			for net := 0; net < tm.CC.NumNets(); net++ {
-				if st.arrR[net] != ref.arrR[net] || st.arrF[net] != ref.arrF[net] ||
-					st.slewR[net] != ref.slewR[net] || st.slewF[net] != ref.slewF[net] ||
-					st.netLoad[net] != ref.load[net] {
+				got := st.net[net]
+				if got.arrR != ref.arrR[net] || got.arrF != ref.arrF[net] ||
+					got.slewR != ref.slewR[net] || got.slewF != ref.slewF[net] ||
+					got.load != ref.load[net] {
 					t.Fatalf("%s/%s: net %s: state (arr %v,%v slew %v,%v load %v) != reference (arr %v,%v slew %v,%v load %v)",
 						name, label, tm.CC.NetName[net],
-						st.arrR[net], st.arrF[net], st.slewR[net], st.slewF[net], st.netLoad[net],
+						got.arrR, got.arrF, got.slewR, got.slewF, got.load,
 						ref.arrR[net], ref.arrF[net], ref.slewR[net], ref.slewF[net], ref.load[net])
 				}
 			}
@@ -115,7 +117,7 @@ func TestNewStateMatchesLookupReference(t *testing.T) {
 }
 
 // A table whose axis holds the grid's values on a separate slice is off
-// the grid the cached coordinates index, so New must refuse the library
+// the grid evalGate locates values on, so New must refuse the library
 // rather than time it.
 func TestNewRejectsOffGridTables(t *testing.T) {
 	cc := chainCircuit(t, 4)

@@ -56,19 +56,19 @@ func (s *State) Slacks(required float64) *SlackReport {
 			continue
 		}
 		ch := s.choices[gi]
-		load := s.netLoad[g.Out]
+		load := s.net[g.Out].load
 		for pin, in := range g.In {
 			arcs := ch.Arcs[pin]
 			// Output rise launches from input fall; output fall from
 			// input rise (inverting cells).
 			if !math.IsInf(outR, 1) {
-				req := outR - arcs.Rise.Delay.Lookup(s.slewF[in], load)
+				req := outR - arcs.Rise.Delay.Lookup(s.net[in].slewF, load)
 				if req < rep.RequiredFall[in] {
 					rep.RequiredFall[in] = req
 				}
 			}
 			if !math.IsInf(outF, 1) {
-				req := outF - arcs.Fall.Delay.Lookup(s.slewR[in], load)
+				req := outF - arcs.Fall.Delay.Lookup(s.net[in].slewR, load)
 				if req < rep.RequiredRise[in] {
 					rep.RequiredRise[in] = req
 				}
@@ -79,10 +79,10 @@ func (s *State) Slacks(required float64) *SlackReport {
 	for i := 0; i < n; i++ {
 		sl := math.Inf(1)
 		if !math.IsInf(rep.RequiredRise[i], 1) {
-			sl = math.Min(sl, rep.RequiredRise[i]-s.arrR[i])
+			sl = math.Min(sl, rep.RequiredRise[i]-s.net[i].arrR)
 		}
 		if !math.IsInf(rep.RequiredFall[i], 1) {
-			sl = math.Min(sl, rep.RequiredFall[i]-s.arrF[i])
+			sl = math.Min(sl, rep.RequiredFall[i]-s.net[i].arrF)
 		}
 		rep.Slack[i] = sl
 		if sl < rep.WorstSlack {
@@ -116,12 +116,12 @@ func (s *State) criticalPath() []int {
 		}
 		g := &cc.Gates[gi]
 		ch := s.choices[gi]
-		load := s.netLoad[g.Out]
+		load := s.net[g.Out].load
 		bestNet, bestArr := -1, -1.0
 		for pin, in := range g.In {
 			arcs := ch.Arcs[pin]
-			r := s.arrF[in] + arcs.Rise.Delay.Lookup(s.slewF[in], load)
-			f := s.arrR[in] + arcs.Fall.Delay.Lookup(s.slewR[in], load)
+			r := s.net[in].arrF + arcs.Rise.Delay.Lookup(s.net[in].slewF, load)
+			f := s.net[in].arrR + arcs.Fall.Delay.Lookup(s.net[in].slewR, load)
 			if a := math.Max(r, f); a > bestArr {
 				bestArr, bestNet = a, in
 			}

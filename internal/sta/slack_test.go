@@ -107,17 +107,17 @@ func TestSlackConsistency(t *testing.T) {
 	for gi := range cc.Gates {
 		g := &cc.Gates[gi]
 		ch := st.Choice(gi)
-		load := st.netLoad[g.Out]
+		load := st.net[g.Out].load
 		for pin, in := range g.In {
 			arcs := ch.Timing(pin)
 			if outR := rep.RequiredRise[g.Out]; !math.IsInf(outR, 1) {
-				bound := outR - arcs.Rise.Delay.Lookup(st.slewF[in], load)
+				bound := outR - arcs.Rise.Delay.Lookup(st.net[in].slewF, load)
 				if rep.RequiredFall[in] > bound+1e-9 {
 					t.Fatalf("gate %d pin %d: requiredFall(in) %g exceeds bound %g", gi, pin, rep.RequiredFall[in], bound)
 				}
 			}
 			if outF := rep.RequiredFall[g.Out]; !math.IsInf(outF, 1) {
-				bound := outF - arcs.Fall.Delay.Lookup(st.slewR[in], load)
+				bound := outF - arcs.Fall.Delay.Lookup(st.net[in].slewR, load)
 				if rep.RequiredRise[in] > bound+1e-9 {
 					t.Fatalf("gate %d pin %d: requiredRise(in) %g exceeds bound %g", gi, pin, rep.RequiredRise[in], bound)
 				}

@@ -21,10 +21,12 @@
 // it found, and Delay is the from-scratch analysis.
 //
 // There is one timing path.  New requires every reachable NLDM table to
-// interpolate over one slew×load grid, so each State caches the grid
-// coordinates of every stored slew and load, and every choice (the slow
-// versions of SlowChoices included) carries its arcs in instance-pin order
-// in library.Choice.Arcs.
+// interpolate over one slew×load grid, and every choice (the slow versions
+// of SlowChoices included) carries its arcs in instance-pin order in
+// library.Choice.Arcs.  Each State memoizes, per fan-in pin, the four
+// interpolated values of the pin's last evaluation under their inputs (the
+// arcs, the input slews and the output load), so a re-evaluation whose pin
+// inputs repeat bit for bit only adds and takes maxima.
 package sta
 
 import (
@@ -72,13 +74,10 @@ type Timer struct {
 	faninNet []int32
 	outNet   []int32
 	// axisX (input slew) and axisY (output load) are the one grid every
-	// reachable NLDM table interpolates over; New refuses any other.
-	// States cache the grid-segment index and interpolation fraction per
-	// net alongside each stored slew and load, so evalGate skips the
-	// per-table axis search entirely: four Table2D.At probes per fan-in arc
-	// instead of four full Lookups.  The fractions are computed by
-	// cell.Coord from the same stored values Lookup would use, so results
-	// are bit-for-bit Lookup's.
+	// reachable NLDM table interpolates over; New refuses any other.  An
+	// evalGate memo miss locates each input slew and the output load on
+	// the grid once with cell.Coord and probes the pin's four tables with
+	// Table2D.At, which is bit-for-bit Lookup on the same values.
 	axisX, axisY []float64
 }
 
@@ -148,8 +147,9 @@ func New(cc *netlist.Compiled, lib *library.Library, cfg Config) (*Timer, error)
 // checkGrid rejects every timing table of cell c, its slow version
 // included, that does not interpolate over the Timer's grid; the first
 // table checked sets that grid.  Identity is by backing array (same
-// first-element address and length): the cached coordinates are only valid
-// for tables that read that very grid.
+// first-element address and length): evalGate locates values on the
+// Timer's grid once per pin and probes all four tables there, which is
+// only Lookup for tables that read that very grid.
 func (t *Timer) checkGrid(c *library.Cell) error {
 	same := func(a, b []float64) bool { return len(a) == len(b) && &a[0] == &b[0] }
 	for _, v := range append(c.Versions[:len(c.Versions):len(c.Versions)], c.Slow) {
@@ -204,45 +204,43 @@ func (t *Timer) SlowChoices() []*library.Choice {
 type State struct {
 	t       *Timer
 	choices []*library.Choice
-	// Per-net arrival times and slews (ps), split by transition.
-	arrR, arrF, slewR, slewF []float64
-	// netLoad[net] is the cached total load: Timer.staticLoad plus the
-	// fan-out pin capacitances under the current choices.  Refreshed by
-	// SetChoice for exactly the nets whose readers changed, always in the
-	// same canonical summation order, so its values are bit-for-bit the
-	// ones a from-scratch rescan would produce.
-	netLoad []float64
+	net     []netTiming
 	dirty   dirtySet
-	// Per-net interpolation coordinates on the Timer's grid: the
-	// axis-segment index and fraction cell.Coord yields for the *stored*
-	// slew/load words above.  They are refreshed at exactly the sites that
-	// store those words (evalGate for slews, recompute sites for loads),
-	// so every table probe in evalGate reuses them instead of re-running
-	// the segment search per table.
-	slewRI, slewFI   []int32
-	slewRFx, slewFFx []float64
-	loadJ            []int32
-	loadFy           []float64
+	// memo[k] holds the interpolations of fan-in pin k (indexed like
+	// Timer.faninNet) at its last evaluation.  An entry's values are a pure
+	// function of its key, so it is valid in any State of the same Timer:
+	// Clone and CopyFrom leave it alone, and a zeroed entry (nil arcs)
+	// never matches.
+	memo []pinMemo
+}
+
+// netTiming is one net's stored timing.  load is the total load (fF):
+// Timer.staticLoad plus the fan-out pin capacitances under the current
+// choices, refreshed by SetChoice for exactly the nets whose readers
+// changed, always in the same canonical summation order, so it is
+// bit-for-bit what a from-scratch rescan produces.
+type netTiming struct {
+	arrR, arrF, slewR, slewF float64 // ps, split by transition
+	load                     float64
+}
+
+// pinMemo is one fan-in pin's interpolated rise/fall delays and slews,
+// keyed on the pin's arcs and the bits of the input slews and output load
+// they were interpolated at.
+type pinMemo struct {
+	arcs               *cell.PinTiming
+	slewR, slewF, load uint64
+	dR, dF, sR, sF     float64
 }
 
 // newState allocates a State's storage, every array zeroed.
 func (t *Timer) newState() *State {
-	n := t.CC.NumNets()
 	return &State{
 		t:       t,
 		choices: make([]*library.Choice, len(t.CC.Gates)),
-		arrR:    make([]float64, n),
-		arrF:    make([]float64, n),
-		slewR:   make([]float64, n),
-		slewF:   make([]float64, n),
-		netLoad: make([]float64, n),
+		net:     make([]netTiming, t.CC.NumNets()),
 		dirty:   newDirtySet(len(t.CC.Gates)),
-		slewRI:  make([]int32, n),
-		slewFI:  make([]int32, n),
-		slewRFx: make([]float64, n),
-		slewFFx: make([]float64, n),
-		loadJ:   make([]int32, n),
-		loadFy:  make([]float64, n),
+		memo:    make([]pinMemo, len(t.faninNet)),
 	}
 }
 
@@ -255,13 +253,11 @@ func (t *Timer) NewState(choices []*library.Choice) (*State, error) {
 	s := t.newState()
 	copy(s.choices, choices)
 	for _, pi := range t.CC.PI {
-		s.slewR[pi] = t.Cfg.InputSlew
-		s.slewF[pi] = t.Cfg.InputSlew
-		s.refreshSlewCoords(pi)
+		s.net[pi].slewR = t.Cfg.InputSlew
+		s.net[pi].slewF = t.Cfg.InputSlew
 	}
-	for net := range s.netLoad {
-		s.netLoad[net] = s.recomputeLoad(net)
-		s.refreshLoadCoord(net)
+	for net := range s.net {
+		s.net[net].load = s.recomputeLoad(net)
 	}
 	for i := range t.CC.Gates {
 		s.evalGate(i)
@@ -269,32 +265,15 @@ func (t *Timer) NewState(choices []*library.Choice) (*State, error) {
 	return s, nil
 }
 
-// refreshSlewCoords re-derives the cached interpolation coordinates of a
-// net's stored slews.  Must be called at every site that stores
-// slewR/slewF.
-func (s *State) refreshSlewCoords(net int) {
-	i, fx := cell.Coord(s.t.axisX, s.slewR[net])
-	s.slewRI[net], s.slewRFx[net] = int32(i), fx
-	i, fx = cell.Coord(s.t.axisX, s.slewF[net])
-	s.slewFI[net], s.slewFFx[net] = int32(i), fx
-}
-
-// refreshLoadCoord re-derives the cached interpolation coordinate of a net's
-// stored load.  Must be called at every site that stores netLoad.
-func (s *State) refreshLoadCoord(net int) {
-	j, fy := cell.Coord(s.t.axisY, s.netLoad[net])
-	s.loadJ[net], s.loadFy[net] = int32(j), fy
-}
-
 // Choice returns the current choice of a gate.
 func (s *State) Choice(gate int) *library.Choice { return s.choices[gate] }
 
 // Clone returns an independent copy of a quiescent timing state.  The copy
-// shares the read-only Timer but owns its arrival/slew/load/choice storage,
-// so a clone can be re-timed concurrently with the original.  Cloning is a
-// plain O(nets) copy — far cheaper than NewState's full re-analysis — which
-// is what lets every parallel search worker start from a precomputed
-// baseline.
+// shares the read-only Timer but owns its arrival/slew/load/choice storage
+// and an empty memo, so a clone can be re-timed concurrently with the
+// original.  Cloning is a plain O(nets) copy — far cheaper than NewState's
+// full re-analysis — which is what lets every parallel search worker start
+// from a precomputed baseline.
 func (s *State) Clone() *State {
 	c := s.t.newState()
 	c.CopyFrom(s)
@@ -302,25 +281,16 @@ func (s *State) Clone() *State {
 }
 
 // CopyFrom overwrites s with o's choices, timing and net loads without any
-// re-analysis.  Both states must belong to the same Timer and be quiescent
-// (no propagation in flight).  It is the reset operation of the search
-// workers: one copy per leaf instead of one full analysis per leaf.
+// re-analysis; s keeps its own memo.  Both states must belong to the same
+// Timer and be quiescent (no propagation in flight).  It is the reset
+// operation of the search workers: one copy per leaf instead of one full
+// analysis per leaf.
 func (s *State) CopyFrom(o *State) {
 	if s.t != o.t {
 		panic("sta: CopyFrom across different timers")
 	}
 	copy(s.choices, o.choices)
-	copy(s.arrR, o.arrR)
-	copy(s.arrF, o.arrF)
-	copy(s.slewR, o.slewR)
-	copy(s.slewF, o.slewF)
-	copy(s.netLoad, o.netLoad)
-	copy(s.slewRI, o.slewRI)
-	copy(s.slewFI, o.slewFI)
-	copy(s.slewRFx, o.slewRFx)
-	copy(s.slewFFx, o.slewFFx)
-	copy(s.loadJ, o.loadJ)
-	copy(s.loadFy, o.loadFy)
+	copy(s.net, o.net)
 }
 
 // recomputeLoad sums a net's load from scratch: the precomputed wire+PO
@@ -343,47 +313,54 @@ func (s *State) recomputeLoad(net int) float64 {
 }
 
 // Load returns the current cached capacitance on a net.
-func (s *State) Load(net int) float64 { return s.netLoad[net] }
+func (s *State) Load(net int) float64 { return s.net[net].load }
 
 // evalGate recomputes a gate's output arrival/slew and reports whether any
-// of the four words changed bits.  It probes each table at the per-net
-// cached coordinates — the segment searches and divisions Lookup would
-// repeat per table were already paid when the slews and load were stored.
+// of the four words changed bits.  A pin whose arcs, input slews and output
+// load repeat its memo key bit for bit reuses the memo's interpolations;
+// only a miss locates the values on the grid and probes the four tables.
 func (s *State) evalGate(gi int) bool {
 	t := s.t
 	byPin := s.choices[gi].Arcs
-	out := int(t.outNet[gi])
+	out := &s.net[t.outNet[gi]]
 	off, end := t.faninOff[gi], t.faninOff[gi+1]
 	var aR, aF, sR, sF float64
-	j, fy := int(s.loadJ[out]), s.loadFy[out]
+	load := math.Float64bits(out.load)
+	j, fy := -1, 0.0 // the load's grid coordinate, located on the first miss
 	for k := off; k < end; k++ {
-		in := int(t.faninNet[k])
+		in := &s.net[t.faninNet[k]]
 		arcs := byPin[k-off]
-		iF, fxF := int(s.slewFI[in]), s.slewFFx[in]
-		iR, fxR := int(s.slewRI[in]), s.slewRFx[in]
-		// Inverting cell: output rise launches from input fall.
-		r := s.arrF[in] + arcs.Rise.Delay.At(iF, j, fxF, fy)
-		f := s.arrR[in] + arcs.Fall.Delay.At(iR, j, fxR, fy)
-		if r > aR {
+		m := &s.memo[k]
+		slewR, slewF := math.Float64bits(in.slewR), math.Float64bits(in.slewF)
+		if m.arcs != arcs || m.slewR != slewR || m.slewF != slewF || m.load != load {
+			if j < 0 {
+				j, fy = cell.Coord(t.axisY, out.load)
+			}
+			iF, fxF := cell.Coord(t.axisX, in.slewF)
+			iR, fxR := cell.Coord(t.axisX, in.slewR)
+			// Inverting cell: output rise launches from input fall.
+			*m = pinMemo{arcs: arcs, slewR: slewR, slewF: slewF, load: load,
+				dR: arcs.Rise.Delay.At(iF, j, fxF, fy), dF: arcs.Fall.Delay.At(iR, j, fxR, fy),
+				sR: arcs.Rise.Slew.At(iF, j, fxF, fy), sF: arcs.Fall.Slew.At(iR, j, fxR, fy)}
+		}
+		if r := in.arrF + m.dR; r > aR {
 			aR = r
 		}
-		if f > aF {
+		if f := in.arrR + m.dF; f > aF {
 			aF = f
 		}
-		if v := arcs.Rise.Slew.At(iF, j, fxF, fy); v > sR {
-			sR = v
+		if m.sR > sR {
+			sR = m.sR
 		}
-		if v := arcs.Fall.Slew.At(iR, j, fxR, fy); v > sF {
-			sF = v
+		if m.sF > sF {
+			sF = m.sF
 		}
 	}
-	changed := math.Float64bits(aR) != math.Float64bits(s.arrR[out]) ||
-		math.Float64bits(aF) != math.Float64bits(s.arrF[out]) ||
-		math.Float64bits(sR) != math.Float64bits(s.slewR[out]) ||
-		math.Float64bits(sF) != math.Float64bits(s.slewF[out])
-	s.arrR[out], s.arrF[out] = aR, aF
-	s.slewR[out], s.slewF[out] = sR, sF
-	s.refreshSlewCoords(out)
+	changed := math.Float64bits(aR) != math.Float64bits(out.arrR) ||
+		math.Float64bits(aF) != math.Float64bits(out.arrF) ||
+		math.Float64bits(sR) != math.Float64bits(out.slewR) ||
+		math.Float64bits(sF) != math.Float64bits(out.slewF)
+	out.arrR, out.arrF, out.slewR, out.slewF = aR, aF, sR, sF
 	return changed
 }
 
@@ -414,8 +391,7 @@ func (s *State) SetChoice(gate int, ch *library.Choice) {
 			continue
 		}
 		in := int(t.faninNet[k])
-		s.netLoad[in] = s.recomputeLoad(in)
-		s.refreshLoadCoord(in)
+		s.net[in].load = s.recomputeLoad(in)
 		s.markDirty(gateOfNet[in])
 	}
 	s.markDirty(gate)
@@ -444,10 +420,10 @@ func (s *State) propagate() {
 func (s *State) Delay() float64 {
 	d := 0.0
 	for _, po := range s.t.CC.PO {
-		if a := s.arrR[po]; a > d {
+		if a := s.net[po].arrR; a > d {
 			d = a
 		}
-		if a := s.arrF[po]; a > d {
+		if a := s.net[po].arrF; a > d {
 			d = a
 		}
 	}
@@ -456,7 +432,7 @@ func (s *State) Delay() float64 {
 
 // Arrival returns the worst arrival time (ps) of a net.
 func (s *State) Arrival(net int) float64 {
-	return math.Max(s.arrR[net], s.arrF[net])
+	return math.Max(s.net[net].arrR, s.net[net].arrF)
 }
 
 // Analyze runs a one-shot full analysis for the given choices and returns

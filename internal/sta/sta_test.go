@@ -151,43 +151,30 @@ func invariantCircuits(t *testing.T) []*netlist.Compiled {
 	return out
 }
 
-// requireFresh fails unless every stored word of s — arrivals, slews, net
-// loads and the cached grid coordinates of slews and loads — equals, bit for
-// bit, what NewState computes for the same choices.
+// requireFresh fails unless every stored word of s — each net's arrivals,
+// slews and load — equals, bit for bit, what NewState computes for the same
+// choices.  NewState evaluates every pin once on an empty memo, so it never
+// reuses an interpolation.
 func requireFresh(t *testing.T, s *State, label string) {
 	t.Helper()
 	fresh, err := s.t.NewState(s.choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	floats := []struct {
-		name      string
-		got, want []float64
-	}{
-		{"arrR", s.arrR, fresh.arrR}, {"arrF", s.arrF, fresh.arrF},
-		{"slewR", s.slewR, fresh.slewR}, {"slewF", s.slewF, fresh.slewF},
-		{"netLoad", s.netLoad, fresh.netLoad},
-		{"slewRFx", s.slewRFx, fresh.slewRFx}, {"slewFFx", s.slewFFx, fresh.slewFFx},
-		{"loadFy", s.loadFy, fresh.loadFy},
-	}
-	for _, f := range floats {
-		for net := range f.want {
-			if math.Float64bits(f.got[net]) != math.Float64bits(f.want[net]) {
-				t.Fatalf("%s: %s[%d] = %v (bits %016x), NewState %v (bits %016x)", label, f.name, net,
-					f.got[net], math.Float64bits(f.got[net]), f.want[net], math.Float64bits(f.want[net]))
-			}
+	for net, want := range fresh.net {
+		got := s.net[net]
+		words := [...]struct {
+			name      string
+			got, want float64
+		}{
+			{"arrR", got.arrR, want.arrR}, {"arrF", got.arrF, want.arrF},
+			{"slewR", got.slewR, want.slewR}, {"slewF", got.slewF, want.slewF},
+			{"load", got.load, want.load},
 		}
-	}
-	ints := []struct {
-		name      string
-		got, want []int32
-	}{
-		{"slewRI", s.slewRI, fresh.slewRI}, {"slewFI", s.slewFI, fresh.slewFI}, {"loadJ", s.loadJ, fresh.loadJ},
-	}
-	for _, f := range ints {
-		for net := range f.want {
-			if f.got[net] != f.want[net] {
-				t.Fatalf("%s: %s[%d] = %d, NewState %d", label, f.name, net, f.got[net], f.want[net])
+		for _, w := range words {
+			if math.Float64bits(w.got) != math.Float64bits(w.want) {
+				t.Fatalf("%s: net %d %s = %v (bits %016x), NewState %v (bits %016x)", label, net, w.name,
+					w.got, math.Float64bits(w.got), w.want, math.Float64bits(w.want))
 			}
 		}
 	}
@@ -206,12 +193,46 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(11))
-		for step := 0; step < 200; step++ {
-			gi, ch := randomChoice(rng, tm)
-			state.SetChoice(gi, ch)
-			requireFresh(t, state, fmt.Sprintf("%s step %d", name, step))
+		randomEdits(t, state, fmt.Sprintf("%s step", name))
+	}
+}
+
+// randomEdits applies TestIncrementalMatchesFull's random edit sequence to
+// s and checks it against NewState after every edit.
+func randomEdits(t *testing.T, s *State, label string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	for step := 0; step < 200; step++ {
+		gi, ch := randomChoice(rng, s.t)
+		s.SetChoice(gi, ch)
+		requireFresh(t, s, fmt.Sprintf("%s %d", label, step))
+	}
+}
+
+// The per-pin memo survives CopyFrom, so a state reset to another's timing
+// starts from entries recorded under unrelated choices.  Those entries may
+// only be reused where their key matches: after warming the memo under the
+// all-slow vector and under a random one, the random edit sequence from
+// an all-fast copy must still be NewState at every step.
+func TestMemoHistoryIsInvisible(t *testing.T) {
+	for _, cc := range invariantCircuits(t) {
+		name := cc.Circuit.Name
+		tm := newTimer(t, cc)
+		fast, err := tm.NewState(tm.FastChoices())
+		if err != nil {
+			t.Fatal(err)
 		}
+		state, err := tm.NewState(tm.SlowChoices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for step := 0; step < 100; step++ {
+			state.SetChoice(randomChoice(rng, tm))
+		}
+		state.CopyFrom(fast)
+		requireFresh(t, state, name+" after CopyFrom")
+		randomEdits(t, state, name+" warm step")
 	}
 }
 
